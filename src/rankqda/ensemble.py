@@ -9,9 +9,17 @@ blocks' hard votes into a fraction ``nu`` and thresholds it at ``alpha``
 of (data, config): substreams are keyed by (seed, block, candidate), so
 the fit is reproducible regardless of execution order and could be
 parallelized across the block/candidate grid without changing results.
+
+Prediction has one kernel, :func:`vote_fractions`. On first use a model
+stacks its ``b1`` projections into one (p, b1*d) matrix and its blocks'
+``inv1 - inv0`` matrices and constants into arrays (never persisted).
+Scoring then takes one marginal transform, and per chunk of rows one
+matmul into every block's space plus one
+:func:`qda.stacked_discriminant` call, with no loop over blocks.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +69,28 @@ class Block:
     candidate: int
 
 
+# Rows per prediction chunk keep the stacked (rows, b1*d) buffers at
+# about this many elements, so memory stays flat in the number of rows.
+_CHUNK_ELEMENTS = 2**15
+
+
+@dataclass(frozen=True)
+class StackedBlocks:
+    """All blocks of an ensemble laid side by side for the vote kernel.
+
+    ``projection`` is (p, b1*d): column block k is block k's ``A'``.
+    ``D`` is (b1, d, d) and ``const`` is (b1,), from :func:`qda.decision_terms`.
+    """
+
+    projection: np.ndarray
+    D: np.ndarray
+    const: np.ndarray
+
+    @property
+    def chunk_rows(self) -> int:
+        return max(1, _CHUNK_ELEMENTS // self.projection.shape[1])
+
+
 @dataclass(frozen=True)
 class EnsembleModel:
     marginal_model: marginals.MarginalModel
@@ -75,6 +105,16 @@ class EnsembleModel:
     @property
     def b1(self) -> int:
         return len(self.blocks)
+
+    @cached_property
+    def stacked(self) -> StackedBlocks:
+        """The blocks stacked for :func:`vote_fractions`; derived on first use."""
+        terms = [qda.decision_terms(block.model) for block in self.blocks]
+        return StackedBlocks(
+            projection=np.vstack([block.projection.matrix for block in self.blocks]).T,
+            D=np.stack([D for D, _ in terms]),
+            const=np.array([const for _, const in terms]),
+        )
 
 
 def training_error(model: qda.RqdaModel, Z, labels) -> float:
@@ -178,11 +218,15 @@ def vote_fractions(model: EnsembleModel, X) -> np.ndarray:
     Every value is an exact integer multiple of 1/b1.
     """
     scores = marginals.transform_new(model.marginal_model, np.atleast_2d(np.asarray(X, dtype=float)))
-    counts = np.zeros(scores.shape[0], dtype=int)
-    for block in model.blocks:
-        Z = projections.project(block.projection, scores)
-        counts += qda.rqda_classify(Z, block.model)
-    return counts / model.b1
+    stacked = model.stacked
+    b1, d = stacked.D.shape[:2]
+    step = stacked.chunk_rows
+    counts = np.empty(scores.shape[0], dtype=int)
+    for start in range(0, scores.shape[0], step):
+        Z = (scores[start:start + step] @ stacked.projection).reshape(-1, b1, d)
+        delta = qda.stacked_discriminant(Z, stacked.D, stacked.const)
+        counts[start:start + step] = (delta >= 0.0).sum(axis=1)
+    return counts / b1
 
 
 def vote_fraction(model: EnsembleModel, x) -> float:

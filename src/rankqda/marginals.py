@@ -9,9 +9,16 @@ where ``count`` is the number of training values less than or equal to
 the point (ties share the maximal count). The scores depend only on the
 ranks of the data, so any strictly increasing per-feature transformation
 of the inputs leaves them bit-identical.
+
+Because ``count`` is an integer in ``1..n``, a model fitted on n rows can
+only ever produce n distinct scores. :class:`MarginalModel` derives them
+once as a score table, ``inv_norm_cdf(arange(1, n + 1) / (n + 1))``, and
+both transforms turn counts into scores by indexing it, so the quantile
+function runs n times per model rather than once per entry.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr
@@ -122,6 +129,15 @@ class MarginalModel:
     def n_features(self) -> int:
         return self.sorted_columns.shape[1]
 
+    @cached_property
+    def score_table(self) -> np.ndarray:
+        """Entry ``k - 1`` is the score of count k: ``inv_norm_cdf(k / (n + 1))``.
+
+        Derived from ``n`` on first use and never persisted.
+        """
+        n = self.n_samples
+        return inv_norm_cdf(np.arange(1, n + 1) / (n + 1.0))
+
 
 def _check_finite_matrix(X: np.ndarray) -> None:
     bad = ~np.isfinite(X)
@@ -155,12 +171,11 @@ def fit_transform(X) -> tuple[MarginalModel, np.ndarray]:
         raise ValueError(f"feature matrix must be non-empty, got shape {X.shape}")
     _check_finite_matrix(X)
 
-    sorted_columns = np.sort(X, axis=0)
-    counts = np.empty((n, p), dtype=float)
+    model = MarginalModel(np.sort(X, axis=0))
+    counts = np.empty((n, p), dtype=np.intp)
     for j in range(p):
-        counts[:, j] = np.searchsorted(sorted_columns[:, j], X[:, j], side="right")
-    scores = inv_norm_cdf(counts / (n + 1.0))
-    return MarginalModel(sorted_columns), scores
+        counts[:, j] = np.searchsorted(model.sorted_columns[:, j], X[:, j], side="right")
+    return model, model.score_table[counts - 1]
 
 
 def transform_new(model: MarginalModel, x) -> np.ndarray:
@@ -184,10 +199,10 @@ def transform_new(model: MarginalModel, x) -> np.ndarray:
         )
     _check_finite_matrix(X)
 
-    n, p = model.n_samples, model.n_features
-    counts = np.empty(X.shape, dtype=float)
-    for j in range(p):
-        c = np.searchsorted(model.sorted_columns[:, j], X[:, j], side="right")
-        counts[:, j] = np.clip(c, 1, n)
-    scores = inv_norm_cdf(counts / (n + 1.0))
+    counts = np.empty(X.shape, dtype=np.intp)
+    for j in range(model.n_features):
+        counts[:, j] = np.searchsorted(model.sorted_columns[:, j], X[:, j], side="right")
+    # side="right" counts never exceed n, so only the lower end needs the clamp.
+    np.maximum(counts, 1, out=counts)
+    scores = model.score_table[counts - 1]
     return scores[0] if single else scores

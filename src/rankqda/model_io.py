@@ -1,9 +1,16 @@
 """Versioned JSON persistence for fitted ensembles.
 
 Matrices are stored row-major as nested lists; floats round-trip exactly
-through JSON's shortest-repr serialization, and the cached inverses and
+through JSON's shortest-repr serialization, and the inverses and
 log-determinants are recomputed from the stored covariances at load
-time, so a reloaded model reproduces predictions bit-identically.
+time, so a reloaded model reproduces predictions bit-identically. The
+stacked arrays of the vote kernel and the marginal score table are
+derived from the loaded model and never stored.
+
+Loading validates the document before building the model: shapes
+against ``d`` and ``n_features``, finiteness, ``alpha`` in [0, 1], the
+block count against ``b1`` and sorted marginal columns of length ``n``.
+A malformed file fails with one :class:`ValueError` naming the field.
 """
 
 import json
@@ -18,6 +25,21 @@ FORMAT_VERSION = 1
 
 def _matrix(a) -> list:
     return np.asarray(a, dtype=float).tolist()
+
+
+def _finite_array(value, what: str, shape: tuple) -> np.ndarray:
+    a = np.asarray(value, dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"{what} has shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} has a non-finite value")
+    return a
+
+
+def _finite_number(value, what: str) -> float:
+    if not isinstance(value, (int, float)) or not np.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def model_to_dict(model: ensemble.EnsembleModel) -> dict:
@@ -80,33 +102,54 @@ def model_from_dict(doc: dict) -> ensemble.EnsembleModel:
         alpha=cfg["alpha"],
         seed=cfg["seed"],
     )
+    d, p, n = config.d, doc["n_features"], doc["marginals"]["n"]
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"marginals.n must be a positive integer, got {n!r}")
 
-    columns = np.asarray(doc["marginals"]["columns"], dtype=float)
+    raw_columns = doc["marginals"]["columns"]
+    if len(raw_columns) != p:
+        raise ValueError(f"marginals have {len(raw_columns)} columns, expected n_features={p}")
+    for j, column in enumerate(raw_columns):
+        if len(column) != n:
+            raise ValueError(f"marginal column {j} has {len(column)} values, expected n={n}")
+    columns = _finite_array(raw_columns, "marginal columns", (p, n))
+    unsorted = np.flatnonzero((np.diff(columns, axis=1) < 0).any(axis=1))
+    if unsorted.size:
+        raise ValueError(f"marginal column {unsorted[0]} is not sorted ascending")
     marginal_model = marginals.MarginalModel(sorted_columns=columns.T)
 
+    raw_blocks = doc["blocks"]
+    if len(raw_blocks) != config.b1:
+        raise ValueError(f"model has {len(raw_blocks)} blocks, expected b1={config.b1}")
     blocks = []
-    for raw in doc["blocks"]:
+    for k, raw in enumerate(raw_blocks):
         proj = projections.Projection(
-            matrix=np.asarray(raw["matrix"], dtype=float),
+            matrix=_finite_array(raw["matrix"], f"block {k} matrix", (d, p)),
             flavor=raw["flavor"],
             stream=tuple(raw["stream"]) if raw["stream"] is not None else None,
         )
         model = qda.model_from_parameters(
-            raw["prior1"], raw["cov0"], raw["cov1"], ridge=raw["ridge"]
+            _finite_number(raw["prior1"], f"block {k} prior1"),
+            _finite_array(raw["cov0"], f"block {k} cov0", (d, d)),
+            _finite_array(raw["cov1"], f"block {k} cov1", (d, d)),
+            ridge=_finite_number(raw["ridge"], f"block {k} ridge"),
         )
         blocks.append(
             ensemble.Block(
                 projection=proj,
                 model=model,
-                train_error=raw["train_error"],
+                train_error=_finite_number(raw["train_error"], f"block {k} train_error"),
                 candidate=raw["candidate"],
             )
         )
 
+    alpha = _finite_number(doc["alpha"], "alpha")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     return ensemble.EnsembleModel(
         marginal_model=marginal_model,
         blocks=blocks,
-        alpha=doc["alpha"],
+        alpha=alpha,
         config=config,
     )
 

@@ -3,12 +3,16 @@
 Both classes are modelled as centred Gaussians (the rank transform pins
 the marginal location at zero, so no mean vector is estimated). A fitted
 model holds the class priors, the per-class second-moment matrices of
-the projected scores, and cached inverses and log-determinants so the
+the projected scores, and their inverses and log-determinants. The
 quadratic decision function
 
     log(prior1/prior0) - 0.5*log(det1/det0) - 0.5*s'(inv1 - inv0)s
 
-is cheap to evaluate in the prediction hot loop.
+is therefore a constant plus a quadratic form in ``D = inv1 - inv0``
+(:func:`decision_terms`). :func:`stacked_discriminant` evaluates it for
+many blocks at once from stacked ``D`` matrices and constants; the
+ensemble's prediction kernel calls it once per row chunk, and
+:func:`discriminant` is its one-block case.
 """
 
 import warnings
@@ -31,7 +35,7 @@ def _check_labels(labels) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size == 0:
         raise ValueError("labels must be a non-empty 1-d array")
-    if not np.isin(labels, (0, 1)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be 0/1")
     return labels.astype(int)
 
@@ -223,6 +227,27 @@ def fit_rqda(Z, labels, ridge: float | None = None) -> RqdaModel:
     )
 
 
+def decision_terms(model: RqdaModel) -> tuple[np.ndarray, float]:
+    """``(D, const)`` with ``discriminant(s) = const - 0.5 * s'Ds``.
+
+    ``D = inv1 - inv0`` and ``const = log(prior1/prior0) - 0.5*(log_det1 - log_det0)``.
+    """
+    const = np.log(model.prior1 / model.prior0) - 0.5 * (model.log_det1 - model.log_det0)
+    return model.inv1 - model.inv0, float(const)
+
+
+def stacked_discriminant(Z, D, const) -> np.ndarray:
+    """Discriminant scores of ``b`` blocks for ``m`` rows in one pass.
+
+    ``Z`` has shape (m, b, d): row i's projected scores under each block.
+    ``D`` has shape (b, d, d) and ``const`` shape (b,), one
+    :func:`decision_terms` pair per block. Returns the (m, b) matrix
+    ``const[k] - 0.5 * Z[i, k]' D[k] Z[i, k]``.
+    """
+    Y = np.matmul(Z.transpose(1, 0, 2), D)
+    return const - 0.5 * np.einsum("bmj,mbj->mb", Y, Z)
+
+
 def discriminant(s, model: RqdaModel):
     """Quadratic discriminant score; >= 0 means class 1.
 
@@ -236,13 +261,8 @@ def discriminant(s, model: RqdaModel):
         raise ValueError(
             f"score dimension mismatch: model expects d={model.dim}, got shape {s.shape}"
         )
-    diff = model.inv1 - model.inv0
-    quad = np.einsum("ij,jk,ik->i", S, diff, S)
-    delta = (
-        np.log(model.prior1 / model.prior0)
-        - 0.5 * (model.log_det1 - model.log_det0)
-        - 0.5 * quad
-    )
+    D, const = decision_terms(model)
+    delta = stacked_discriminant(S[:, None, :], D[None], np.array([const]))[:, 0]
     return float(delta[0]) if single else delta
 
 

@@ -2,12 +2,16 @@
 
 These deliberately avoid the library's production code paths: the
 quantile oracle is plain bisection on the normal cdf, determinants use
-cofactor expansion, inverses use the adjugate, and matrix products use
-a naive triple loop.
+cofactor expansion, inverses use the adjugate, matrix products use a
+naive triple loop, and ensemble votes come from a loop over blocks that
+evaluates the quantile function per entry and each block's discriminant
+on its own.
 """
 
 import numpy as np
 from scipy.special import ndtr
+
+from rankqda.marginals import inv_norm_cdf
 
 
 def bisection_inv_norm_cdf(u, iterations=90):
@@ -72,3 +76,32 @@ def naive_matmul(A, B):
                 acc += A[i, k] * B[k, j]
             out[i, j] = acc
     return out
+
+
+def direct_probit_scores(sorted_columns, X):
+    """``inv_norm_cdf(count / (n + 1))`` per entry, count clamped to [1, n]."""
+    n, p = sorted_columns.shape
+    X = np.asarray(X, dtype=float)
+    counts = np.empty(X.shape)
+    for j in range(p):
+        c = np.searchsorted(sorted_columns[:, j], X[:, j], side="right")
+        counts[:, j] = np.clip(c, 1, n)
+    return inv_norm_cdf(counts / (n + 1.0))
+
+
+def per_block_vote_fractions(model, X):
+    """Vote fractions from one projection and one discriminant per block.
+
+    Each block projects the scores with ``S @ A'`` and evaluates
+    ``log(p1/p0) - 0.5*(logdet1 - logdet0) - 0.5*s'(inv1 - inv0)s``
+    with a three-operand einsum.
+    """
+    scores = direct_probit_scores(model.marginal_model.sorted_columns, np.atleast_2d(X))
+    counts = np.zeros(scores.shape[0], dtype=int)
+    for block in model.blocks:
+        m = block.model
+        Z = scores @ block.projection.matrix.T
+        quad = np.einsum("ij,jk,ik->i", Z, m.inv1 - m.inv0, Z)
+        delta = np.log(m.prior1 / m.prior0) - 0.5 * (m.log_det1 - m.log_det0) - 0.5 * quad
+        counts += (delta >= 0.0).astype(int)
+    return counts / len(model.blocks)

@@ -1,0 +1,62 @@
+"""Property tests on random small data and configurations."""
+
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rankqda import (
+    FLAVORS,
+    EnsembleConfig,
+    fit_transform,
+    train_ensemble,
+    transform_new,
+    vote_fractions,
+)
+from rankqda.rng import substream
+
+from oracles import per_block_vote_fractions
+
+
+@st.composite
+def problems(draw):
+    p = draw(st.integers(1, 5))
+    d = draw(st.integers(1, p))
+    per_class = draw(st.integers(d + 1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = substream(seed)
+    labels = rng.permutation(np.repeat([0, 1], per_class))
+    X = rng.standard_normal((2 * per_class, p)) * np.where(labels == 1, 2.0, 1.0)[:, None]
+    if draw(st.booleans()):
+        X = np.round(X)  # ties
+    config = EnsembleConfig(
+        d=d,
+        b1=draw(st.integers(1, 5)),
+        b2=draw(st.integers(1, 3)),
+        flavor=draw(st.sampled_from(FLAVORS)),
+        seed=draw(st.integers(0, 1000)),
+    )
+    X_new = rng.standard_normal((draw(st.integers(1, 20)), p)) * 2.0
+    return X, labels, config, X_new
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems())
+def test_stacked_votes_equal_per_block_loop(problem):
+    X, labels, config, X_new = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        model = train_ensemble(X, labels, config)
+    for rows in (X, X_new):
+        np.testing.assert_array_equal(
+            vote_fractions(model, rows), per_block_vote_fractions(model, rows)
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems())
+def test_transform_new_on_training_rows_equals_fit_scores(problem):
+    X = problem[0]
+    model, scores = fit_transform(X)
+    np.testing.assert_array_equal(transform_new(model, X), scores)
