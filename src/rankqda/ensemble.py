@@ -16,6 +16,8 @@ stacks its ``b1`` projections into one (p, b1*d) matrix and its blocks'
 Scoring then takes one marginal transform, and per chunk of rows one
 matmul into every block's space plus one
 :func:`qda.stacked_discriminant` call, with no loop over blocks.
+Training counts the votes it selects ``alpha`` on with the same kernel,
+so a training row gets the same vote at fit as at prediction.
 """
 
 from dataclasses import dataclass
@@ -86,9 +88,29 @@ class StackedBlocks:
     D: np.ndarray
     const: np.ndarray
 
+    @classmethod
+    def from_blocks(cls, blocks: list[Block]) -> "StackedBlocks":
+        terms = [qda.decision_terms(block.model) for block in blocks]
+        return cls(
+            projection=np.vstack([block.projection.matrix for block in blocks]).T,
+            D=np.stack([D for D, _ in terms]),
+            const=np.array([const for _, const in terms]),
+        )
+
     @property
     def chunk_rows(self) -> int:
         return max(1, _CHUNK_ELEMENTS // self.projection.shape[1])
+
+    def vote_counts(self, scores: np.ndarray) -> np.ndarray:
+        """Number of blocks voting class 1 for each row of probit ``scores``."""
+        b1, d = self.D.shape[:2]
+        step = self.chunk_rows
+        counts = np.empty(scores.shape[0], dtype=int)
+        for start in range(0, scores.shape[0], step):
+            Z = (scores[start:start + step] @ self.projection).reshape(-1, b1, d)
+            delta = qda.stacked_discriminant(Z, self.D, self.const)
+            counts[start:start + step] = (delta >= 0.0).sum(axis=1)
+        return counts
 
 
 @dataclass(frozen=True)
@@ -109,12 +131,7 @@ class EnsembleModel:
     @cached_property
     def stacked(self) -> StackedBlocks:
         """The blocks stacked for :func:`vote_fractions`; derived on first use."""
-        terms = [qda.decision_terms(block.model) for block in self.blocks]
-        return StackedBlocks(
-            projection=np.vstack([block.projection.matrix for block in self.blocks]).T,
-            D=np.stack([D for D, _ in terms]),
-            const=np.array([const for _, const in terms]),
-        )
+        return StackedBlocks.from_blocks(self.blocks)
 
 
 def training_error(model: qda.RqdaModel, Z, labels) -> float:
@@ -173,10 +190,8 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
         raise ValueError(f"projection needs d <= p, got d={config.d}, p={p}")
 
     blocks: list[Block] = []
-    block_scores: list[np.ndarray] = []
     for b in range(config.b1):
         best: Block | None = None
-        best_z: np.ndarray | None = None
         for c in range(config.b2):
             rng = substream(config.seed, b, c)
             proj = projections.sample_projection(
@@ -190,22 +205,18 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
             err = training_error(model, Z, labels)
             if best is None or err < best.train_error:
                 best = Block(projection=proj, model=model, train_error=err, candidate=c)
-                best_z = Z
         if best is None:
             raise TrainingError(
                 f"block {b}: all {config.b2} candidate projections failed to fit "
                 "(singular covariances); increase the ridge"
             )
         blocks.append(best)
-        block_scores.append(best_z)
 
     if config.alpha is not None:
         alpha = float(config.alpha)
     else:
-        counts = np.zeros(labels.size, dtype=int)
-        for block, Z in zip(blocks, block_scores):
-            counts += qda.rqda_classify(Z, block.model)
-        alpha = select_alpha(counts / config.b1, labels, config.b1)
+        votes = StackedBlocks.from_blocks(blocks).vote_counts(scores) / config.b1
+        alpha = select_alpha(votes, labels, config.b1)
 
     return EnsembleModel(
         marginal_model=marginal_model, blocks=blocks, alpha=alpha, config=config
@@ -218,15 +229,7 @@ def vote_fractions(model: EnsembleModel, X) -> np.ndarray:
     Every value is an exact integer multiple of 1/b1.
     """
     scores = marginals.transform_new(model.marginal_model, np.atleast_2d(np.asarray(X, dtype=float)))
-    stacked = model.stacked
-    b1, d = stacked.D.shape[:2]
-    step = stacked.chunk_rows
-    counts = np.empty(scores.shape[0], dtype=int)
-    for start in range(0, scores.shape[0], step):
-        Z = (scores[start:start + step] @ stacked.projection).reshape(-1, b1, d)
-        delta = qda.stacked_discriminant(Z, stacked.D, stacked.const)
-        counts[start:start + step] = (delta >= 0.0).sum(axis=1)
-    return counts / b1
+    return model.stacked.vote_counts(scores) / model.b1
 
 
 def vote_fraction(model: EnsembleModel, x) -> float:

@@ -37,7 +37,8 @@ def _finite_array(value, what: str, shape: tuple) -> np.ndarray:
 
 
 def _finite_number(value, what: str) -> float:
-    if not isinstance(value, (int, float)) or not np.isfinite(value):
+    # bool is an int subclass, but JSON true/false is not a number
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
@@ -103,7 +104,7 @@ def model_from_dict(doc: dict) -> ensemble.EnsembleModel:
         seed=cfg["seed"],
     )
     d, p, n = config.d, doc["n_features"], doc["marginals"]["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"marginals.n must be a positive integer, got {n!r}")
 
     raw_columns = doc["marginals"]["columns"]

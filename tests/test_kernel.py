@@ -14,6 +14,7 @@ from rankqda import (
     fit_transform,
     inv_norm_cdf,
     predict,
+    select_alpha,
     train_ensemble,
     transform_new,
     vote_fraction,
@@ -61,6 +62,12 @@ class TestStackedVotesMatchPerBlockLoop:
         votes = vote_fractions(model, X)
         np.testing.assert_array_equal(votes, per_block_vote_fractions(model, X))
         np.testing.assert_array_equal(votes, np.full(3, n_ones / (n_ones + n_zeros)))
+
+    @pytest.mark.parametrize("flavor", ["haar", "gaussian", "axis"])
+    def test_alpha_is_selected_on_the_votes_predict_gives_the_training_rows(self, flavor):
+        X, labels = _two_cluster_data(n=80, p=5, seed=37)
+        model = train_ensemble(X, labels, EnsembleConfig(d=2, b1=7, b2=3, flavor=flavor, seed=37))
+        assert model.alpha == select_alpha(vote_fractions(model, X), labels, model.b1)
 
     def test_stacked_arrays_are_derived_once_in_block_order(self):
         model = _model("haar", b1=4, d=3)

@@ -62,12 +62,21 @@ def _no_training_rows(doc):
     doc["marginals"]["columns"] = [[], [], []]
 
 
+def _boolean_alpha(doc):
+    doc["alpha"] = True
+
+
+def _boolean_sample_count(doc):
+    doc["marginals"]["n"] = True
+
+
 def _fewer_blocks_than_b1(doc):
     doc["config"]["b1"] = 2
 
 
 CASES = {
     "alpha_out_of_range": (_alpha_five, "alpha must lie in [0, 1]"),
+    "boolean_alpha": (_boolean_alpha, "alpha must be a finite number, got True"),
     "block_matrix_shape": (
         _square_matrix_in_p3_model, "block 0 matrix has shape (2, 2), expected (2, 3)"
     ),
@@ -84,6 +93,9 @@ CASES = {
     ),
     "block_count": (_fewer_blocks_than_b1, "model has 1 blocks, expected b1=2"),
     "empty_marginals": (_no_training_rows, "marginals.n must be a positive integer, got 0"),
+    "boolean_sample_count": (
+        _boolean_sample_count, "marginals.n must be a positive integer, got True"
+    ),
 }
 
 
