@@ -11,7 +11,6 @@ import sys
 import numpy as np
 
 from . import dataio, ensemble, model_io, projections, synthdata
-from .errors import DataError, SingularMatrixError, TrainingError
 from .rng import substream
 
 # Substream tags so each CLI draw has its own deterministic stream.
@@ -243,7 +242,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, DataError, TrainingError, SingularMatrixError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

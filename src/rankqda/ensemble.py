@@ -81,7 +81,7 @@ class StackedBlocks:
     """All blocks of an ensemble laid side by side for the vote kernel.
 
     ``projection`` is (p, b1*d): column block k is block k's ``A'``.
-    ``D`` is (b1, d, d) and ``const`` is (b1,), from :func:`qda.decision_terms`.
+    ``D`` is (b1, d, d) and ``const`` is (b1,), the blocks' :class:`qda.RqdaModel` terms.
     """
 
     projection: np.ndarray
@@ -90,11 +90,10 @@ class StackedBlocks:
 
     @classmethod
     def from_blocks(cls, blocks: list[Block]) -> "StackedBlocks":
-        terms = [qda.decision_terms(block.model) for block in blocks]
         return cls(
             projection=np.vstack([block.projection.matrix for block in blocks]).T,
-            D=np.stack([D for D, _ in terms]),
-            const=np.array([const for _, const in terms]),
+            D=np.stack([block.model.D for block in blocks]),
+            const=np.array([block.model.const for block in blocks]),
         )
 
     @property

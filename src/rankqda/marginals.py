@@ -146,6 +146,16 @@ def _check_finite_matrix(X: np.ndarray) -> None:
         raise DataError(f"non-finite value at row {i}, column {j}")
 
 
+def _scores(model: MarginalModel, X: np.ndarray) -> np.ndarray:
+    """Table scores of the counts of training values <= X, clamped to [1, n]."""
+    counts = np.empty(X.shape, dtype=np.intp)
+    for j in range(model.n_features):
+        counts[:, j] = np.searchsorted(model.sorted_columns[:, j], X[:, j], side="right")
+    # side="right" counts never exceed n; training rows count themselves (>= 1).
+    np.maximum(counts, 1, out=counts)
+    return model.score_table[counts - 1]
+
+
 def fit_transform(X) -> tuple[MarginalModel, np.ndarray]:
     """Fit the per-feature empirical CDFs and return training probit scores.
 
@@ -172,10 +182,7 @@ def fit_transform(X) -> tuple[MarginalModel, np.ndarray]:
     _check_finite_matrix(X)
 
     model = MarginalModel(np.sort(X, axis=0))
-    counts = np.empty((n, p), dtype=np.intp)
-    for j in range(p):
-        counts[:, j] = np.searchsorted(model.sorted_columns[:, j], X[:, j], side="right")
-    return model, model.score_table[counts - 1]
+    return model, _scores(model, X)
 
 
 def transform_new(model: MarginalModel, x) -> np.ndarray:
@@ -199,10 +206,5 @@ def transform_new(model: MarginalModel, x) -> np.ndarray:
         )
     _check_finite_matrix(X)
 
-    counts = np.empty(X.shape, dtype=np.intp)
-    for j in range(model.n_features):
-        counts[:, j] = np.searchsorted(model.sorted_columns[:, j], X[:, j], side="right")
-    # side="right" counts never exceed n, so only the lower end needs the clamp.
-    np.maximum(counts, 1, out=counts)
-    scores = model.score_table[counts - 1]
+    scores = _scores(model, X)
     return scores[0] if single else scores

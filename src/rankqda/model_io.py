@@ -1,16 +1,17 @@
 """Versioned JSON persistence for fitted ensembles.
 
 Matrices are stored row-major as nested lists; floats round-trip exactly
-through JSON's shortest-repr serialization, and the inverses and
-log-determinants are recomputed from the stored covariances at load
-time, so a reloaded model reproduces predictions bit-identically. The
-stacked arrays of the vote kernel and the marginal score table are
-derived from the loaded model and never stored.
+through JSON's shortest-repr serialization. A block's priors are read as
+stored and :class:`qda.RqdaModel` derives the inverses and
+log-determinants from its covariances exactly as at fit, so a reloaded
+model equals the saved one and predicts bit-identically. The vote
+kernel's stacked arrays and the marginal score table are never stored.
 
-Loading validates the document before building the model: shapes
-against ``d`` and ``n_features``, finiteness, ``alpha`` in [0, 1], the
-block count against ``b1`` and sorted marginal columns of length ``n``.
-A malformed file fails with one :class:`ValueError` naming the field.
+Loading checks every key and its JSON type, shapes against ``d`` and
+``n_features``, finiteness, ``alpha`` in [0, 1], the block count against
+``b1`` and sorted marginal columns of length ``n``. A malformed file
+fails with one :class:`ValueError` naming the field, and the block when
+the model constructor rejects its priors or covariances.
 """
 
 import json
@@ -27,8 +28,26 @@ def _matrix(a) -> list:
     return np.asarray(a, dtype=float).tolist()
 
 
+def _get(obj, key: str, where: str = "model file"):
+    """``obj[key]``, or one ValueError if ``obj`` is no JSON object or lacks ``key``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{where} has no field {key!r}")
+    return obj[key]
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
 def _finite_array(value, what: str, shape: tuple) -> np.ndarray:
-    a = np.asarray(value, dtype=float)
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} is not a numeric array") from None
     if a.shape != shape:
         raise ValueError(f"{what} has shape {a.shape}, expected {shape}")
     if not np.isfinite(a).all():
@@ -41,6 +60,12 @@ def _finite_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _positive_integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return value
 
 
 def model_to_dict(model: ensemble.EnsembleModel) -> dict:
@@ -85,33 +110,33 @@ def model_to_dict(model: ensemble.EnsembleModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> ensemble.EnsembleModel:
-    if doc.get("format") != FORMAT_NAME:
-        raise ValueError(f"not a {FORMAT_NAME} file (format={doc.get('format')!r})")
-    if doc.get("version") != FORMAT_VERSION:
+    if _get(doc, "format") != FORMAT_NAME:
+        raise ValueError(f"not a {FORMAT_NAME} file (format={doc['format']!r})")
+    if _get(doc, "version") != FORMAT_VERSION:
         raise ValueError(
-            f"unsupported model format version {doc.get('version')!r}; "
+            f"unsupported model format version {doc['version']!r}; "
             f"this build reads version {FORMAT_VERSION}"
         )
 
-    cfg = doc["config"]
+    cfg = _get(doc, "config")
+    numbers = {key: _get(cfg, key, "config") for key in ("d", "b1", "b2", "ridge", "alpha")}
+    for key in ("d", "b1", "b2"):
+        _positive_integer(numbers[key], f"config.{key}")
+    for key in ("ridge", "alpha"):
+        if numbers[key] is not None:
+            _finite_number(numbers[key], f"config.{key}")
     config = ensemble.EnsembleConfig(
-        d=cfg["d"],
-        b1=cfg["b1"],
-        b2=cfg["b2"],
-        flavor=cfg["projection"],
-        ridge=cfg["ridge"],
-        alpha=cfg["alpha"],
-        seed=cfg["seed"],
+        flavor=_get(cfg, "projection", "config"), seed=_get(cfg, "seed", "config"), **numbers
     )
-    d, p, n = config.d, doc["n_features"], doc["marginals"]["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"marginals.n must be a positive integer, got {n!r}")
+    marginals_doc = _get(doc, "marginals")
+    d, p = config.d, _positive_integer(_get(doc, "n_features"), "n_features")
+    n = _positive_integer(_get(marginals_doc, "n", "marginals"), "marginals.n")
 
-    raw_columns = doc["marginals"]["columns"]
+    raw_columns = _list(_get(marginals_doc, "columns", "marginals"), "marginals.columns")
     if len(raw_columns) != p:
         raise ValueError(f"marginals have {len(raw_columns)} columns, expected n_features={p}")
     for j, column in enumerate(raw_columns):
-        if len(column) != n:
+        if len(_list(column, f"marginal column {j}")) != n:
             raise ValueError(f"marginal column {j} has {len(column)} values, expected n={n}")
     columns = _finite_array(raw_columns, "marginal columns", (p, n))
     unsorted = np.flatnonzero((np.diff(columns, axis=1) < 0).any(axis=1))
@@ -119,40 +144,37 @@ def model_from_dict(doc: dict) -> ensemble.EnsembleModel:
         raise ValueError(f"marginal column {unsorted[0]} is not sorted ascending")
     marginal_model = marginals.MarginalModel(sorted_columns=columns.T)
 
-    raw_blocks = doc["blocks"]
+    raw_blocks = _list(_get(doc, "blocks"), "blocks")
     if len(raw_blocks) != config.b1:
         raise ValueError(f"model has {len(raw_blocks)} blocks, expected b1={config.b1}")
     blocks = []
     for k, raw in enumerate(raw_blocks):
+        where = f"blocks[{k}]"
+        stream = _get(raw, "stream", where)
         proj = projections.Projection(
-            matrix=_finite_array(raw["matrix"], f"block {k} matrix", (d, p)),
-            flavor=raw["flavor"],
-            stream=tuple(raw["stream"]) if raw["stream"] is not None else None,
+            matrix=_finite_array(_get(raw, "matrix", where), f"block {k} matrix", (d, p)),
+            flavor=_get(raw, "flavor", where),
+            stream=None if stream is None else tuple(_list(stream, f"block {k} stream")),
         )
-        model = qda.model_from_parameters(
-            _finite_number(raw["prior1"], f"block {k} prior1"),
-            _finite_array(raw["cov0"], f"block {k} cov0", (d, d)),
-            _finite_array(raw["cov1"], f"block {k} cov1", (d, d)),
-            ridge=_finite_number(raw["ridge"], f"block {k} ridge"),
+        values = {
+            key: _finite_number(_get(raw, key, where), f"block {k} {key}")
+            for key in ("prior0", "prior1", "ridge", "train_error")
+        }
+        cov0, cov1 = (
+            _finite_array(_get(raw, key, where), f"block {k} {key}", (d, d))
+            for key in ("cov0", "cov1")
         )
-        blocks.append(
-            ensemble.Block(
-                projection=proj,
-                model=model,
-                train_error=_finite_number(raw["train_error"], f"block {k} train_error"),
-                candidate=raw["candidate"],
-            )
-        )
+        try:
+            model = qda.RqdaModel(values["prior0"], values["prior1"], cov0, cov1, values["ridge"])
+        except ValueError as exc:
+            raise type(exc)(f"block {k}: {exc}") from None
+        candidate = _get(raw, "candidate", where)
+        blocks.append(ensemble.Block(proj, model, values["train_error"], candidate))
 
-    alpha = _finite_number(doc["alpha"], "alpha")
+    alpha = _finite_number(_get(doc, "alpha"), "alpha")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return ensemble.EnsembleModel(
-        marginal_model=marginal_model,
-        blocks=blocks,
-        alpha=alpha,
-        config=config,
-    )
+    return ensemble.EnsembleModel(marginal_model, blocks, alpha, config)
 
 
 def save_model(model: ensemble.EnsembleModel, path) -> None:

@@ -1,22 +1,24 @@
 """Quadratic discriminant analysis over projected probit scores.
 
 Both classes are modelled as centred Gaussians (the rank transform pins
-the marginal location at zero, so no mean vector is estimated). A fitted
-model holds the class priors, the per-class second-moment matrices of
-the projected scores, and their inverses and log-determinants. The
-quadratic decision function
+the marginal location at zero, so no mean vector is estimated). A model
+holds the class priors and the per-class second-moment matrices of the
+projected scores. :class:`RqdaModel` is the one constructor for fitted,
+oracle and loaded models alike: it derives each covariance's inverse
+and log-determinant from one Cholesky factor, and from them the terms
+of the quadratic decision function
 
     log(prior1/prior0) - 0.5*log(det1/det0) - 0.5*s'(inv1 - inv0)s
 
-is therefore a constant plus a quadratic form in ``D = inv1 - inv0``
-(:func:`decision_terms`). :func:`stacked_discriminant` evaluates it for
-many blocks at once from stacked ``D`` matrices and constants; the
+which is a constant ``const`` plus a quadratic form in
+``D = inv1 - inv0``. :func:`stacked_discriminant` evaluates it for many
+blocks at once from stacked ``D`` matrices and constants; the
 ensemble's prediction kernel calls it once per row chunk, and
 :func:`discriminant` is its one-block case.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -96,13 +98,17 @@ def estimate_projected_covariance(Z, labels, r: int, ridge: float = 0.0) -> np.n
     return M
 
 
-def _cholesky_lower(M: np.ndarray, what: str) -> np.ndarray:
+def _factor_spd(M: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """``(inverse, log_det)`` of an SPD matrix from one Cholesky factor.
+
+    Raises :class:`SingularMatrixError` naming ``what`` if ``M`` has none.
+    """
     try:
-        return np.linalg.cholesky(M)
+        L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        raise SingularMatrixError(
-            f"{what} is not positive definite; increase the ridge"
-        ) from None
+        raise SingularMatrixError(f"{what} is not positive definite; increase the ridge") from None
+    inv = _symmetrize(cho_solve((L, True), np.eye(M.shape[0])))
+    return inv, float(2.0 * np.sum(np.log(np.diag(L))))
 
 
 def log_det_spd(M) -> float:
@@ -111,8 +117,7 @@ def log_det_spd(M) -> float:
     Computed as twice the log-sum of the Cholesky diagonal. Raises
     :class:`SingularMatrixError` if the factorization fails.
     """
-    L = _cholesky_lower(np.asarray(M, dtype=float), "matrix")
-    return float(2.0 * np.sum(np.log(np.diag(L))))
+    return _factor_spd(np.asarray(M, dtype=float), "matrix")[1]
 
 
 def inverse_spd(M) -> np.ndarray:
@@ -121,30 +126,51 @@ def inverse_spd(M) -> np.ndarray:
     The result is symmetrized exactly; ``max|M @ inv - I|`` stays below
     1e-8 for reasonably conditioned inputs.
     """
-    M = np.asarray(M, dtype=float)
-    L = _cholesky_lower(M, "matrix")
-    inv = cho_solve((L, True), np.eye(M.shape[0]))
-    return _symmetrize(inv)
+    return _factor_spd(np.asarray(M, dtype=float), "matrix")[0]
 
 
 @dataclass(frozen=True)
 class RqdaModel:
-    """Fitted quadratic discriminant for one projection.
+    """Quadratic discriminant for one projection: priors, class covariances, ridge.
 
-    Holds priors, per-class covariances of the projected scores, and the
-    cached inverses/log-determinants they imply. Immutable after fit and
-    safe to share across concurrent readers.
+    Construction checks the priors (each in (0, 1), summing to 1 within
+    1e-12) and derives, from one Cholesky factor per covariance, the
+    inverses, log-determinants, ``D = inv1 - inv0`` and ``const`` (never
+    persisted). Immutable and safe to share across concurrent readers.
     """
 
     prior0: float
     prior1: float
     cov0: np.ndarray
     cov1: np.ndarray
-    inv0: np.ndarray
-    inv1: np.ndarray
-    log_det0: float
-    log_det1: float
     ridge: float
+    inv0: np.ndarray = field(init=False, repr=False)
+    inv1: np.ndarray = field(init=False, repr=False)
+    log_det0: float = field(init=False, repr=False)
+    log_det1: float = field(init=False, repr=False)
+    D: np.ndarray = field(init=False, repr=False)
+    const: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        p0, p1 = self.prior0, self.prior1
+        if not (0.0 < p0 < 1.0 and 0.0 < p1 < 1.0 and abs(p0 + p1 - 1.0) <= 1e-12):
+            raise ValueError(
+                f"priors must lie in (0, 1) and sum to 1, got prior0={p0}, prior1={p1}"
+            )
+        cov0 = np.asarray(self.cov0, dtype=float)
+        cov1 = np.asarray(self.cov1, dtype=float)
+        if cov0.shape != cov1.shape or cov0.ndim != 2 or cov0.shape[0] != cov0.shape[1]:
+            raise ValueError(
+                f"covariances must be square and same-shape, got {cov0.shape} and {cov1.shape}"
+            )
+        where = f"covariance (ridge={self.ridge:g})"
+        inv0, log_det0 = _factor_spd(cov0, f"class 0 {where}")
+        inv1, log_det1 = _factor_spd(cov1, f"class 1 {where}")
+        const = float(np.log(p1 / p0) - 0.5 * (log_det1 - log_det0))
+        derived = dict(cov0=cov0, cov1=cov1, inv0=inv0, inv1=inv1, log_det0=log_det0,
+                       log_det1=log_det1, D=inv1 - inv0, const=const)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)  # frozen: the one write, at construction
 
     @property
     def dim(self) -> int:
@@ -152,31 +178,8 @@ class RqdaModel:
 
 
 def model_from_parameters(prior1: float, cov0, cov1, ridge: float = 0.0) -> RqdaModel:
-    """Build a model directly from known (prior1, cov0, cov1).
-
-    Used for oracles with true generative parameters and for
-    deserialization; caches are recomputed from the covariances, so two
-    models built from bit-identical inputs are bit-identical throughout.
-    """
-    if not 0.0 < prior1 < 1.0:
-        raise ValueError(f"class-1 prior must lie in (0, 1), got {prior1}")
-    cov0 = np.asarray(cov0, dtype=float)
-    cov1 = np.asarray(cov1, dtype=float)
-    if cov0.shape != cov1.shape or cov0.ndim != 2 or cov0.shape[0] != cov0.shape[1]:
-        raise ValueError(
-            f"covariances must be square and same-shape, got {cov0.shape} and {cov1.shape}"
-        )
-    return RqdaModel(
-        prior0=1.0 - prior1,
-        prior1=prior1,
-        cov0=cov0,
-        cov1=cov1,
-        inv0=inverse_spd(cov0),
-        inv1=inverse_spd(cov1),
-        log_det0=log_det_spd(cov0),
-        log_det1=log_det_spd(cov1),
-        ridge=ridge,
-    )
+    """Build a model from known (prior1, cov0, cov1), e.g. a generative oracle."""
+    return RqdaModel(1.0 - prior1, prior1, cov0, cov1, ridge)
 
 
 def fit_rqda(Z, labels, ridge: float | None = None) -> RqdaModel:
@@ -205,35 +208,8 @@ def fit_rqda(Z, labels, ridge: float | None = None) -> RqdaModel:
     prior0, prior1 = estimate_priors(labels)
     if ridge is None:
         ridge = RIDGE_SCALE * float(np.mean(Z * Z))
-
-    covs, invs, log_dets = [], [], []
-    for r in (0, 1):
-        cov = estimate_projected_covariance(Z, labels, r, ridge)
-        L = _cholesky_lower(cov, f"class {r} covariance (ridge={ridge:g})")
-        covs.append(cov)
-        invs.append(_symmetrize(cho_solve((L, True), np.eye(cov.shape[0]))))
-        log_dets.append(float(2.0 * np.sum(np.log(np.diag(L)))))
-
-    return RqdaModel(
-        prior0=prior0,
-        prior1=prior1,
-        cov0=covs[0],
-        cov1=covs[1],
-        inv0=invs[0],
-        inv1=invs[1],
-        log_det0=log_dets[0],
-        log_det1=log_dets[1],
-        ridge=float(ridge),
-    )
-
-
-def decision_terms(model: RqdaModel) -> tuple[np.ndarray, float]:
-    """``(D, const)`` with ``discriminant(s) = const - 0.5 * s'Ds``.
-
-    ``D = inv1 - inv0`` and ``const = log(prior1/prior0) - 0.5*(log_det1 - log_det0)``.
-    """
-    const = np.log(model.prior1 / model.prior0) - 0.5 * (model.log_det1 - model.log_det0)
-    return model.inv1 - model.inv0, float(const)
+    cov0, cov1 = (estimate_projected_covariance(Z, labels, r, ridge) for r in (0, 1))
+    return RqdaModel(prior0, prior1, cov0, cov1, float(ridge))
 
 
 def stacked_discriminant(Z, D, const) -> np.ndarray:
@@ -241,7 +217,7 @@ def stacked_discriminant(Z, D, const) -> np.ndarray:
 
     ``Z`` has shape (m, b, d): row i's projected scores under each block.
     ``D`` has shape (b, d, d) and ``const`` shape (b,), one
-    :func:`decision_terms` pair per block. Returns the (m, b) matrix
+    :class:`RqdaModel` ``(D, const)`` pair per block. Returns the (m, b) matrix
     ``const[k] - 0.5 * Z[i, k]' D[k] Z[i, k]``.
     """
     Y = np.matmul(Z.transpose(1, 0, 2), D)
@@ -261,8 +237,7 @@ def discriminant(s, model: RqdaModel):
         raise ValueError(
             f"score dimension mismatch: model expects d={model.dim}, got shape {s.shape}"
         )
-    D, const = decision_terms(model)
-    delta = stacked_discriminant(S[:, None, :], D[None], np.array([const]))[:, 0]
+    delta = stacked_discriminant(S[:, None, :], model.D[None], np.array([model.const]))[:, 0]
     return float(delta[0]) if single else delta
 
 

@@ -74,6 +74,26 @@ def _fewer_blocks_than_b1(doc):
     doc["config"]["b1"] = 2
 
 
+def _missing_alpha(doc):
+    del doc["alpha"]
+
+
+def _missing_cov0(doc):
+    del doc["blocks"][0]["cov0"]
+
+
+def _string_d(doc):
+    doc["config"]["d"] = "2"
+
+
+def _priors_not_summing_to_one(doc):
+    doc["blocks"][0]["prior0"] = 0.7
+
+
+def _singular_cov0(doc):
+    doc["blocks"][0]["cov0"] = [[1.0, 1.0], [1.0, 1.0]]
+
+
 CASES = {
     "alpha_out_of_range": (_alpha_five, "alpha must lie in [0, 1]"),
     "boolean_alpha": (_boolean_alpha, "alpha must be a finite number, got True"),
@@ -95,6 +115,16 @@ CASES = {
     "empty_marginals": (_no_training_rows, "marginals.n must be a positive integer, got 0"),
     "boolean_sample_count": (
         _boolean_sample_count, "marginals.n must be a positive integer, got True"
+    ),
+    "missing_alpha": (_missing_alpha, "model file has no field 'alpha'"),
+    "missing_block_cov0": (_missing_cov0, "blocks[0] has no field 'cov0'"),
+    "string_d": (_string_d, "config.d must be a positive integer, got '2'"),
+    "priors_not_summing_to_one": (
+        _priors_not_summing_to_one,
+        "block 0: priors must lie in (0, 1) and sum to 1, got prior0=0.7, prior1=0.5",
+    ),
+    "singular_cov0": (
+        _singular_cov0, "block 0: class 0 covariance (ridge=6.43692e-07) is not positive definite"
     ),
 }
 
@@ -126,3 +156,18 @@ def test_valid_multi_block_document_loads(tmp_path):
     model = load_model(path)
     assert model.b1 == 2
     assert model.stacked.projection.shape == (3, 4)
+
+
+def test_document_that_is_a_list_rejected_with_one_error_line(tmp_path, capsys):
+    # CASES tamper a copy of the golden object in place; this one replaces it
+    message = "model file must be a JSON object, got list"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model_from_dict([GOLDEN])
+
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([GOLDEN]))
+    rc = cli.main(["predict", "--model", str(path), "--data", str(DATA_DIR / "toy8.csv"),
+                   "--label-col", "label", "--out", str(tmp_path / "p.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err

@@ -1,5 +1,6 @@
 """Property tests on random small data and configurations."""
 
+import json
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from rankqda import (
     transform_new,
     vote_fractions,
 )
+from rankqda.model_io import model_from_dict, model_to_dict
 from rankqda.rng import substream
 
 from oracles import per_block_vote_fractions
@@ -60,3 +62,37 @@ def test_transform_new_on_training_rows_equals_fit_scores(problem):
     X = problem[0]
     model, scores = fit_transform(X)
     np.testing.assert_array_equal(transform_new(model, X), scores)
+
+
+@st.composite
+def unbalanced_problems(draw):
+    # class counts drawn separately: 1 - n1/n and (n - n1)/n differ in the
+    # last bit for many unequal pairs, which equal counts never exercise
+    p = draw(st.integers(1, 5))
+    d = draw(st.integers(1, p))
+    n0, n1 = draw(st.integers(d + 1, 40)), draw(st.integers(d + 1, 40))
+    rng = substream(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.permutation(np.repeat([0, 1], [n0, n1]))
+    X = rng.standard_normal((n0 + n1, p)) * np.where(labels == 1, 2.0, 1.0)[:, None]
+    config = EnsembleConfig(
+        d=d,
+        b1=draw(st.integers(1, 5)),
+        b2=draw(st.integers(1, 3)),
+        flavor=draw(st.sampled_from(FLAVORS)),
+        seed=draw(st.integers(0, 1000)),
+    )
+    return X, labels, config, rng.standard_normal((20, p)) * 2.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(unbalanced_problems())
+def test_save_load_round_trip_is_exact(problem):
+    X, labels, config, X_new = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        model = train_ensemble(X, labels, config)
+    doc = model_to_dict(model)
+    reloaded = model_from_dict(json.loads(json.dumps(doc)))
+    assert model_to_dict(reloaded) == doc
+    for rows in (X, X_new):
+        np.testing.assert_array_equal(vote_fractions(reloaded, rows), vote_fractions(model, rows))
