@@ -145,20 +145,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_features(args, model):
-    label_col = getattr(args, "label_col", None)
-    X, y, _ = dataio.read_data_csv(args.data, label_col=label_col)
-    if X.shape[1] != model.n_features:
-        raise ValueError(
-            f"feature dimension mismatch: model expects p={model.n_features}, "
-            f"data has {X.shape[1]} feature columns"
-        )
-    return X, y
-
-
 def cmd_predict(args) -> int:
     model = model_io.load_model(args.model)
-    X, _ = _load_features(args, model)
+    X, _, _ = dataio.read_data_csv(args.data, label_col=args.label_col)
     preds, votes = ensemble.predict(model, X)
     dataio.write_predictions_csv(args.out, preds, votes)
     print(f"wrote {len(preds)} predictions to {args.out}")
@@ -167,7 +156,7 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     model = model_io.load_model(args.model)
-    X, y = _load_features(args, model)
+    X, y, _ = dataio.read_data_csv(args.data, label_col=args.label_col)
     preds, _ = ensemble.predict(model, X)
     error = float(np.mean(preds != y))
     tn = int(np.sum((y == 0) & (preds == 0)))

@@ -20,22 +20,24 @@ Training counts the votes it selects ``alpha`` on with the same kernel,
 so a training row gets the same vote at fit as at prediction.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import marginals, projections, qda
-from .errors import SingularMatrixError, TrainingError
+from .errors import SingularMatrixError, TrainingError, checked_int, checked_number
 from .rng import substream
 
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Free parameters of the ensemble.
+    """Free parameters of the ensemble, each checked at construction.
 
-    ``ridge=None`` lets each fit pick its automatic ridge;
-    ``alpha=None`` selects the vote threshold on the training sample.
+    Integers ``d``, ``b1``, ``b2`` >= 1 and ``seed`` >= 0 (numpy's become
+    int; bool is rejected). ``ridge``: None (automatic per fit) or finite
+    >= 0. ``alpha``: None (selected on the training sample) or in [0, 1].
     """
 
     d: int
@@ -47,18 +49,13 @@ class EnsembleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.b1 < 1 or self.b2 < 1:
-            raise ValueError(f"b1 and b2 must be >= 1, got b1={self.b1}, b2={self.b2}")
+        for name, minimum in (("d", 1), ("b1", 1), ("b2", 1), ("seed", 0)):
+            object.__setattr__(self, name, checked_int(getattr(self, name), name, minimum))
         if self.flavor not in projections.FLAVORS:
-            raise ValueError(
-                f"unknown projection flavor {self.flavor!r}; choose from {projections.FLAVORS}"
-            )
-        if self.ridge is not None and self.ridge < 0:
-            raise ValueError(f"ridge must be >= 0, got {self.ridge}")
-        if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+            raise ValueError(f"flavor must be one of {projections.FLAVORS}, got {self.flavor!r}")
+        for name, high in (("ridge", math.inf), ("alpha", 1.0)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, checked_number(getattr(self, name), name, 0.0, high))
 
 
 @dataclass(frozen=True)
@@ -114,10 +111,17 @@ class StackedBlocks:
 
 @dataclass(frozen=True)
 class EnsembleModel:
+    """A fitted ensemble; construction checks ``b1`` blocks and ``alpha`` in [0, 1]."""
+
     marginal_model: marginals.MarginalModel
     blocks: list[Block]
     alpha: float
     config: EnsembleConfig
+
+    def __post_init__(self):
+        if len(self.blocks) != self.config.b1:
+            raise ValueError(f"model has {len(self.blocks)} blocks, expected b1={self.config.b1}")
+        object.__setattr__(self, "alpha", checked_number(self.alpha, "alpha", 0.0, 1.0))
 
     @property
     def n_features(self) -> int:
@@ -179,14 +183,10 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
     vote fractions).
     """
     labels = qda._check_labels(labels)
-    if labels.size < 2:
-        raise ValueError(f"need at least 2 samples, got {labels.size}")
-    qda.estimate_priors(labels)  # fail fast on single-class data
+    qda.estimate_priors(labels)  # fail fast on single-class or one-row data
 
     marginal_model, scores = marginals.fit_transform(X)
     p = marginal_model.n_features
-    if config.d > p:
-        raise ValueError(f"projection needs d <= p, got d={config.d}, p={p}")
 
     blocks: list[Block] = []
     for b in range(config.b1):

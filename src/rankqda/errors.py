@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types and the value checks shared across the package."""
+
+import math
+import numbers
 
 
 class DataError(ValueError):
@@ -14,3 +17,29 @@ class SingularMatrixError(ValueError):
 
     Callers can recover by increasing the ridge.
     """
+
+
+def checked_int(value, what: str, minimum: int) -> int:
+    """``value`` as an int if it is an integer (numpy's too, not bool) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        kind = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+    return int(value)
+
+
+def checked_number(value, what: str, low: float = -math.inf, high: float = math.inf):
+    """``value`` if it is a finite real number (not bool) in [low, high].
+
+    Python ints and floats are returned as given, so they serialize as
+    given; other reals, such as numpy scalars, become a float.
+    """
+    try:
+        finite = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    if not low <= value <= high:
+        bounds = f"be >= {low:g}" if high == math.inf else f"lie in [{low:g}, {high:g}]"
+        raise ValueError(f"{what} must {bounds}, got {value}")
+    return value if isinstance(value, (int, float)) else float(value)

@@ -115,11 +115,17 @@ def inv_norm_cdf(u):
 class MarginalModel:
     """Per-feature sorted training values backing the rank transform.
 
-    ``sorted_columns`` has shape (n, p); each column is ascending. The
-    model is immutable after fitting and safe for concurrent reads.
+    ``sorted_columns`` has shape (n, p); construction checks that every
+    column is ascending. Immutable and safe for concurrent reads.
     """
 
     sorted_columns: np.ndarray
+
+    def __post_init__(self):
+        cols = self.sorted_columns
+        unsorted = np.flatnonzero(~(cols[1:] >= cols[:-1]).all(axis=0))  # NaN is unsorted
+        if unsorted.size:
+            raise ValueError(f"marginal column {unsorted[0]} is not sorted ascending")
 
     @property
     def n_samples(self) -> int:

@@ -7,11 +7,11 @@ log-determinants from its covariances exactly as at fit, so a reloaded
 model equals the saved one and predicts bit-identically. The vote
 kernel's stacked arrays and the marginal score table are never stored.
 
-Loading checks every key and its JSON type, shapes against ``d`` and
-``n_features``, finiteness, ``alpha`` in [0, 1], the block count against
-``b1`` and sorted marginal columns of length ``n``. A malformed file
-fails with one :class:`ValueError` naming the field, and the block when
-the model constructor rejects its priors or covariances.
+Loading checks what only a file gets wrong: keys, JSON types, array
+shapes and finiteness. Every value rule has one owner, the type built, so
+fitted, hand-built and loaded objects pass the same checks: config values
+(errors prefixed ``config.``), sorted marginal columns, block priors and
+covariances (prefixed with the block), block count and ``alpha``.
 """
 
 import json
@@ -19,6 +19,7 @@ import json
 import numpy as np
 
 from . import ensemble, marginals, projections, qda
+from .errors import checked_int, checked_number
 
 FORMAT_NAME = "rankqda-ensemble"
 FORMAT_VERSION = 1
@@ -53,19 +54,6 @@ def _finite_array(value, what: str, shape: tuple) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError(f"{what} has a non-finite value")
     return a
-
-
-def _finite_number(value, what: str) -> float:
-    # bool is an int subclass, but JSON true/false is not a number
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
-        raise ValueError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _positive_integer(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{what} must be a positive integer, got {value!r}")
-    return value
 
 
 def model_to_dict(model: ensemble.EnsembleModel) -> dict:
@@ -119,18 +107,15 @@ def model_from_dict(doc: dict) -> ensemble.EnsembleModel:
         )
 
     cfg = _get(doc, "config")
-    numbers = {key: _get(cfg, key, "config") for key in ("d", "b1", "b2", "ridge", "alpha")}
-    for key in ("d", "b1", "b2"):
-        _positive_integer(numbers[key], f"config.{key}")
-    for key in ("ridge", "alpha"):
-        if numbers[key] is not None:
-            _finite_number(numbers[key], f"config.{key}")
-    config = ensemble.EnsembleConfig(
-        flavor=_get(cfg, "projection", "config"), seed=_get(cfg, "seed", "config"), **numbers
-    )
+    values = {key: _get(cfg, key, "config") for key in ("d", "b1", "b2", "ridge", "alpha", "seed")}
+    flavor = _get(cfg, "projection", "config")
+    try:
+        config = ensemble.EnsembleConfig(flavor=flavor, **values)
+    except ValueError as exc:
+        raise ValueError(f"config.{exc}") from None
     marginals_doc = _get(doc, "marginals")
-    d, p = config.d, _positive_integer(_get(doc, "n_features"), "n_features")
-    n = _positive_integer(_get(marginals_doc, "n", "marginals"), "marginals.n")
+    d, p = config.d, checked_int(_get(doc, "n_features"), "n_features", 1)
+    n = checked_int(_get(marginals_doc, "n", "marginals"), "marginals.n", 1)
 
     raw_columns = _list(_get(marginals_doc, "columns", "marginals"), "marginals.columns")
     if len(raw_columns) != p:
@@ -139,16 +124,10 @@ def model_from_dict(doc: dict) -> ensemble.EnsembleModel:
         if len(_list(column, f"marginal column {j}")) != n:
             raise ValueError(f"marginal column {j} has {len(column)} values, expected n={n}")
     columns = _finite_array(raw_columns, "marginal columns", (p, n))
-    unsorted = np.flatnonzero((np.diff(columns, axis=1) < 0).any(axis=1))
-    if unsorted.size:
-        raise ValueError(f"marginal column {unsorted[0]} is not sorted ascending")
     marginal_model = marginals.MarginalModel(sorted_columns=columns.T)
 
-    raw_blocks = _list(_get(doc, "blocks"), "blocks")
-    if len(raw_blocks) != config.b1:
-        raise ValueError(f"model has {len(raw_blocks)} blocks, expected b1={config.b1}")
     blocks = []
-    for k, raw in enumerate(raw_blocks):
+    for k, raw in enumerate(_list(_get(doc, "blocks"), "blocks")):
         where = f"blocks[{k}]"
         stream = _get(raw, "stream", where)
         proj = projections.Projection(
@@ -157,8 +136,8 @@ def model_from_dict(doc: dict) -> ensemble.EnsembleModel:
             stream=None if stream is None else tuple(_list(stream, f"block {k} stream")),
         )
         values = {
-            key: _finite_number(_get(raw, key, where), f"block {k} {key}")
-            for key in ("prior0", "prior1", "ridge", "train_error")
+            key: float(checked_number(_get(raw, key, where), f"block {k} {key}"))
+            for key in ("prior0", "prior1", "ridge")
         }
         cov0, cov1 = (
             _finite_array(_get(raw, key, where), f"block {k} {key}", (d, d))
@@ -169,12 +148,9 @@ def model_from_dict(doc: dict) -> ensemble.EnsembleModel:
         except ValueError as exc:
             raise type(exc)(f"block {k}: {exc}") from None
         candidate = _get(raw, "candidate", where)
-        blocks.append(ensemble.Block(proj, model, values["train_error"], candidate))
+        blocks.append(ensemble.Block(proj, model, _get(raw, "train_error", where), candidate))
 
-    alpha = _finite_number(_get(doc, "alpha"), "alpha")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return ensemble.EnsembleModel(marginal_model, blocks, alpha, config)
+    return ensemble.EnsembleModel(marginal_model, blocks, _get(doc, "alpha"), config)
 
 
 def save_model(model: ensemble.EnsembleModel, path) -> None:
