@@ -18,6 +18,11 @@ matmul into every block's space plus one
 :func:`qda.stacked_discriminant` call, with no loop over blocks.
 Training counts the votes it selects ``alpha`` on with the same kernel,
 so a training row gets the same vote at fit as at prediction.
+
+Each input rule has one owner: :class:`EnsembleConfig` checks the config
+values and :class:`EnsembleModel` its blocks and ``alpha``, whether the
+object is fitted, built by hand or loaded; the data are checked by
+:func:`marginals.fit_transform` and the labels by :mod:`qda`.
 """
 
 import math
@@ -111,7 +116,12 @@ class StackedBlocks:
 
 @dataclass(frozen=True)
 class EnsembleModel:
-    """A fitted ensemble; construction checks ``b1`` blocks and ``alpha`` in [0, 1]."""
+    """A fitted ensemble.
+
+    Construction checks ``b1`` blocks, ``alpha`` in [0, 1] and each
+    block's metadata: a known flavor, a candidate in [0, b2), a stream
+    of None or a tuple of integers >= 0 and a train_error in [0, 1].
+    """
 
     marginal_model: marginals.MarginalModel
     blocks: list[Block]
@@ -122,6 +132,17 @@ class EnsembleModel:
         if len(self.blocks) != self.config.b1:
             raise ValueError(f"model has {len(self.blocks)} blocks, expected b1={self.config.b1}")
         object.__setattr__(self, "alpha", checked_number(self.alpha, "alpha", 0.0, 1.0))
+        for k, block in enumerate(self.blocks):
+            flavor, stream = block.projection.flavor, block.projection.stream
+            if flavor not in projections.FLAVORS:
+                raise ValueError(f"block {k} flavor must be one of {projections.FLAVORS}, got {flavor!r}")
+            if checked_int(block.candidate, f"block {k} candidate", 0) >= self.config.b2:
+                raise ValueError(f"block {k} candidate must be < b2={self.config.b2}, got {block.candidate}")
+            if stream is not None and not isinstance(stream, tuple):
+                raise ValueError(f"block {k} stream must be None or a tuple, got {stream!r}")
+            for value in stream or ():
+                checked_int(value, f"block {k} stream entry", 0)
+            checked_number(block.train_error, f"block {k} train_error", 0.0, 1.0)
 
     @property
     def n_features(self) -> int:
@@ -151,6 +172,7 @@ def select_alpha(votes, labels, b1: int) -> float:
     k = 0..b1, i.e. one threshold between every pair of achievable vote
     levels plus the two constant classifiers; midpoints keep the decision
     stable under float noise in the votes. Ties pick the smallest alpha.
+    The errors at all thresholds come from one sort of each class's votes.
     """
     votes = np.asarray(votes, dtype=float)
     labels = qda._check_labels(labels)
@@ -158,18 +180,16 @@ def select_alpha(votes, labels, b1: int) -> float:
         raise ValueError(
             f"votes and labels disagree: {votes.shape} vs {labels.shape}"
         )
-    if votes.size and (votes.min() < 0.0 or votes.max() > 1.0):
-        raise ValueError("votes must lie in [0, 1]")
+    if not ((votes >= 0.0) & (votes <= 1.0)).all():
+        raise ValueError("votes must be finite and lie in [0, 1]")
     if b1 < 1:
         raise ValueError(f"b1 must be >= 1, got {b1}")
 
-    best_alpha, best_err = None, None
-    for k in range(-1, b1 + 1):
-        alpha = 0.0 if k < 0 else (k + 0.5) / b1
-        err = float(np.mean((votes >= alpha).astype(int) != labels))
-        if best_err is None or err < best_err:
-            best_alpha, best_err = alpha, err
-    return best_alpha
+    thresholds = np.concatenate(([0.0], (np.arange(b1 + 1) + 0.5) / b1))
+    below = [np.searchsorted(np.sort(votes[labels == r]), thresholds, side="left") for r in (0, 1)]
+    # class-0 votes at or above a threshold and class-1 votes below it are errors
+    errors = np.count_nonzero(labels == 0) - below[0] + below[1]
+    return float(thresholds[np.argmin(errors)])
 
 
 def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:

@@ -15,6 +15,10 @@ only ever produce n distinct scores. :class:`MarginalModel` derives them
 once as a score table, ``inv_norm_cdf(arange(1, n + 1) / (n + 1))``, and
 both transforms turn counts into scores by indexing it, so the quantile
 function runs n times per model rather than once per entry.
+
+The transforms check the feature matrix (shape, finiteness, feature
+count); :class:`MarginalModel` checks that its columns are sorted, for
+fitted and loaded models alike.
 """
 
 from dataclasses import dataclass

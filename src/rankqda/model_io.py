@@ -100,9 +100,10 @@ def model_to_dict(model: ensemble.EnsembleModel) -> dict:
 def model_from_dict(doc: dict) -> ensemble.EnsembleModel:
     if _get(doc, "format") != FORMAT_NAME:
         raise ValueError(f"not a {FORMAT_NAME} file (format={doc['format']!r})")
-    if _get(doc, "version") != FORMAT_VERSION:
+    version = _get(doc, "version")
+    if isinstance(version, bool) or version != FORMAT_VERSION:  # JSON true == 1
         raise ValueError(
-            f"unsupported model format version {doc['version']!r}; "
+            f"unsupported model format version {version!r}; "
             f"this build reads version {FORMAT_VERSION}"
         )
 
@@ -154,9 +155,10 @@ def model_from_dict(doc: dict) -> ensemble.EnsembleModel:
 
 
 def save_model(model: ensemble.EnsembleModel, path) -> None:
+    # serialize first, so a value JSON cannot encode leaves an existing file as it was
+    text = json.dumps(model_to_dict(model), indent=1) + "\n"
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(model_to_dict(model), f, indent=1)
-        f.write("\n")
+        f.write(text)
 
 
 def load_model(path) -> ensemble.EnsembleModel:

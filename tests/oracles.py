@@ -3,9 +3,9 @@
 These deliberately avoid the library's production code paths: the
 quantile oracle is plain bisection on the normal cdf, determinants use
 cofactor expansion, inverses use the adjugate, matrix products use a
-naive triple loop, and ensemble votes come from a loop over blocks that
+naive triple loop, ensemble votes come from a loop over blocks that
 evaluates the quantile function per entry and each block's discriminant
-on its own.
+on its own, and the vote threshold is chosen by trying each candidate.
 """
 
 import numpy as np
@@ -105,3 +105,15 @@ def per_block_vote_fractions(model, X):
         delta = np.log(m.prior1 / m.prior0) - 0.5 * (m.log_det1 - m.log_det0) - 0.5 * quad
         counts += (delta >= 0.0).astype(int)
     return counts / len(model.blocks)
+
+
+def threshold_loop_select_alpha(votes, labels, b1):
+    """``select_alpha`` by evaluating the error at each of its b1 + 2 thresholds in turn."""
+    votes, labels = np.asarray(votes, dtype=float), np.asarray(labels)
+    best_alpha, best_err = None, None
+    for k in range(-1, b1 + 1):
+        alpha = 0.0 if k < 0 else (k + 0.5) / b1
+        err = float(np.mean((votes >= alpha).astype(int) != labels))
+        if best_err is None or err < best_err:
+            best_alpha, best_err = alpha, err
+    return best_alpha

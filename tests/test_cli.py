@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -217,3 +218,58 @@ def test_model_round_trip_preserves_predictions(tmp_path):
     preds_b, votes_b = predict(reloaded, X)
     np.testing.assert_array_equal(preds_a, preds_b)
     np.testing.assert_array_equal(votes_a, votes_b)
+
+
+def _train_argv(tmp_path, data, *flags):
+    return ["train", "--data", data, "--d", 2, "--b1", 1, "--b2", 1,
+            "--model-out", tmp_path / "m.json", *flags]
+
+
+def _csv(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    return path
+
+
+ERROR_CASES = {
+    "csv_row_field_count": (
+        lambda tmp: _train_argv(tmp, _csv(tmp, "x0,x1,label\n1.0,2.0,0\n3.0,1\n"), "--seed", 1),
+        "has 2 fields, expected 3",
+    ),
+    "csv_non_numeric_cell": (
+        lambda tmp: _train_argv(tmp, _csv(tmp, "x0,x1,label\n1.0,abc,0\n"), "--seed", 1),
+        "non-numeric value 'abc' at row 0, column 'x1'",
+    ),
+    "ridge_nan": (
+        lambda tmp: _train_argv(tmp, TOY, "--seed", 7, "--ridge", "nan"),
+        "ridge must be a finite number, got nan",
+    ),
+    "ridge_inf": (
+        lambda tmp: _train_argv(tmp, TOY, "--seed", 7, "--ridge", "inf"),
+        "ridge must be a finite number, got inf",
+    ),
+    "negative_seed": (
+        lambda tmp: _train_argv(tmp, TOY, "--seed", -1),
+        "seed must be an integer >= 0, got -1",
+    ),
+    "cov0_same": (
+        lambda tmp: ["bayes-risk", "--p", 3, "--n", 100, "--seed", 1, "--cov0", "same"],
+        "'same' is only valid for --cov1",
+    ),
+    "malformed_pwl_marginal": (
+        lambda tmp: ["bayes-risk", "--p", 3, "--n", 100, "--seed", 1, "--marginal", "pwl:0:0,1"],
+        "expected pwl:X:Y,X:Y,... got 'pwl:0:0,1'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_bad_input_exits_1_with_one_error_line(case, tmp_path, capsys):
+    argv, message = ERROR_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(*argv(tmp_path))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+    assert not (tmp_path / "m.json").exists()

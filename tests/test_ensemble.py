@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -234,3 +236,70 @@ class TestEnsembleConfigValidation:
     def test_bad_flavor(self):
         with pytest.raises(ValueError):
             EnsembleConfig(d=1, b1=1, b2=1, flavor="fourier", seed=0)
+
+
+def test_select_alpha_rejects_non_finite_votes():
+    with pytest.raises(ValueError, match="votes must be finite"):
+        select_alpha(np.array([np.nan, 0.5]), np.array([1, 0]), b1=2)
+
+
+def test_one_row_training_data_rejected():
+    with pytest.raises(TrainingError, match="degenerate class distribution"):
+        train_ensemble(np.ones((1, 2)), np.array([1]), EnsembleConfig(d=1, b1=1, b2=1, seed=0))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("d", 2.5, "d must be a positive integer, got 2.5"),
+        ("b1", True, "b1 must be a positive integer, got True"),
+        ("b2", np.bool_(True), "b2 must be a positive integer"),
+        ("seed", -1, "seed must be an integer >= 0, got -1"),
+        ("ridge", float("inf"), "ridge must be a finite number, got inf"),
+        ("ridge", float("nan"), "ridge must be a finite number, got nan"),
+        ("ridge", -0.5, "ridge must be >= 0, got -0.5"),
+        ("alpha", "0.5", "alpha must be a finite number, got '0.5'"),
+        ("flavor", 5, "flavor must be one of ('gaussian', 'haar', 'axis'), got 5"),
+    ],
+)
+def test_config_rejects_a_bad_value_with_one_error_naming_it(field, value, message):
+    values = dict(d=1, b1=1, b2=1, seed=0) | {field: value}
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        EnsembleConfig(**values)
+
+
+def test_config_of_numpy_integers_stores_python_ints_and_trains():
+    config = EnsembleConfig(d=np.int64(3), b1=np.int64(2), b2=2, seed=np.uint16(5))
+    assert [type(getattr(config, f)) for f in ("d", "b1", "b2", "seed")] == [int] * 4
+    X, labels = _two_cluster_data(seed=3)
+    plain = EnsembleConfig(d=3, b1=2, b2=2, seed=5)
+    assert model_to_dict(train_ensemble(X, labels, config)) == model_to_dict(
+        train_ensemble(X, labels, plain)
+    )
+
+
+def test_hand_built_model_checks_alpha_and_block_count():
+    model = _constant_vote_model(2, 1, alpha=0.5)
+    parts = model.marginal_model, model.blocks
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got 7"):
+        EnsembleModel(*parts, 7, model.config)
+    with pytest.raises(ValueError, match="^model has 3 blocks, expected b1=4"):
+        EnsembleModel(*parts, 0.5, dataclasses.replace(model.config, b1=4))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(candidate=1), "block 0 candidate must be < b2=1, got 1"),
+        (dict(candidate=-1), "block 0 candidate must be an integer >= 0, got -1"),
+        (dict(train_error=1.5), "block 0 train_error must lie in [0, 1], got 1.5"),
+        (dict(projection=Projection(np.eye(2), "fourier")), "block 0 flavor must be one of"),
+        (dict(projection=Projection(np.eye(2), "axis", [0, 1])), "block 0 stream must be None or a tuple"),
+        (dict(projection=Projection(np.eye(2), "axis", (0, -2))), "block 0 stream entry must be"),
+    ],
+)
+def test_hand_built_model_checks_block_metadata(change, message):
+    model = _constant_vote_model(1, 1, alpha=0.5)
+    blocks = [dataclasses.replace(model.blocks[0], **change), model.blocks[1]]
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        EnsembleModel(model.marginal_model, blocks, model.alpha, model.config)

@@ -175,3 +175,10 @@ class TestTransformNew:
     def test_dimension_mismatch(self, model):
         with pytest.raises(ValueError, match="p=1"):
             transform_new(model, np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("bad", [[2.0, 1.0, 3.0], [0.0, np.nan, 1.0]])
+def test_marginal_model_rejects_an_unsorted_column(bad):
+    columns = np.column_stack([np.arange(3.0), bad])
+    with pytest.raises(ValueError, match="^marginal column 1 is not sorted ascending"):
+        MarginalModel(columns)

@@ -8,8 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankqda import cli, load_model
-from rankqda.model_io import model_from_dict
+from rankqda import (
+    EnsembleConfig,
+    cli,
+    load_model,
+    model_io,
+    save_model,
+    train_ensemble,
+    vote_fractions,
+)
+from rankqda.model_io import model_from_dict, model_to_dict
+from rankqda.rng import substream
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN = json.loads((DATA_DIR / "toy8_model.json").read_text())
@@ -94,6 +103,34 @@ def _singular_cov0(doc):
     doc["blocks"][0]["cov0"] = [[1.0, 1.0], [1.0, 1.0]]
 
 
+def _numeric_block_flavor(doc):
+    doc["blocks"][0]["flavor"] = 5
+
+
+def _string_candidate(doc):
+    doc["blocks"][0]["candidate"] = "x"
+
+
+def _candidate_past_b2(doc):
+    doc["blocks"][0]["candidate"] = 1
+
+
+def _stream_of_strings(doc):
+    doc["blocks"][0]["stream"] = ["a", "b"]
+
+
+def _train_error_above_one(doc):
+    doc["blocks"][0]["train_error"] = 3
+
+
+def _boolean_version(doc):
+    doc["version"] = True
+
+
+def _negative_seed(doc):
+    doc["config"]["seed"] = -1
+
+
 CASES = {
     "alpha_out_of_range": (_alpha_five, "alpha must lie in [0, 1]"),
     "boolean_alpha": (_boolean_alpha, "alpha must be a finite number, got True"),
@@ -126,6 +163,19 @@ CASES = {
     "singular_cov0": (
         _singular_cov0, "block 0: class 0 covariance (ridge=6.43692e-07) is not positive definite"
     ),
+    "numeric_block_flavor": (
+        _numeric_block_flavor, "block 0 flavor must be one of ('gaussian', 'haar', 'axis'), got 5"
+    ),
+    "string_candidate": (_string_candidate, "block 0 candidate must be an integer >= 0, got 'x'"),
+    "candidate_past_b2": (_candidate_past_b2, "block 0 candidate must be < b2=1, got 1"),
+    "stream_of_strings": (
+        _stream_of_strings, "block 0 stream entry must be an integer >= 0, got 'a'"
+    ),
+    "train_error_above_one": (
+        _train_error_above_one, "block 0 train_error must lie in [0, 1], got 3"
+    ),
+    "boolean_version": (_boolean_version, "unsupported model format version True"),
+    "negative_seed": (_negative_seed, "config.seed must be an integer >= 0, got -1"),
 }
 
 
@@ -171,3 +221,27 @@ def test_document_that_is_a_list_rejected_with_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+def test_config_of_numpy_scalars_saves_and_reloads_to_an_equal_model(tmp_path):
+    rng = substream(11)
+    labels = np.repeat([0, 1], 20)
+    X = rng.standard_normal((40, 4)) * np.where(labels == 1, 2.0, 1.0)[:, None]
+    config = EnsembleConfig(d=np.int64(3), b1=np.int64(2), b2=2, alpha=np.float32(0.5),
+                            seed=np.int32(3))
+    model = train_ensemble(X, labels, config)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    reloaded = load_model(path)
+    assert model_to_dict(reloaded) == model_to_dict(model)
+    np.testing.assert_array_equal(vote_fractions(reloaded, X), vote_fractions(model, X))
+
+
+def test_failed_save_leaves_an_existing_file_untouched(tmp_path, monkeypatch):
+    model = load_model(DATA_DIR / "toy8_model.json")
+    path = tmp_path / "model.json"
+    path.write_bytes(b"previous contents")
+    monkeypatch.setattr(model_io, "model_to_dict", lambda m: {"alpha": object()})
+    with pytest.raises(TypeError):
+        save_model(model, path)
+    assert path.read_bytes() == b"previous contents"

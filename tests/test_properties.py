@@ -11,6 +11,8 @@ from rankqda import (
     FLAVORS,
     EnsembleConfig,
     fit_transform,
+    piecewise_linear_map,
+    select_alpha,
     train_ensemble,
     transform_new,
     vote_fractions,
@@ -18,7 +20,7 @@ from rankqda import (
 from rankqda.model_io import model_from_dict, model_to_dict
 from rankqda.rng import substream
 
-from oracles import per_block_vote_fractions
+from oracles import per_block_vote_fractions, threshold_loop_select_alpha
 
 
 @st.composite
@@ -96,3 +98,52 @@ def test_save_load_round_trip_is_exact(problem):
     assert model_to_dict(reloaded) == doc
     for rows in (X, X_new):
         np.testing.assert_array_equal(vote_fractions(reloaded, rows), vote_fractions(model, rows))
+
+
+@st.composite
+def vote_samples(draw):
+    # votes on the k/b1 grid, exactly on a candidate threshold, and anywhere in [0, 1]
+    b1 = draw(st.integers(1, 40))
+    on_grid = st.integers(0, b1).map(lambda k: k / b1)
+    on_threshold = st.integers(0, b1 - 1).map(lambda k: (k + 0.5) / b1)
+    n = draw(st.integers(1, 60))
+    votes = draw(st.lists(st.one_of(on_grid, on_threshold, st.floats(0.0, 1.0)), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return np.array(votes), np.array(labels), b1
+
+
+@settings(max_examples=300, deadline=None)
+@given(vote_samples())
+def test_select_alpha_equals_threshold_loop(sample):
+    votes, labels, b1 = sample
+    assert select_alpha(votes, labels, b1) == threshold_loop_select_alpha(votes, labels, b1)
+
+
+STRICTLY_INCREASING_MAPS = st.one_of(
+    st.just(np.exp),
+    st.just(lambda x: x**3),
+    st.tuples(st.floats(0.1, 10.0), st.floats(-5.0, 5.0)).map(lambda ab: lambda x: ab[0] * x + ab[1]),
+    st.just(piecewise_linear_map([(-2.0, -7.0), (0.0, 0.0), (0.5, 0.1), (3.0, 9.0)])),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problems(), st.data())
+def test_monotone_feature_maps_leave_fit_and_votes_bit_identical(problem, data):
+    X, labels, config, X_new = problem
+    p = X.shape[1]
+    maps = data.draw(st.lists(STRICTLY_INCREASING_MAPS, min_size=p, max_size=p))
+
+    def warp(A):
+        return np.column_stack([f(A[:, j]) for j, f in enumerate(maps)])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        model = train_ensemble(X, labels, config)
+        warped = train_ensemble(warp(X), labels, config)
+    for block, block_w in zip(model.blocks, warped.blocks):
+        np.testing.assert_array_equal(block.model.cov0, block_w.model.cov0)
+        np.testing.assert_array_equal(block.model.cov1, block_w.model.cov1)
+    assert warped.alpha == model.alpha
+    for rows in (X, X_new):
+        np.testing.assert_array_equal(vote_fractions(warped, warp(rows)), vote_fractions(model, rows))
