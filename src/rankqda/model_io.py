@@ -108,10 +108,10 @@ def model_from_dict(doc: dict) -> ensemble.EnsembleModel:
         )
 
     cfg = _get(doc, "config")
-    values = {key: _get(cfg, key, "config") for key in ("d", "b1", "b2", "ridge", "alpha", "seed")}
+    settings = {key: _get(cfg, key, "config") for key in ("d", "b1", "b2", "ridge", "alpha", "seed")}
     flavor = _get(cfg, "projection", "config")
     try:
-        config = ensemble.EnsembleConfig(flavor=flavor, **values)
+        config = ensemble.EnsembleConfig(flavor=flavor, **settings)
     except ValueError as exc:
         raise ValueError(f"config.{exc}") from None
     marginals_doc = _get(doc, "marginals")
