@@ -22,7 +22,11 @@ so a training row gets the same vote at fit as at prediction.
 Each input rule has one owner: :class:`EnsembleConfig` checks the config
 values and :class:`EnsembleModel` its blocks and ``alpha``, whether the
 object is fitted, built by hand or loaded; the data are checked by
-:func:`marginals.fit_transform` and the labels by :mod:`qda`.
+:func:`marginals.fit_transform` and the labels by :mod:`qda`, and
+:func:`train_ensemble` checks that X has one row per label before the
+marginal fit. Each candidate fit then checks its labels once
+(:func:`qda.fit_rqda`), and :func:`training_error` thresholds the
+discriminant against the labels directly.
 """
 
 import math
@@ -159,10 +163,12 @@ class EnsembleModel:
 
 
 def training_error(model: qda.RqdaModel, Z, labels) -> float:
-    """Fraction of rows the fitted discriminant misclassifies."""
-    labels = np.asarray(labels)
-    preds = qda.rqda_classify(Z, model)
-    return float(np.mean(preds != labels))
+    """Fraction of rows the fitted discriminant misclassifies.
+
+    A row is predicted class 1 iff its discriminant is >= 0, as in
+    :func:`qda.rqda_classify`.
+    """
+    return float(np.mean((qda.discriminant(Z, model) >= 0.0) != labels))
 
 
 def select_alpha(votes, labels, b1: int) -> float:
@@ -175,20 +181,19 @@ def select_alpha(votes, labels, b1: int) -> float:
     The errors at all thresholds come from one sort of each class's votes.
     """
     votes = np.asarray(votes, dtype=float)
-    labels = qda._check_labels(labels)
-    if votes.shape != labels.shape:
+    rows = qda._class_rows(labels)
+    if votes.shape != (rows[0].size + rows[1].size,):
         raise ValueError(
-            f"votes and labels disagree: {votes.shape} vs {labels.shape}"
+            f"votes and labels disagree: {votes.shape} vs {np.shape(labels)}"
         )
     if not ((votes >= 0.0) & (votes <= 1.0)).all():
         raise ValueError("votes must be finite and lie in [0, 1]")
-    if b1 < 1:
-        raise ValueError(f"b1 must be >= 1, got {b1}")
+    b1 = checked_int(b1, "b1", 1)
 
     thresholds = np.concatenate(([0.0], (np.arange(b1 + 1) + 0.5) / b1))
-    below = [np.searchsorted(np.sort(votes[labels == r]), thresholds, side="left") for r in (0, 1)]
+    below = [np.searchsorted(np.sort(votes[r]), thresholds, side="left") for r in rows]
     # class-0 votes at or above a threshold and class-1 votes below it are errors
-    errors = np.count_nonzero(labels == 0) - below[0] + below[1]
+    errors = rows[0].size - below[0] + below[1]
     return float(thresholds[np.argmin(errors)])
 
 
@@ -200,10 +205,14 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
     projected training scores; a candidate whose covariance is singular
     at the configured ridge is discarded. A block where every candidate
     fails aborts training (a silently smaller ensemble would corrupt the
-    vote fractions).
+    vote fractions). Labels and the row count of X are checked before
+    any fit.
     """
-    labels = qda._check_labels(labels)
-    qda.estimate_priors(labels)  # fail fast on single-class or one-row data
+    labels = np.asarray(labels)
+    qda.estimate_priors(labels)  # fail fast on bad labels, one class or one row
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 2 and X.shape[0] != labels.size:
+        raise ValueError(f"X has {X.shape[0]} rows but there are {labels.size} labels")
 
     marginal_model, scores = marginals.fit_transform(X)
     p = marginal_model.n_features

@@ -80,7 +80,8 @@ def model_to_dict(model: ensemble.EnsembleModel) -> dict:
         "blocks": [
             {
                 "flavor": block.projection.flavor,
-                "stream": list(block.projection.stream)
+                # int(): hand-built blocks may hold numpy integers, which JSON cannot encode
+                "stream": [int(v) for v in block.projection.stream]
                 if block.projection.stream is not None
                 else None,
                 "matrix": _matrix(block.projection.matrix),
@@ -90,7 +91,7 @@ def model_to_dict(model: ensemble.EnsembleModel) -> dict:
                 "cov1": _matrix(block.model.cov1),
                 "ridge": block.model.ridge,
                 "train_error": block.train_error,
-                "candidate": block.candidate,
+                "candidate": int(block.candidate),
             }
             for block in model.blocks
         ],

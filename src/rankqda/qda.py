@@ -15,6 +15,13 @@ which is a constant ``const`` plus a quadratic form in
 blocks at once from stacked ``D`` matrices and constants; the
 ensemble's prediction kernel calls it once per row chunk, and
 :func:`discriminant` is its one-block case.
+
+:func:`fit_rqda` runs once per candidate projection, so it checks the
+labels, the score shape and (through :class:`RqdaModel`) the ridge once
+per call, splits the rows into one index array per class, and forms
+both covariances with the one second-moment helper that
+:func:`estimate_projected_covariance` also uses; the results equal
+those of the public estimators bit for bit.
 """
 
 import warnings
@@ -23,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .errors import SingularMatrixError, TrainingError
+from .errors import SingularMatrixError, TrainingError, checked_number
 
 # Auto ridge scale relative to the mean squared projected score.
 RIDGE_SCALE = 1e-6
@@ -33,13 +40,59 @@ def _symmetrize(M: np.ndarray) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
-def _check_labels(labels) -> np.ndarray:
+def _class_rows(labels) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of class 0 and of class 1, in row order.
+
+    The one label check: raises unless ``labels`` is a non-empty 1-d
+    array of 0/1 values.
+    """
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size == 0:
         raise ValueError("labels must be a non-empty 1-d array")
-    if not ((labels == 0) | (labels == 1)).all():
+    rows = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
+    if rows[0].size + rows[1].size != labels.size:
         raise ValueError("labels must be 0/1")
-    return labels.astype(int)
+    return rows
+
+
+def _priors(rows) -> tuple[float, float]:
+    n0, n1 = rows[0].size, rows[1].size
+    n = n0 + n1
+    if n0 == 0 or n1 == 0:
+        raise TrainingError(f"degenerate class distribution: all {n} labels are {int(n0 == 0)}")
+    return n0 / n, n1 / n
+
+
+def _split_scores(Z, labels) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """``Z`` as a float (n, d) array and the rows of each class of its n labels."""
+    Z = np.asarray(Z, dtype=float)
+    rows = _class_rows(labels)
+    n = rows[0].size + rows[1].size
+    if Z.ndim != 2 or Z.shape[0] != n:
+        raise ValueError(f"scores and labels disagree: {Z.shape} rows vs {n} labels")
+    return Z, rows
+
+
+def _second_moment(Zr: np.ndarray, r: int, ridge: float) -> np.ndarray:
+    """``sum(z z') / n_r + ridge * I`` over the class-``r`` rows ``Zr``.
+
+    Warns when there are fewer than d+1 rows, naming the line that called
+    the public function calling this helper; raises
+    :class:`TrainingError` when there are none.
+    """
+    n_r, d = Zr.shape
+    if n_r == 0:
+        raise TrainingError(f"no samples of class {r}")
+    if n_r < d + 1:
+        warnings.warn(
+            f"class {r} has only {n_r} samples for a {d}-dimensional "
+            "covariance; the estimate is rank-deficient without a ridge",
+            stacklevel=3,
+        )
+    M = _symmetrize(Zr.T @ Zr / n_r)
+    if ridge:
+        M = M + ridge * np.eye(d)
+    return M
 
 
 def estimate_priors(labels) -> tuple[float, float]:
@@ -50,14 +103,7 @@ def estimate_priors(labels) -> tuple[float, float]:
     TrainingError
         If only one class is present.
     """
-    labels = _check_labels(labels)
-    n1 = int(labels.sum())
-    n = labels.size
-    if n1 == 0 or n1 == n:
-        raise TrainingError(
-            f"degenerate class distribution: all {n} labels are {labels[0]}"
-        )
-    return (n - n1) / n, n1 / n
+    return _priors(_class_rows(labels))
 
 
 def estimate_projected_covariance(Z, labels, r: int, ridge: float = 0.0) -> np.ndarray:
@@ -71,31 +117,10 @@ def estimate_projected_covariance(Z, labels, r: int, ridge: float = 0.0) -> np.n
     Warns when fewer than d+1 class-``r`` samples are available; raises
     :class:`TrainingError` when there are none.
     """
-    Z = np.asarray(Z, dtype=float)
-    labels = _check_labels(labels)
-    if Z.ndim != 2 or Z.shape[0] != labels.size:
-        raise ValueError(
-            f"scores and labels disagree: {Z.shape} rows vs {labels.size} labels"
-        )
+    Z, rows = _split_scores(Z, labels)
     if r not in (0, 1):
         raise ValueError(f"class must be 0 or 1, got {r}")
-    if ridge < 0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
-
-    Zr = Z[labels == r]
-    n_r, d = Zr.shape
-    if n_r == 0:
-        raise TrainingError(f"no samples of class {r}")
-    if n_r < d + 1:
-        warnings.warn(
-            f"class {r} has only {n_r} samples for a {d}-dimensional "
-            "covariance; the estimate is rank-deficient without a ridge",
-            stacklevel=2,
-        )
-    M = _symmetrize(Zr.T @ Zr / n_r)
-    if ridge:
-        M = M + ridge * np.eye(d)
-    return M
+    return _second_moment(Z[rows[r]], r, checked_number(ridge, "ridge", 0.0))
 
 
 def _factor_spd(M: np.ndarray, what: str) -> tuple[np.ndarray, float]:
@@ -134,7 +159,8 @@ class RqdaModel:
     """Quadratic discriminant for one projection: priors, class covariances, ridge.
 
     Construction checks the priors (each in (0, 1), summing to 1 within
-    1e-12) and derives, from one Cholesky factor per covariance, the
+    1e-12) and the ridge (a finite number >= 0, stored as a float), then
+    derives, from one Cholesky factor per covariance, the
     inverses, log-determinants, ``D = inv1 - inv0`` and ``const`` (never
     persisted). Immutable and safe to share across concurrent readers.
     """
@@ -157,17 +183,18 @@ class RqdaModel:
             raise ValueError(
                 f"priors must lie in (0, 1) and sum to 1, got prior0={p0}, prior1={p1}"
             )
+        ridge = float(checked_number(self.ridge, "ridge", 0.0))
         cov0 = np.asarray(self.cov0, dtype=float)
         cov1 = np.asarray(self.cov1, dtype=float)
         if cov0.shape != cov1.shape or cov0.ndim != 2 or cov0.shape[0] != cov0.shape[1]:
             raise ValueError(
                 f"covariances must be square and same-shape, got {cov0.shape} and {cov1.shape}"
             )
-        where = f"covariance (ridge={self.ridge:g})"
+        where = f"covariance (ridge={ridge:g})"
         inv0, log_det0 = _factor_spd(cov0, f"class 0 {where}")
         inv1, log_det1 = _factor_spd(cov1, f"class 1 {where}")
         const = float(np.log(p1 / p0) - 0.5 * (log_det1 - log_det0))
-        derived = dict(cov0=cov0, cov1=cov1, inv0=inv0, inv1=inv1, log_det0=log_det0,
+        derived = dict(ridge=ridge, cov0=cov0, cov1=cov1, inv0=inv0, inv1=inv1, log_det0=log_det0,
                        log_det1=log_det1, D=inv1 - inv0, const=const)
         for name, value in derived.items():
             object.__setattr__(self, name, value)  # frozen: the one write, at construction
@@ -196,20 +223,29 @@ def fit_rqda(Z, labels, ridge: float | None = None) -> RqdaModel:
         selects ``1e-6 * mean(Z**2)``, i.e. 1e-6 times the average
         diagonal of the pooled second-moment matrix.
 
+    Labels, the score shape and the ridge are checked once per call;
+    the rows of each class are selected by one index array, and both
+    covariances are formed exactly as :func:`estimate_projected_covariance`
+    forms them.
+
     Raises
     ------
+    ValueError
+        On labels that are not a 1-d 0/1 array, a row count that differs
+        from the number of labels, or a negative or non-finite ridge.
     TrainingError
         On single-class labels.
     SingularMatrixError
         If a class covariance has no Cholesky factor at the given ridge;
         the message names the offending class.
     """
-    Z = np.asarray(Z, dtype=float)
-    prior0, prior1 = estimate_priors(labels)
+    Z, rows = _split_scores(Z, labels)
+    prior0, prior1 = _priors(rows)
     if ridge is None:
         ridge = RIDGE_SCALE * float(np.mean(Z * Z))
-    cov0, cov1 = (estimate_projected_covariance(Z, labels, r, ridge) for r in (0, 1))
-    return RqdaModel(prior0, prior1, cov0, cov1, float(ridge))
+    cov0 = _second_moment(Z[rows[0]], 0, ridge)
+    cov1 = _second_moment(Z[rows[1]], 1, ridge)
+    return RqdaModel(prior0, prior1, cov0, cov1, ridge)
 
 
 def stacked_discriminant(Z, D, const) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 
 from rankqda import (
     EnsembleConfig,
+    qda,
     TrainingError,
     classify,
     fit_transform,
@@ -241,6 +242,22 @@ class TestEnsembleConfigValidation:
 def test_select_alpha_rejects_non_finite_votes():
     with pytest.raises(ValueError, match="votes must be finite"):
         select_alpha(np.array([np.nan, 0.5]), np.array([1, 0]), b1=2)
+
+
+@pytest.mark.parametrize("b1, message", [(2.5, "got 2.5"), (True, "got True")])
+def test_select_alpha_rejects_a_non_integer_b1(b1, message):
+    with pytest.raises(ValueError, match=r"^b1 must be a positive integer, " + message):
+        select_alpha(np.array([0.0, 1.0]), np.array([0, 1]), b1)
+
+
+def test_row_count_mismatch_rejected_before_any_candidate_fit(monkeypatch):
+    def no_fit(*args):
+        raise AssertionError("qda.fit_rqda called")
+
+    monkeypatch.setattr(qda, "fit_rqda", no_fit)
+    X, labels = _two_cluster_data(n=50)
+    with pytest.raises(ValueError, match="^X has 50 rows but there are 40 labels$"):
+        train_ensemble(X, labels[:40], EnsembleConfig(d=2, b1=1, b2=1, seed=0))
 
 
 def test_one_row_training_data_rejected():

@@ -1,6 +1,7 @@
 """Model files are validated at load; a malformed one is one ``error:`` line."""
 
 import copy
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -131,6 +132,10 @@ def _negative_seed(doc):
     doc["config"]["seed"] = -1
 
 
+def _negative_block_ridge(doc):
+    doc["blocks"][0]["ridge"] = -1.0
+
+
 CASES = {
     "alpha_out_of_range": (_alpha_five, "alpha must lie in [0, 1]"),
     "boolean_alpha": (_boolean_alpha, "alpha must be a finite number, got True"),
@@ -176,6 +181,7 @@ CASES = {
     ),
     "boolean_version": (_boolean_version, "unsupported model format version True"),
     "negative_seed": (_negative_seed, "config.seed must be an integer >= 0, got -1"),
+    "negative_block_ridge": (_negative_block_ridge, "block 0: ridge must be >= 0, got -1.0"),
 }
 
 
@@ -245,3 +251,18 @@ def test_failed_save_leaves_an_existing_file_untouched(tmp_path, monkeypatch):
     with pytest.raises(TypeError):
         save_model(model, path)
     assert path.read_bytes() == b"previous contents"
+
+
+def test_numpy_integer_block_metadata_saves_as_plain_ints(tmp_path):
+    model = load_model(DATA_DIR / "toy8_model.json")
+    block = model.blocks[0]
+    stream = tuple(np.int64(v) for v in block.projection.stream)
+    numpy_block = dataclasses.replace(
+        block,
+        candidate=np.int64(block.candidate),
+        projection=dataclasses.replace(block.projection, stream=stream),
+    )
+    numpy_model = dataclasses.replace(model, blocks=[numpy_block])
+    save_model(model, tmp_path / "plain.json")
+    save_model(numpy_model, tmp_path / "numpy.json")
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()

@@ -1,7 +1,10 @@
 """Property tests on random small data and configurations."""
 
 import json
+import re
 import warnings
+
+import pytest
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,14 +13,22 @@ from hypothesis import strategies as st
 from rankqda import (
     FLAVORS,
     EnsembleConfig,
+    RqdaModel,
+    SingularMatrixError,
+    estimate_priors,
+    estimate_projected_covariance,
+    fit_rqda,
     fit_transform,
     piecewise_linear_map,
+    rqda_classify,
     select_alpha,
     train_ensemble,
+    training_error,
     transform_new,
     vote_fractions,
 )
 from rankqda.model_io import model_from_dict, model_to_dict
+from rankqda.qda import RIDGE_SCALE
 from rankqda.rng import substream
 
 from oracles import per_block_vote_fractions, threshold_loop_select_alpha
@@ -147,3 +158,41 @@ def test_monotone_feature_maps_leave_fit_and_votes_bit_identical(problem, data):
     assert warped.alpha == model.alpha
     for rows in (X, X_new):
         np.testing.assert_array_equal(vote_fractions(warped, warp(rows)), vote_fractions(model, rows))
+
+
+@st.composite
+def projected_samples(draw):
+    n = draw(st.integers(4, 60))
+    d = draw(st.integers(1, 4))
+    rng = substream(draw(st.integers(0, 2**32 - 1)))
+    n1 = draw(st.integers(1, n - 1))
+    labels = rng.permutation(np.repeat([0, 1], [n - n1, n1]))
+    Z = rng.standard_normal((n, d)) * draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    ridge = draw(st.one_of(st.none(), st.just(0.0), st.floats(0.0, 10.0)))
+    return Z, labels, ridge
+
+
+@settings(max_examples=200, deadline=None)
+@given(projected_samples())
+def test_fit_rqda_equals_the_public_estimators(sample):
+    Z, labels, ridge = sample
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            model = fit_rqda(Z, labels, ridge)
+        except SingularMatrixError as exc:
+            # the same covariances must fail the same way
+            with pytest.raises(SingularMatrixError, match=re.escape(str(exc))):
+                ridge_used = RIDGE_SCALE * float(np.mean(Z * Z)) if ridge is None else ridge
+                RqdaModel(*estimate_priors(labels),
+                          estimate_projected_covariance(Z, labels, 0, ridge_used),
+                          estimate_projected_covariance(Z, labels, 1, ridge_used), ridge_used)
+            return
+        reference = RqdaModel(*estimate_priors(labels),
+                              estimate_projected_covariance(Z, labels, 0, model.ridge),
+                              estimate_projected_covariance(Z, labels, 1, model.ridge), model.ridge)
+    assert (model.prior0, model.prior1) == (reference.prior0, reference.prior1)
+    for name in ("cov0", "cov1", "D"):
+        np.testing.assert_array_equal(getattr(model, name), getattr(reference, name))
+    assert model.const == reference.const
+    assert training_error(model, Z, labels) == np.mean(rqda_classify(Z, model) != labels)

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from rankqda import (
+    RqdaModel,
     SingularMatrixError,
     TrainingError,
     discriminant,
@@ -240,6 +242,43 @@ class TestFitRqda:
         labels = np.array([0, 0, 1, 1])
         with pytest.raises(SingularMatrixError, match="class 0"):
             fit_rqda(Z, labels, ridge=0.0)
+
+
+@pytest.mark.parametrize(
+    "labels, rows, ridge, error, message",
+    [
+        ([0, 1, 2, 1], 4, None, ValueError, "labels must be 0/1"),
+        ([[0, 1], [1, 0]], 2, None, ValueError, "labels must be a non-empty 1-d array"),
+        ([0, 1, 0, 1], 5, None, ValueError, "scores and labels disagree: (5, 2) rows vs 4 labels"),
+        ([0, 1, 0, 1, 0, 1], 6, -1.0, ValueError, "ridge must be >= 0, got -1.0"),
+        ([1, 1, 1, 1], 4, None, TrainingError, "degenerate class distribution: all 4 labels are 1"),
+    ],
+)
+def test_fit_rqda_rejects_bad_input_with_one_message(labels, rows, ridge, error, message):
+    Z = np.random.default_rng(12).standard_normal((rows, 2))
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        fit_rqda(Z, labels, ridge)
+
+
+def test_fit_rqda_rank_warning_points_at_its_caller():
+    Z = np.array([[1.0, 0.5], [-0.5, 1.0], [0.25, -1.0], [2.0, 0.75], [0.3, 0.1]])
+    labels = np.array([0, 1, 0, 1, 1])
+    with pytest.warns(UserWarning) as caught:
+        fit_rqda(Z, labels, ridge=0.05)
+    assert [str(w.message) for w in caught] == [
+        "class 0 has only 2 samples for a 2-dimensional covariance; "
+        "the estimate is rank-deficient without a ridge"
+    ]
+    assert caught[0].filename == __file__
+
+
+@pytest.mark.parametrize(
+    "ridge, message",
+    [(-3.0, "ridge must be >= 0, got -3.0"), (float("nan"), "ridge must be a finite number, got nan")],
+)
+def test_model_constructor_rejects_a_bad_ridge(ridge, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        RqdaModel(0.5, 0.5, np.eye(2), np.eye(2), ridge)
 
 
 class TestRqdaClassify:
