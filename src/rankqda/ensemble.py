@@ -22,11 +22,8 @@ so a training row gets the same vote at fit as at prediction.
 Each input rule has one owner: :class:`EnsembleConfig` checks the config
 values and :class:`EnsembleModel` its blocks and ``alpha``, whether the
 object is fitted, built by hand or loaded; the data are checked by
-:func:`marginals.fit_transform` and the labels by :mod:`qda`, and
-:func:`train_ensemble` checks that X has one row per label before the
-marginal fit. Each candidate fit then checks its labels once
-(:func:`qda.fit_rqda`), and :func:`training_error` thresholds the
-discriminant against the labels directly.
+:func:`marginals.fit_transform`, the labels by :mod:`qda` (once per
+candidate fit), and that X has one row per label by :func:`train_ensemble`.
 """
 
 import math
@@ -163,11 +160,7 @@ class EnsembleModel:
 
 
 def training_error(model: qda.RqdaModel, Z, labels) -> float:
-    """Fraction of rows the fitted discriminant misclassifies.
-
-    A row is predicted class 1 iff its discriminant is >= 0, as in
-    :func:`qda.rqda_classify`.
-    """
+    """Fraction of rows misclassified by the discriminant's sign (>= 0 is class 1)."""
     return float(np.mean((qda.discriminant(Z, model) >= 0.0) != labels))
 
 
@@ -205,8 +198,7 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
     projected training scores; a candidate whose covariance is singular
     at the configured ridge is discarded. A block where every candidate
     fails aborts training (a silently smaller ensemble would corrupt the
-    vote fractions). Labels and the row count of X are checked before
-    any fit.
+    vote fractions).
     """
     labels = np.asarray(labels)
     qda.estimate_priors(labels)  # fail fast on bad labels, one class or one row

@@ -5,6 +5,15 @@ Three flavors are provided: ``gaussian`` (i.i.d. N(0, 1/d) entries),
 Stiefel manifold), and ``axis`` (d distinct coordinates). When a
 projection ``A`` is applied to scores with class covariance ``C``, the
 projected covariance is ``A C A'``.
+
+For the same generator state, ``gaussian`` and ``haar`` start from the
+same ``(d, p)`` draw ``G``, and the ``haar`` matrix is an invertible
+``d x d`` map of the ``gaussian`` one: the sign-corrected ``R'^{-1} G``
+from the QR factorization ``G' = Q R`` (unless the probability-zero
+re-draw happens). The centred QDA is invariant under an invertible map
+of the projected space up to the ridge, which is added as ``ridge * I``
+after the map, so the two flavors select the same candidates and give
+the same votes in practice while their model files differ.
 """
 
 from dataclasses import dataclass

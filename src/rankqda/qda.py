@@ -16,12 +16,11 @@ blocks at once from stacked ``D`` matrices and constants; the
 ensemble's prediction kernel calls it once per row chunk, and
 :func:`discriminant` is its one-block case.
 
-:func:`fit_rqda` runs once per candidate projection, so it checks the
-labels, the score shape and (through :class:`RqdaModel`) the ridge once
-per call, splits the rows into one index array per class, and forms
-both covariances with the one second-moment helper that
-:func:`estimate_projected_covariance` also uses; the results equal
-those of the public estimators bit for bit.
+:func:`fit_rqda` runs once per candidate projection: it checks its
+inputs once, selects each class's rows by an index array and forms both
+covariances with the moment helper behind
+:func:`estimate_projected_covariance`, so its results equal the public
+estimators' bit for bit.
 """
 
 import warnings
@@ -222,11 +221,6 @@ def fit_rqda(Z, labels, ridge: float | None = None) -> RqdaModel:
         Diagonal regularization added to both covariances. ``None``
         selects ``1e-6 * mean(Z**2)``, i.e. 1e-6 times the average
         diagonal of the pooled second-moment matrix.
-
-    Labels, the score shape and the ridge are checked once per call;
-    the rows of each class are selected by one index array, and both
-    covariances are formed exactly as :func:`estimate_projected_covariance`
-    forms them.
 
     Raises
     ------
