@@ -10,8 +10,8 @@ kernel's stacked arrays and the marginal score table are never stored.
 Loading checks what only a file gets wrong: keys, JSON types, array
 shapes and finiteness. Every value rule has one owner, the type built, so
 fitted, hand-built and loaded objects pass the same checks: config values
-(errors prefixed ``config.``), sorted marginal columns, block priors and
-covariances (prefixed with the block), block count and ``alpha``.
+(errors prefixed ``config.``), sorted marginal columns, block priors,
+ridge and covariances (prefixed with the block), block count and ``alpha``.
 """
 
 import json
@@ -139,14 +139,15 @@ def model_from_dict(doc: dict) -> ensemble.EnsembleModel:
         )
         values = {
             key: float(checked_number(_get(raw, key, where), f"block {k} {key}"))
-            for key in ("prior0", "prior1", "ridge")
+            for key in ("prior0", "prior1")
         }
         cov0, cov1 = (
             _finite_array(_get(raw, key, where), f"block {k} {key}", (d, d))
             for key in ("cov0", "cov1")
         )
+        ridge = _get(raw, "ridge", where)
         try:
-            model = qda.RqdaModel(values["prior0"], values["prior1"], cov0, cov1, values["ridge"])
+            model = qda.RqdaModel(values["prior0"], values["prior1"], cov0, cov1, ridge)
         except ValueError as exc:
             raise type(exc)(f"block {k}: {exc}") from None
         candidate = _get(raw, "candidate", where)
