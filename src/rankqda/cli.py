@@ -2,7 +2,7 @@
 
 Seeds are mandatory wherever randomness is involved; there is no
 wall-clock fallback, so identical invocations produce identical files.
-All failures exit nonzero with a single ``error: ...`` line on stderr.
+All failures, bad flags included, exit 1 with one ``error: ...`` line on stderr.
 """
 
 import argparse
@@ -126,7 +126,6 @@ def _parse_auto(value: str, what: str) -> float | None:
 
 
 def cmd_train(args) -> int:
-    X, y, _ = dataio.read_data_csv(args.data, label_col=args.label_col)
     config = ensemble.EnsembleConfig(
         d=args.d,
         b1=args.b1,
@@ -136,6 +135,7 @@ def cmd_train(args) -> int:
         alpha=_parse_auto(args.alpha, "alpha"),
         seed=args.seed,
     )
+    X, y = dataio.read_data_csv(args.data, label_col=args.label_col)
     model = ensemble.train_ensemble(X, y, config)
     for b, block in enumerate(model.blocks):
         print(f"block {b}: candidate {block.candidate} train_error {block.train_error}")
@@ -147,7 +147,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = model_io.load_model(args.model)
-    X, _, _ = dataio.read_data_csv(args.data, label_col=args.label_col)
+    X, _ = dataio.read_data_csv(args.data, label_col=args.label_col)
     preds, votes = ensemble.predict(model, X)
     dataio.write_predictions_csv(args.out, preds, votes)
     print(f"wrote {len(preds)} predictions to {args.out}")
@@ -156,7 +156,7 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     model = model_io.load_model(args.model)
-    X, y, _ = dataio.read_data_csv(args.data, label_col=args.label_col)
+    X, y = dataio.read_data_csv(args.data, label_col=args.label_col)
     preds, _ = ensemble.predict(model, X)
     error = float(np.mean(preds != y))
     tn = int(np.sum((y == 0) & (preds == 0)))
@@ -170,8 +170,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error takes main's one error path, not exit 2
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rankqda",
         description="Rank-based robust QDA with random-projection ensembles.",
     )
@@ -203,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--d", type=int, required=True)
     train.add_argument("--b1", type=int, required=True)
     train.add_argument("--b2", type=int, required=True)
-    train.add_argument("--projection", default="haar", choices=projections.FLAVORS)
+    train.add_argument("--projection", default="haar", help="|".join(projections.FLAVORS))
     train.add_argument("--ridge", default="auto", help="ridge value or 'auto'")
     train.add_argument("--alpha", default="auto", help="vote threshold in [0,1] or 'auto'")
     train.add_argument("--seed", type=int, required=True)
@@ -228,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

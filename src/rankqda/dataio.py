@@ -13,10 +13,10 @@ from .errors import DataError
 
 
 def read_data_csv(path, label_col: str | None = None):
-    """Read a data CSV.
+    """Read a data CSV into one float table, then split the label column off.
 
-    Returns ``(X, y, feature_names)``; ``y`` is None when ``label_col``
-    is None. Labels must be 0/1.
+    Returns ``(X, y)``: ``X`` holds the other columns in file order, ``y``
+    the 0/1 labels as ints, or None when ``label_col`` is None.
     """
     with open(path, "r", newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -35,17 +35,13 @@ def read_data_csv(path, label_col: str | None = None):
             raise ValueError(f"label column {label_col!r} not found in {path}")
         label_idx = header.index(label_col)
 
-    feature_names = [h for i, h in enumerate(header) if i != label_idx]
-    n, p = len(rows), len(feature_names)
-    X = np.empty((n, p), dtype=float)
-    y = np.empty(n, dtype=int) if label_idx is not None else None
-
+    table = np.empty((len(rows), len(header)), dtype=float)
     for i, row in enumerate(rows):
+        rows[i] = None  # free each row's strings once parsed, so the table's pages replace them
         if len(row) != len(header):
             raise DataError(
                 f"row {i} of {path} has {len(row)} fields, expected {len(header)}"
             )
-        k = 0
         for j, cell in enumerate(row):
             cell = cell.strip()
             if cell == "":
@@ -56,23 +52,19 @@ def read_data_csv(path, label_col: str | None = None):
                 raise DataError(
                     f"non-numeric value {cell!r} at row {i}, column {header[j]!r}"
                 ) from None
-            if j == label_idx:
-                if value not in (0.0, 1.0):
-                    raise ValueError(
-                        f"labels must be 0/1; row {i} has {header[j]!r}={cell}"
-                    )
-                y[i] = int(value)
-            else:
-                X[i, k] = value
-                k += 1
+            if j == label_idx and value not in (0.0, 1.0):
+                raise ValueError(f"labels must be 0/1; row {i} has {header[j]!r}={cell}")
+            table[i, j] = value
 
-    return X, y, feature_names
+    if label_idx is None:
+        return table, None
+    return np.delete(table, label_idx, axis=1), table[:, label_idx].astype(int)
 
 
-def write_data_csv(path, X, labels, latent=None, label_col: str = "label") -> None:
-    """Write features plus a label column; latent columns are optional."""
+def write_data_csv(path, X, labels, latent=None) -> None:
+    """Write features plus a ``label`` column; latent columns are optional."""
     X = np.asarray(X)
-    header = [f"x{j}" for j in range(X.shape[1])] + [label_col]
+    header = [f"x{j}" for j in range(X.shape[1])] + ["label"]
     if latent is not None:
         header += [f"s{j}" for j in range(X.shape[1])]
     with open(path, "w", newline="", encoding="utf-8") as f:

@@ -20,8 +20,10 @@ Training counts the votes it selects ``alpha`` on with the same kernel,
 so a training row gets the same vote at fit as at prediction.
 
 Each input rule has one owner: :class:`EnsembleConfig` checks the config
-values and :class:`EnsembleModel` its blocks and ``alpha``, whether the
-object is fitted, built by hand or loaded; the data are checked by
+values and :class:`EnsembleModel` its blocks (each projection matrix
+finite and ``(d, p)``) and ``alpha`` (in [0, 1], or the "always class 0"
+threshold ``(b1 + 1/2) / b1`` that :func:`select_alpha` may pick), whether
+the object is fitted, built by hand or loaded; the data are checked by
 :func:`marginals.fit_transform`, the labels by :mod:`qda` (once per
 candidate fit), and that X has one row per label by :func:`train_ensemble`.
 """
@@ -119,9 +121,11 @@ class StackedBlocks:
 class EnsembleModel:
     """A fitted ensemble.
 
-    Construction checks ``b1`` blocks, ``alpha`` in [0, 1] and each
-    block's metadata: a known flavor, a candidate in [0, b2), a stream
-    of None or a tuple of integers >= 0 and a train_error in [0, 1].
+    Construction checks ``b1`` blocks and ``alpha``: in [0, 1], or exactly
+    :func:`select_alpha`'s top threshold ``(b1 + 1/2) / b1``, the constant
+    class-0 rule. It owns each block's rules: a known flavor, a finite
+    ``(d, n_features)`` matrix, a candidate in [0, b2), a stream of None or
+    a tuple of integers >= 0 and a train_error in [0, 1].
     """
 
     marginal_model: marginals.MarginalModel
@@ -132,11 +136,19 @@ class EnsembleModel:
     def __post_init__(self):
         if len(self.blocks) != self.config.b1:
             raise ValueError(f"model has {len(self.blocks)} blocks, expected b1={self.config.b1}")
-        object.__setattr__(self, "alpha", checked_number(self.alpha, "alpha", 0.0, 1.0))
+        top = float(_alpha_thresholds(self.config.b1)[-1])
+        alpha = top if self.alpha == top else checked_number(self.alpha, "alpha", 0.0, 1.0)
+        object.__setattr__(self, "alpha", alpha)
+        shape = (self.config.d, self.n_features)
         for k, block in enumerate(self.blocks):
             flavor, stream = block.projection.flavor, block.projection.stream
             if flavor not in projections.FLAVORS:
                 raise ValueError(f"block {k} flavor must be one of {projections.FLAVORS}, got {flavor!r}")
+            matrix = block.projection.matrix
+            if np.shape(matrix) != shape:
+                raise ValueError(f"block {k} matrix has shape {np.shape(matrix)}, expected {shape}")
+            if not np.isfinite(matrix).all():
+                raise ValueError(f"block {k} matrix has a non-finite value")
             if checked_int(block.candidate, f"block {k} candidate", 0) >= self.config.b2:
                 raise ValueError(f"block {k} candidate must be < b2={self.config.b2}, got {block.candidate}")
             if stream is not None and not isinstance(stream, tuple):
@@ -164,6 +176,11 @@ def training_error(model: qda.RqdaModel, Z, labels) -> float:
     return float(np.mean((qda.discriminant(Z, model) >= 0.0) != labels))
 
 
+def _alpha_thresholds(b1: int) -> np.ndarray:
+    """Candidate alphas: 0, then ``(k + 1/2) / b1`` for k = 0..b1 (the last one exceeds 1)."""
+    return np.concatenate(([0.0], (np.arange(b1 + 1) + 0.5) / b1))
+
+
 def select_alpha(votes, labels, b1: int) -> float:
     """Vote threshold minimizing the empirical error of ``vote >= alpha``.
 
@@ -181,9 +198,7 @@ def select_alpha(votes, labels, b1: int) -> float:
         )
     if not ((votes >= 0.0) & (votes <= 1.0)).all():
         raise ValueError("votes must be finite and lie in [0, 1]")
-    b1 = checked_int(b1, "b1", 1)
-
-    thresholds = np.concatenate(([0.0], (np.arange(b1 + 1) + 0.5) / b1))
+    thresholds = _alpha_thresholds(checked_int(b1, "b1", 1))
     below = [np.searchsorted(np.sort(votes[r]), thresholds, side="left") for r in rows]
     # class-0 votes at or above a threshold and class-1 votes below it are errors
     errors = rows[0].size - below[0] + below[1]

@@ -7,11 +7,13 @@ log-determinants from its covariances exactly as at fit, so a reloaded
 model equals the saved one and predicts bit-identically. The vote
 kernel's stacked arrays and the marginal score table are never stored.
 
-Loading checks what only a file gets wrong: keys, JSON types, array
-shapes and finiteness. Every value rule has one owner, the type built, so
-fitted, hand-built and loaded objects pass the same checks: config values
-(errors prefixed ``config.``), sorted marginal columns, block priors,
-ridge and covariances (prefixed with the block), block count and ``alpha``.
+Loading checks what only a file gets wrong: keys, JSON types, and the
+shapes and finiteness of the marginal and covariance arrays. Every value
+rule has one owner, the type built, so fitted, hand-built and loaded
+objects pass the same checks: config values (errors prefixed
+``config.``), sorted marginal columns, block priors, ridge and
+covariances (prefixed with the block), and the block count, projection
+matrices and ``alpha`` (:class:`ensemble.EnsembleModel`).
 """
 
 import json
@@ -44,11 +46,15 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _finite_array(value, what: str, shape: tuple) -> np.ndarray:
+def _numbers(value, what: str) -> np.ndarray:
     try:
-        a = np.asarray(value, dtype=float)
+        return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"{what} is not a numeric array") from None
+
+
+def _finite_array(value, what: str, shape: tuple) -> np.ndarray:
+    a = _numbers(value, what)
     if a.shape != shape:
         raise ValueError(f"{what} has shape {a.shape}, expected {shape}")
     if not np.isfinite(a).all():
@@ -90,7 +96,8 @@ def model_to_dict(model: ensemble.EnsembleModel) -> dict:
                 "cov0": _matrix(block.model.cov0),
                 "cov1": _matrix(block.model.cov1),
                 "ridge": block.model.ridge,
-                "train_error": block.train_error,
+                # float(): a hand-built train_error may be a numpy float such as float32
+                "train_error": float(block.train_error),
                 "candidate": int(block.candidate),
             }
             for block in model.blocks
@@ -133,7 +140,7 @@ def model_from_dict(doc: dict) -> ensemble.EnsembleModel:
         where = f"blocks[{k}]"
         stream = _get(raw, "stream", where)
         proj = projections.Projection(
-            matrix=_finite_array(_get(raw, "matrix", where), f"block {k} matrix", (d, p)),
+            matrix=_numbers(_get(raw, "matrix", where), f"block {k} matrix"),
             flavor=_get(raw, "flavor", where),
             stream=None if stream is None else tuple(_list(stream, f"block {k} stream")),
         )

@@ -260,6 +260,23 @@ ERROR_CASES = {
         lambda tmp: ["bayes-risk", "--p", 3, "--n", 100, "--seed", 1, "--marginal", "pwl:0:0,1"],
         "expected pwl:X:Y,X:Y,... got 'pwl:0:0,1'",
     ),
+    "non_integer_flag": (
+        lambda tmp: _train_argv(tmp, TOY, "--seed", 7, "--d", "two"),
+        "argument --d: invalid int value: 'two'",
+    ),
+    "missing_required_flag": (
+        lambda tmp: ["train", "--d", 2, "--b1", 1, "--b2", 1, "--seed", 7,
+                     "--model-out", tmp / "m.json"],
+        "the following arguments are required: --data",
+    ),
+    "unknown_subcommand": (
+        lambda tmp: ["fit", "--data", TOY],
+        "argument command: invalid choice: 'fit'",
+    ),
+    "unknown_projection": (
+        lambda tmp: _train_argv(tmp, TOY, "--seed", 7, "--projection", "fourier"),
+        "flavor must be one of ('gaussian', 'haar', 'axis'), got 'fourier'",
+    ),
 }
 
 
@@ -273,3 +290,10 @@ def test_bad_input_exits_1_with_one_error_line(case, tmp_path, capsys):
     assert rc == 1
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
     assert not (tmp_path / "m.json").exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("train", "--help")
+    assert exc.value.code == 0
+    assert "gaussian|haar|axis" in capsys.readouterr().out

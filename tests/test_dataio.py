@@ -1,0 +1,58 @@
+"""The data CSV reader: one float table, one label split, first error wins."""
+
+import re
+
+import numpy as np
+import pytest
+
+from rankqda.dataio import read_data_csv
+from rankqda.errors import DataError
+
+
+def _csv(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "header, rows",
+    [
+        ("label,a,b", ["0,1.5,2.5", "1,3.5,4.5"]),
+        ("a,label,b", ["1.5,0,2.5", "3.5,1,4.5"]),
+        ("a,b,label", ["1.5,2.5,0", "3.5,4.5,1"]),
+    ],
+    ids=["first", "middle", "last"],
+)
+def test_label_column_anywhere_leaves_features_in_file_order(tmp_path, header, rows):
+    X, y = read_data_csv(_csv(tmp_path, "\n".join([header, *rows]) + "\n"), "label")
+    np.testing.assert_array_equal(X, [[1.5, 2.5], [3.5, 4.5]])
+    assert X.flags.c_contiguous
+    np.testing.assert_array_equal(y, [0, 1])
+    assert y.dtype == int
+
+
+def test_negative_zero_label_reads_as_zero(tmp_path):
+    _, y = read_data_csv(_csv(tmp_path, "a,label\n1.0,-0.0\n2.0,1\n"), "label")
+    assert y.tolist() == [0, 1]
+
+
+def test_whitespace_padded_cells_and_header_are_stripped(tmp_path):
+    X, y = read_data_csv(_csv(tmp_path, " a , label \n  1.25 ,\t1 \n-2e3, 0\n"), "label")
+    np.testing.assert_array_equal(X, [[1.25], [-2000.0]])
+    assert y.tolist() == [1, 0]
+
+
+def test_no_label_column_returns_every_column(tmp_path):
+    X, y = read_data_csv(_csv(tmp_path, "a,label,b\n1.0,0,2.0\n3.0,1,4.0\n"))
+    np.testing.assert_array_equal(X, [[1.0, 0.0, 2.0], [3.0, 1.0, 4.0]])
+    assert y is None
+
+
+def test_first_error_in_row_major_order_wins(tmp_path):
+    # a bad label at row 0, column 0 comes before a non-numeric cell in row 0 and a short row 1
+    path = _csv(tmp_path, "label,a,b\n2,x,1.0\n0,1.0\n")
+    with pytest.raises(ValueError, match=re.escape("labels must be 0/1; row 0 has 'label'=2")):
+        read_data_csv(path, "label")
+    with pytest.raises(DataError, match=re.escape("non-numeric value 'x' at row 0, column 'a'")):
+        read_data_csv(path)

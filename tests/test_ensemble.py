@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from rankqda import (
     TrainingError,
     classify,
     fit_transform,
+    load_model,
     model_from_parameters,
     predict,
     project,
     rqda_classify,
     sample_projection,
+    save_model,
     select_alpha,
     train_ensemble,
     training_error,
@@ -29,6 +32,7 @@ from rankqda.projections import Projection
 from rankqda.qda import fit_rqda
 from rankqda.rng import substream
 
+GOLDEN_PATH = Path(__file__).parent / "data" / "toy8_model.json"
 
 def _two_cluster_data(n=60, p=4, seed=0, scale1=2.5):
     """Classes differ in latent scale, so quadratic decisions separate them."""
@@ -320,3 +324,41 @@ def test_hand_built_model_checks_block_metadata(change, message):
     blocks = [dataclasses.replace(model.blocks[0], **change), model.blocks[1]]
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         EnsembleModel(model.marginal_model, blocks, model.alpha, model.config)
+
+
+def test_fit_that_selects_always_class_0_trains_and_round_trips(tmp_path):
+    X = np.array([[-0.991], [-0.710], [-0.445], [0.091], [0.807], [-0.656], [0.930]])
+    labels = np.array([0, 0, 0, 1, 0, 1, 0])
+    model = train_ensemble(X, labels, EnsembleConfig(d=1, b1=1, b2=1, flavor="gaussian"))
+    assert model.alpha == 1.5
+    preds, votes = predict(model, X)
+    np.testing.assert_array_equal(preds, np.zeros(7, dtype=int))
+    save_model(model, tmp_path / "model.json")
+    reloaded = load_model(tmp_path / "model.json")
+    assert model_to_dict(reloaded) == model_to_dict(model)
+    np.testing.assert_array_equal(vote_fractions(reloaded, X), votes)
+
+
+def test_hand_built_model_accepts_only_the_top_threshold_above_one():
+    model = _constant_vote_model(1, 0, alpha=0.5)
+    parts = model.marginal_model, model.blocks
+    assert EnsembleModel(*parts, 1.5, model.config).alpha == 1.5
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got 1.2"):
+        EnsembleModel(*parts, 1.2, model.config)
+
+
+def _golden_with_matrix(matrix) -> EnsembleModel:
+    model = load_model(GOLDEN_PATH)
+    block = model.blocks[0]
+    bad = dataclasses.replace(block, projection=dataclasses.replace(block.projection, matrix=matrix))
+    return EnsembleModel(model.marginal_model, [bad], model.alpha, model.config)
+
+
+def test_hand_built_model_rejects_a_non_finite_block_matrix():
+    with pytest.raises(ValueError, match="^block 0 matrix has a non-finite value$"):
+        _golden_with_matrix(np.full((2, 3), np.nan))
+
+
+def test_hand_built_model_rejects_a_block_matrix_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=re.escape("block 0 matrix has shape (2, 1), expected (2, 3)")):
+        _golden_with_matrix(np.ones((2, 1)))

@@ -266,3 +266,23 @@ def test_numpy_integer_block_metadata_saves_as_plain_ints(tmp_path):
     save_model(model, tmp_path / "plain.json")
     save_model(numpy_model, tmp_path / "numpy.json")
     assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+def test_file_whose_alpha_is_the_top_threshold_loads():
+    doc = copy.deepcopy(GOLDEN)
+    b1 = doc["config"]["b1"]
+    doc["alpha"] = (b1 + 0.5) / b1
+    model = model_from_dict(doc)
+    assert model.alpha == 1.5
+    assert model_to_dict(model) == doc
+
+
+def test_numpy_float_train_error_saves_as_a_plain_float(tmp_path):
+    model = load_model(DATA_DIR / "toy8_model.json")
+    block = model.blocks[0]
+    value = np.float32(block.train_error)
+    numpy_model = dataclasses.replace(model, blocks=[dataclasses.replace(block, train_error=value)])
+    plain_model = dataclasses.replace(model, blocks=[dataclasses.replace(block, train_error=float(value))])
+    save_model(plain_model, tmp_path / "plain.json")
+    save_model(numpy_model, tmp_path / "numpy.json")
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
