@@ -1,11 +1,13 @@
 """CSV reading and writing for the batch pipeline.
 
 Data files carry a header row; every column except the named label
-column is a numeric feature. UTF-8, '.' decimal, no missing values (an
-empty field is a hard error, never imputed).
+column is a numeric feature. UTF-8; every cell is a finite '.'-decimal
+number (``nan``, ``inf`` and ``1_000`` are rejected); no missing values
+(an empty field is a hard error, never imputed).
 """
 
 import csv
+import math
 
 import numpy as np
 
@@ -48,10 +50,14 @@ def read_data_csv(path, label_col: str | None = None):
                 raise DataError(f"missing value at row {i}, column {header[j]!r}")
             try:
                 value = float(cell)
+                if "_" in cell:  # float() also reads Python's digit separators
+                    raise ValueError(cell)
             except ValueError:
                 raise DataError(
                     f"non-numeric value {cell!r} at row {i}, column {header[j]!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise DataError(f"non-finite value {cell!r} at row {i}, column {header[j]!r}")
             if j == label_idx and value not in (0.0, 1.0):
                 raise ValueError(f"labels must be 0/1; row {i} has {header[j]!r}={cell}")
             table[i, j] = value

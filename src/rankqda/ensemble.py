@@ -20,10 +20,11 @@ Training counts the votes it selects ``alpha`` on with the same kernel,
 so a training row gets the same vote at fit as at prediction.
 
 Each input rule has one owner: :class:`EnsembleConfig` checks the config
-values and :class:`EnsembleModel` its blocks (each projection matrix
-finite and ``(d, p)``) and ``alpha`` (in [0, 1], or the "always class 0"
-threshold ``(b1 + 1/2) / b1`` that :func:`select_alpha` may pick), whether
-the object is fitted, built by hand or loaded; the data are checked by
+values and :class:`EnsembleModel` ``d <= p``, its blocks (each projection
+matrix finite and ``(d, p)``, each pair of covariances ``(d, d)``) and
+``alpha`` (in [0, 1], or the "always class 0" threshold
+``(b1 + 1/2) / b1`` that :func:`select_alpha` may pick), whether the
+object is fitted, built by hand or loaded; the data are checked by
 :func:`marginals.fit_transform`, the labels by :mod:`qda` (once per
 candidate fit), and that X has one row per label by :func:`train_ensemble`.
 """
@@ -121,11 +122,12 @@ class StackedBlocks:
 class EnsembleModel:
     """A fitted ensemble.
 
-    Construction checks ``b1`` blocks and ``alpha``: in [0, 1], or exactly
-    :func:`select_alpha`'s top threshold ``(b1 + 1/2) / b1``, the constant
-    class-0 rule. It owns each block's rules: a known flavor, a finite
-    ``(d, n_features)`` matrix, a candidate in [0, b2), a stream of None or
-    a tuple of integers >= 0 and a train_error in [0, 1].
+    Construction checks ``b1`` blocks, ``d <= n_features`` and ``alpha``:
+    in [0, 1], or exactly :func:`select_alpha`'s top threshold
+    ``(b1 + 1/2) / b1``, the constant class-0 rule. It owns each block's
+    rules: a known flavor, a finite ``(d, n_features)`` matrix, ``(d, d)``
+    covariances, a candidate in [0, b2), a stream of None or a tuple of
+    integers >= 0 and a train_error in [0, 1].
     """
 
     marginal_model: marginals.MarginalModel
@@ -139,7 +141,10 @@ class EnsembleModel:
         top = float(_alpha_thresholds(self.config.b1)[-1])
         alpha = top if self.alpha == top else checked_number(self.alpha, "alpha", 0.0, 1.0)
         object.__setattr__(self, "alpha", alpha)
-        shape = (self.config.d, self.n_features)
+        d, p = self.config.d, self.n_features
+        if d > p:
+            raise ValueError(f"model needs d <= n_features, got d={d}, n_features={p}")
+        shape = (d, p)
         for k, block in enumerate(self.blocks):
             flavor, stream = block.projection.flavor, block.projection.stream
             if flavor not in projections.FLAVORS:
@@ -149,6 +154,10 @@ class EnsembleModel:
                 raise ValueError(f"block {k} matrix has shape {np.shape(matrix)}, expected {shape}")
             if not np.isfinite(matrix).all():
                 raise ValueError(f"block {k} matrix has a non-finite value")
+            if block.model.dim != d:
+                raise ValueError(
+                    f"block {k} covariances have shape {block.model.cov0.shape}, expected {(d, d)}"
+                )
             if checked_int(block.candidate, f"block {k} candidate", 0) >= self.config.b2:
                 raise ValueError(f"block {k} candidate must be < b2={self.config.b2}, got {block.candidate}")
             if stream is not None and not isinstance(stream, tuple):

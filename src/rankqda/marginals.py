@@ -17,8 +17,11 @@ both transforms turn counts into scores by indexing it, so the quantile
 function runs n times per model rather than once per entry.
 
 The transforms check the feature matrix (shape, finiteness, feature
-count); :class:`MarginalModel` checks that its columns are sorted, for
-fitted and loaded models alike.
+count); :class:`MarginalModel` checks that its columns are sorted and
+finite, for fitted, hand-built and loaded models alike. A NaN fails the
+order check (unless the column has one row), and a sorted column can
+hold an infinity only at either end, so the finiteness check that
+follows reads just the first and last row.
 """
 
 from dataclasses import dataclass
@@ -120,7 +123,7 @@ class MarginalModel:
     """Per-feature sorted training values backing the rank transform.
 
     ``sorted_columns`` has shape (n, p); construction checks that every
-    column is ascending. Immutable and safe for concurrent reads.
+    column is ascending and finite. Immutable and safe for concurrent reads.
     """
 
     sorted_columns: np.ndarray
@@ -130,6 +133,9 @@ class MarginalModel:
         unsorted = np.flatnonzero(~(cols[1:] >= cols[:-1]).all(axis=0))  # NaN is unsorted
         if unsorted.size:
             raise ValueError(f"marginal column {unsorted[0]} is not sorted ascending")
+        infinite = np.flatnonzero(~np.isfinite(np.concatenate((cols[:1], cols[-1:]))).all(axis=0))
+        if infinite.size:
+            raise ValueError(f"marginal column {infinite[0]} has a non-finite value")
 
     @property
     def n_samples(self) -> int:

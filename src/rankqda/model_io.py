@@ -8,12 +8,13 @@ model equals the saved one and predicts bit-identically. The vote
 kernel's stacked arrays and the marginal score table are never stored.
 
 Loading checks what only a file gets wrong: keys, JSON types, and the
-shapes and finiteness of the marginal and covariance arrays. Every value
-rule has one owner, the type built, so fitted, hand-built and loaded
-objects pass the same checks: config values (errors prefixed
-``config.``), sorted marginal columns, block priors, ridge and
-covariances (prefixed with the block), and the block count, projection
-matrices and ``alpha`` (:class:`ensemble.EnsembleModel`).
+shapes of the marginal and covariance arrays. Every value rule has one
+owner, the type built, so fitted, hand-built and loaded objects pass the
+same checks: config values (errors prefixed ``config.``), sorted finite
+marginal columns, block priors, ridge and covariances (finite, positive
+definite, symmetric; prefixed with the block), and the block count,
+covariance size, projection matrices and ``alpha``
+(:class:`ensemble.EnsembleModel`).
 """
 
 import json
@@ -46,19 +47,13 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _numbers(value, what: str) -> np.ndarray:
+def _numbers(value, what: str, shape: tuple | None = None) -> np.ndarray:
     try:
-        return np.asarray(value, dtype=float)
+        a = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"{what} is not a numeric array") from None
-
-
-def _finite_array(value, what: str, shape: tuple) -> np.ndarray:
-    a = _numbers(value, what)
-    if a.shape != shape:
+    if shape is not None and a.shape != shape:
         raise ValueError(f"{what} has shape {a.shape}, expected {shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{what} has a non-finite value")
     return a
 
 
@@ -132,7 +127,7 @@ def model_from_dict(doc: dict) -> ensemble.EnsembleModel:
     for j, column in enumerate(raw_columns):
         if len(_list(column, f"marginal column {j}")) != n:
             raise ValueError(f"marginal column {j} has {len(column)} values, expected n={n}")
-    columns = _finite_array(raw_columns, "marginal columns", (p, n))
+    columns = _numbers(raw_columns, "marginal columns", (p, n))
     marginal_model = marginals.MarginalModel(sorted_columns=columns.T)
 
     blocks = []
@@ -149,7 +144,7 @@ def model_from_dict(doc: dict) -> ensemble.EnsembleModel:
             for key in ("prior0", "prior1")
         }
         cov0, cov1 = (
-            _finite_array(_get(raw, key, where), f"block {k} {key}", (d, d))
+            _numbers(_get(raw, key, where), f"block {k} {key}", (d, d))
             for key in ("cov0", "cov1")
         )
         ridge = _get(raw, "ridge", where)

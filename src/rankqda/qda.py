@@ -21,13 +21,21 @@ inputs once, selects each class's rows by an index array and forms both
 covariances with the moment helper behind
 :func:`estimate_projected_covariance`, so its results equal the public
 estimators' bit for bit.
+
+Every SPD matrix, whether an :class:`RqdaModel` covariance or the
+argument of :func:`inverse_spd` or :func:`log_det_spd`, passes one gate,
+the private ``_factor_spd``: it rejects a matrix with any non-finite
+entry (a plain ``ValueError``, so training never discards such a
+candidate as singular), takes one Cholesky factor, and solves for the
+inverse with LAPACK ``dpotrs``, the routine that
+``scipy.linalg.cho_solve`` wraps, without its finiteness re-check.
 """
 
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs
 
 from .errors import SingularMatrixError, TrainingError, checked_number
 
@@ -125,20 +133,24 @@ def estimate_projected_covariance(Z, labels, r: int, ridge: float = 0.0) -> np.n
 def _factor_spd(M: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     """``(inverse, log_det)`` of an SPD matrix from one Cholesky factor.
 
-    Raises :class:`SingularMatrixError` naming ``what`` if ``M`` has none.
+    Raises ``ValueError`` naming ``what`` if any entry of ``M`` is not
+    finite, and :class:`SingularMatrixError` if ``M`` has no factor.
     """
+    if not np.isfinite(M).all():
+        raise ValueError(f"{what} has a non-finite value")
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         raise SingularMatrixError(f"{what} is not positive definite; increase the ridge") from None
-    inv = _symmetrize(cho_solve((L, True), np.eye(M.shape[0])))
-    return inv, float(2.0 * np.sum(np.log(np.diag(L))))
+    inv = dpotrs(L, np.eye(len(M)), lower=True)[0] if len(M) else L  # dpotrs rejects 0x0
+    return _symmetrize(inv), float(2.0 * np.sum(np.log(np.diag(L))))
 
 
 def log_det_spd(M) -> float:
     """Log-determinant of a symmetric positive definite matrix.
 
     Computed as twice the log-sum of the Cholesky diagonal. Raises
+    ``ValueError`` if an entry is not finite and
     :class:`SingularMatrixError` if the factorization fails.
     """
     return _factor_spd(np.asarray(M, dtype=float), "matrix")[1]
@@ -148,7 +160,7 @@ def inverse_spd(M) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix via Cholesky.
 
     The result is symmetrized exactly; ``max|M @ inv - I|`` stays below
-    1e-8 for reasonably conditioned inputs.
+    1e-8 for reasonably conditioned inputs. Raises as :func:`log_det_spd`.
     """
     return _factor_spd(np.asarray(M, dtype=float), "matrix")[0]
 
@@ -158,10 +170,12 @@ class RqdaModel:
     """Quadratic discriminant for one projection: priors, class covariances, ridge.
 
     Construction checks the priors (each in (0, 1), summing to 1 within
-    1e-12) and the ridge (a finite number >= 0, stored as a float), then
-    derives, from one Cholesky factor per covariance, the
-    inverses, log-determinants, ``D = inv1 - inv0`` and ``const`` (never
-    persisted). Immutable and safe to share across concurrent readers.
+    1e-12), the ridge (a finite number >= 0, stored as a float) and the
+    covariances (square, same-shape, finite, positive definite and
+    exactly symmetric), then derives, from one Cholesky factor per
+    covariance, the inverses, log-determinants, ``D = inv1 - inv0`` and
+    ``const`` (never persisted). Immutable and safe to share across
+    concurrent readers.
     """
 
     prior0: float
@@ -192,6 +206,9 @@ class RqdaModel:
         where = f"covariance (ridge={ridge:g})"
         inv0, log_det0 = _factor_spd(cov0, f"class 0 {where}")
         inv1, log_det1 = _factor_spd(cov1, f"class 1 {where}")
+        for r, cov in enumerate((cov0, cov1)):
+            if not (cov == cov.T).all():  # LAPACK reads one triangle; the other must match it
+                raise ValueError(f"class {r} covariance is not symmetric")
         const = float(np.log(p1 / p0) - 0.5 * (log_det1 - log_det0))
         derived = dict(ridge=ridge, cov0=cov0, cov1=cov1, inv0=inv0, inv1=inv1, log_det0=log_det0,
                        log_det1=log_det1, D=inv1 - inv0, const=const)

@@ -240,6 +240,10 @@ ERROR_CASES = {
         lambda tmp: _train_argv(tmp, _csv(tmp, "x0,x1,label\n1.0,abc,0\n"), "--seed", 1),
         "non-numeric value 'abc' at row 0, column 'x1'",
     ),
+    "csv_non_finite_cell": (
+        lambda tmp: _train_argv(tmp, _csv(tmp, "x0,x1,label\n1.0,2.0,0\nnan,1.0,1\n"), "--seed", 1),
+        "non-finite value 'nan' at row 1, column 'x0'",
+    ),
     "ridge_nan": (
         lambda tmp: _train_argv(tmp, TOY, "--seed", 7, "--ridge", "nan"),
         "ridge must be a finite number, got nan",

@@ -56,3 +56,25 @@ def test_first_error_in_row_major_order_wins(tmp_path):
         read_data_csv(path, "label")
     with pytest.raises(DataError, match=re.escape("non-numeric value 'x' at row 0, column 'a'")):
         read_data_csv(path)
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ("1_000", "non-numeric value '1_000' at row 0, column 'x0'"),
+        (" nan ", "non-finite value 'nan' at row 0, column 'x0'"),
+        ("inf", "non-finite value 'inf' at row 0, column 'x0'"),
+        ("-Infinity", "non-finite value '-Infinity' at row 0, column 'x0'"),
+        ("1e999", "non-finite value '1e999' at row 0, column 'x0'"),
+    ],
+)
+def test_cells_outside_the_number_grammar_are_rejected(tmp_path, cell, message):
+    path = _csv(tmp_path, f"x0,label\n{cell},0\n2.0,1\n")
+    with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
+        read_data_csv(path, "label")
+
+
+def test_nan_label_reports_as_non_finite_before_a_later_error(tmp_path):
+    path = _csv(tmp_path, "x0,label\n1.0,nan\n2.0,2\n")
+    with pytest.raises(DataError, match=re.escape("non-finite value 'nan' at row 0, column 'label'")):
+        read_data_csv(path, "label")

@@ -362,3 +362,23 @@ def test_hand_built_model_rejects_a_non_finite_block_matrix():
 def test_hand_built_model_rejects_a_block_matrix_of_the_wrong_shape():
     with pytest.raises(ValueError, match=re.escape("block 0 matrix has shape (2, 1), expected (2, 3)")):
         _golden_with_matrix(np.ones((2, 1)))
+
+
+def test_hand_built_model_rejects_covariances_of_another_size():
+    model = load_model(GOLDEN_PATH)
+    bad = dataclasses.replace(model.blocks[0], model=model_from_parameters(0.5, np.eye(3), np.eye(3)))
+    with pytest.raises(ValueError, match=re.escape("block 0 covariances have shape (3, 3), expected (2, 2)")):
+        EnsembleModel(model.marginal_model, [bad], model.alpha, model.config)
+
+
+def test_hand_built_model_rejects_d_above_n_features():
+    model = load_model(GOLDEN_PATH)
+    block = model.blocks[0]
+    wide = dataclasses.replace(
+        block,
+        projection=dataclasses.replace(block.projection, matrix=np.eye(4, 3)),
+        model=model_from_parameters(0.5, np.eye(4), 2.0 * np.eye(4)),
+    )
+    config = dataclasses.replace(model.config, d=4)
+    with pytest.raises(ValueError, match="^model needs d <= n_features, got d=4, n_features=3$"):
+        EnsembleModel(model.marginal_model, [wide], model.alpha, config)

@@ -182,3 +182,19 @@ def test_marginal_model_rejects_an_unsorted_column(bad):
     columns = np.column_stack([np.arange(3.0), bad])
     with pytest.raises(ValueError, match="^marginal column 1 is not sorted ascending"):
         MarginalModel(columns)
+
+
+@pytest.mark.parametrize(
+    "bad", [[-np.inf, 0.0, 1.0], [0.0, 1.0, np.inf], [np.inf, np.inf, np.inf]],
+    ids=["minus_inf_first", "plus_inf_last", "all_inf"],
+)
+def test_marginal_model_rejects_an_infinite_column_value(bad):
+    columns = np.column_stack([np.arange(3.0), bad])
+    with pytest.raises(ValueError, match="^marginal column 1 has a non-finite value$"):
+        MarginalModel(columns)
+
+
+def test_one_row_marginal_model_rejects_nan():
+    # with one row there is no order to break, so the finiteness check is what catches NaN
+    with pytest.raises(ValueError, match="^marginal column 0 has a non-finite value$"):
+        MarginalModel(np.array([[np.nan, 1.0]]))

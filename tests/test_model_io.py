@@ -136,6 +136,25 @@ def _negative_block_ridge(doc):
     doc["blocks"][0]["ridge"] = -1.0
 
 
+def _asymmetric_cov0(doc):
+    doc["blocks"][0]["cov0"][0][1] = 5.0
+
+
+def _nan_in_cov0(doc):
+    doc["blocks"][0]["cov0"][0][1] = float("nan")
+
+
+def _infinite_marginal_value(doc):
+    doc["marginals"]["columns"][0][-1] = float("inf")
+
+
+def _d_above_n_features(doc):
+    doc["config"]["d"] = 4
+    block = doc["blocks"][0]
+    block["matrix"] = np.eye(4, 3).tolist()
+    block["cov0"] = block["cov1"] = np.eye(4).tolist()
+
+
 CASES = {
     "alpha_out_of_range": (_alpha_five, "alpha must lie in [0, 1]"),
     "boolean_alpha": (_boolean_alpha, "alpha must be a finite number, got True"),
@@ -182,6 +201,16 @@ CASES = {
     "boolean_version": (_boolean_version, "unsupported model format version True"),
     "negative_seed": (_negative_seed, "config.seed must be an integer >= 0, got -1"),
     "negative_block_ridge": (_negative_block_ridge, "block 0: ridge must be >= 0, got -1.0"),
+    "asymmetric_cov0": (_asymmetric_cov0, "block 0: class 0 covariance is not symmetric"),
+    "non_finite_cov0": (
+        _nan_in_cov0, "block 0: class 0 covariance (ridge=6.43692e-07) has a non-finite value"
+    ),
+    "infinite_marginal_value": (
+        _infinite_marginal_value, "marginal column 0 has a non-finite value"
+    ),
+    "d_above_n_features": (
+        _d_above_n_features, "model needs d <= n_features, got d=4, n_features=3"
+    ),
 }
 
 

@@ -9,6 +9,7 @@ import pytest
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 
 from rankqda import (
     FLAVORS,
@@ -19,6 +20,8 @@ from rankqda import (
     estimate_projected_covariance,
     fit_rqda,
     fit_transform,
+    inverse_spd,
+    log_det_spd,
     piecewise_linear_map,
     rqda_classify,
     select_alpha,
@@ -28,7 +31,7 @@ from rankqda import (
     vote_fractions,
 )
 from rankqda.model_io import model_from_dict, model_to_dict
-from rankqda.qda import RIDGE_SCALE
+from rankqda.qda import RIDGE_SCALE, _symmetrize
 from rankqda.rng import substream
 
 from oracles import per_block_vote_fractions, threshold_loop_select_alpha
@@ -196,3 +199,20 @@ def test_fit_rqda_equals_the_public_estimators(sample):
         np.testing.assert_array_equal(getattr(model, name), getattr(reference, name))
     assert model.const == reference.const
     assert training_error(model, Z, labels) == np.mean(rqda_classify(Z, model) != labels)
+
+
+@st.composite
+def spd_matrices(draw):
+    d = draw(st.integers(1, 6))
+    G = substream(draw(st.integers(0, 2**32 - 1))).standard_normal((d, d))
+    G *= draw(st.sampled_from([1e-3, 1e-1, 1.0, 1e1, 1e3]))
+    return G @ G.T + draw(st.floats(1e-3, 10.0)) * np.eye(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spd_matrices())
+def test_spd_inverse_and_log_det_match_scipy_cholesky_bit_for_bit(M):
+    L = np.linalg.cholesky(M)
+    expected = _symmetrize(cho_solve((L, True), np.eye(M.shape[0])))
+    np.testing.assert_array_equal(inverse_spd(M), expected)
+    assert log_det_spd(M) == 2.0 * np.sum(np.log(np.diag(L)))

@@ -300,3 +300,33 @@ class TestRqdaClassify:
         model = model_from_parameters(0.5, np.eye(2), np.eye(2))
         out = rqda_classify(np.zeros((5, 2)), model)
         np.testing.assert_array_equal(out, np.ones(5, dtype=int))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RqdaModel(0.5, 0.5, [[np.nan, 0.0], [0.0, 1.0]], np.eye(2), 0.0),
+         "class 0 covariance (ridge=0) has a non-finite value"),
+        (lambda: RqdaModel(0.5, 0.5, np.eye(2), [[1.0, np.nan], [0.5, 1.0]], 0.0),
+         "class 1 covariance (ridge=0) has a non-finite value"),
+        (lambda: inverse_spd([[1.0, np.nan], [0.5, 1.0]]), "matrix has a non-finite value"),
+        (lambda: log_det_spd([[2.0, np.inf], [0.5, 1.0]]), "matrix has a non-finite value"),
+    ],
+    ids=["model_nan_on_diagonal", "model_nan_above_diagonal", "inverse_nan", "log_det_inf"],
+)
+def test_spd_gate_rejects_a_non_finite_entry_anywhere(build, message):
+    # a plain ValueError: training must not discard such a candidate as merely singular
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$") as caught:
+        build()
+    assert type(caught.value) is ValueError
+
+
+def test_model_rejects_an_asymmetric_covariance():
+    # LAPACK reads only the lower triangle, so the 5.0 would otherwise be ignored
+    with pytest.raises(ValueError, match="^class 0 covariance is not symmetric$"):
+        RqdaModel(0.5, 0.5, [[2.0, 5.0], [0.5, 1.0]], np.eye(2), 0.0)
+
+
+def test_empty_matrix_has_an_empty_inverse_and_zero_log_det():
+    assert inverse_spd(np.empty((0, 0))).shape == (0, 0)
+    assert log_det_spd(np.empty((0, 0))) == 0.0
