@@ -2,11 +2,13 @@
 
 Seeds are mandatory wherever randomness is involved; there is no
 wall-clock fallback, so identical invocations produce identical files.
-All failures, bad flags included, exit 1 with one ``error: ...`` line on stderr.
+All failures, bad flags included, exit 1 with one ``error: ...`` line on
+stderr; each library warning is one ``warning: ...`` line there.
 """
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -232,13 +234,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning  # one line, like errors; restored on exit
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

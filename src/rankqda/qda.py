@@ -24,9 +24,10 @@ estimators' bit for bit.
 
 Every SPD matrix, whether an :class:`RqdaModel` covariance or the
 argument of :func:`inverse_spd` or :func:`log_det_spd`, passes one gate,
-the private ``_factor_spd``: it rejects a matrix with any non-finite
-entry (a plain ``ValueError``, so training never discards such a
-candidate as singular), takes one Cholesky factor, and solves for the
+the private ``_factor_spd``: it rejects a matrix that is not square and
+2-d, then one with any non-finite entry (a plain ``ValueError``, so
+training never discards such a candidate as singular), takes one
+Cholesky factor, and solves for the
 inverse with LAPACK ``dpotrs``, the routine that
 ``scipy.linalg.cho_solve`` wraps, without its finiteness re-check.
 """
@@ -133,9 +134,12 @@ def estimate_projected_covariance(Z, labels, r: int, ridge: float = 0.0) -> np.n
 def _factor_spd(M: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     """``(inverse, log_det)`` of an SPD matrix from one Cholesky factor.
 
-    Raises ``ValueError`` naming ``what`` if any entry of ``M`` is not
-    finite, and :class:`SingularMatrixError` if ``M`` has no factor.
+    Raises ``ValueError`` naming ``what`` if ``M`` is not a square 2-d
+    matrix or any entry is not finite, and :class:`SingularMatrixError`
+    if ``M`` has no factor.
     """
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"{what} must be a square matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise ValueError(f"{what} has a non-finite value")
     try:
@@ -150,7 +154,7 @@ def log_det_spd(M) -> float:
     """Log-determinant of a symmetric positive definite matrix.
 
     Computed as twice the log-sum of the Cholesky diagonal. Raises
-    ``ValueError`` if an entry is not finite and
+    ``ValueError`` if ``M`` is not square or an entry is not finite, and
     :class:`SingularMatrixError` if the factorization fails.
     """
     return _factor_spd(np.asarray(M, dtype=float), "matrix")[1]
@@ -199,10 +203,8 @@ class RqdaModel:
         ridge = float(checked_number(self.ridge, "ridge", 0.0))
         cov0 = np.asarray(self.cov0, dtype=float)
         cov1 = np.asarray(self.cov1, dtype=float)
-        if cov0.shape != cov1.shape or cov0.ndim != 2 or cov0.shape[0] != cov0.shape[1]:
-            raise ValueError(
-                f"covariances must be square and same-shape, got {cov0.shape} and {cov1.shape}"
-            )
+        if cov0.shape != cov1.shape:
+            raise ValueError(f"covariances must be same-shape, got {cov0.shape} and {cov1.shape}")
         where = f"covariance (ridge={ridge:g})"
         inv0, log_det0 = _factor_spd(cov0, f"class 0 {where}")
         inv1, log_det1 = _factor_spd(cov1, f"class 1 {where}")

@@ -281,6 +281,37 @@ ERROR_CASES = {
         lambda tmp: _train_argv(tmp, TOY, "--seed", 7, "--projection", "fourier"),
         "flavor must be one of ('gaussian', 'haar', 'axis'), got 'fourier'",
     ),
+    "block_spec_without_rho": (
+        lambda tmp: ["bayes-risk", "--p", 3, "--n", 100, "--seed", 1, "--cov1", "block:2"],
+        "expected block:SIZE:RHO, got 'block:2'",
+    ),
+    "unknown_covariance_spec": (
+        lambda tmp: ["bayes-risk", "--p", 3, "--n", 100, "--seed", 1, "--cov0", "diagonal"],
+        "unknown covariance spec 'diagonal'; use identity, random, block:SIZE:RHO, or same",
+    ),
+    "unknown_marginal_map": (
+        lambda tmp: ["bayes-risk", "--p", 3, "--n", 100, "--seed", 1, "--marginal", "log"],
+        "unknown marginal map 'log'; use ['cube', 'exp', 'identity'] or pwl:X:Y,X:Y,...",
+    ),
+    "ridge_not_a_number": (
+        lambda tmp: _train_argv(tmp, TOY, "--seed", 7, "--ridge", "abc"),
+        "--ridge must be a number or 'auto', got 'abc'",
+    ),
+    "alpha_not_a_number": (
+        lambda tmp: _train_argv(tmp, TOY, "--seed", 7, "--alpha", "x"),
+        "--alpha must be a number or 'auto', got 'x'",
+    ),
+    "csv_no_data_rows": (
+        lambda tmp: ["predict", "--model", DATA_DIR / "toy8_model.json",
+                     "--data", _csv(tmp, "x0,x1,x2\n"), "--out", tmp / "p.csv"],
+        "no data rows in ",
+    ),
+    "csv_field_too_large": (
+        lambda tmp: ["predict", "--model", DATA_DIR / "toy8_model.json",
+                     "--data", _csv(tmp, "x0,x1,x2\n1.0,2.0," + "3" * 131073 + "\n"),
+                     "--out", tmp / "p.csv"],
+        "data.csv: field larger than field limit (131072)",
+    ),
 }
 
 
@@ -301,3 +332,20 @@ def test_help_exits_0(capsys):
         run("train", "--help")
     assert exc.value.code == 0
     assert "gaussian|haar|axis" in capsys.readouterr().out
+
+
+def test_synth_cov1_same_writes_both_files(tmp_path):
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    assert run("synth", "--p", 3, "--n-train", 20, "--n-test", 10, "--seed", 4,
+               "--cov1", "same", "--out-train", train, "--out-test", test) == 0
+    assert [len(path.read_text().splitlines()) for path in (train, test)] == [21, 11]
+
+
+def test_library_warnings_are_one_line_each_on_stderr(tmp_path, capsys):
+    data = _csv(tmp_path, "x0,x1,label\n1.0,2.0,0\n2.5,0.5,0\n0.3,1.1,1\n1.7,-0.4,1\n")
+    assert run(*_train_argv(tmp_path, data, "--seed", 1)) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: class {r} has only 2 samples for a 2-dimensional covariance; "
+        "the estimate is rank-deficient without a ridge"
+        for r in (0, 1)
+    ]

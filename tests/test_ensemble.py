@@ -382,3 +382,19 @@ def test_hand_built_model_rejects_d_above_n_features():
     config = dataclasses.replace(model.config, d=4)
     with pytest.raises(ValueError, match="^model needs d <= n_features, got d=4, n_features=3$"):
         EnsembleModel(model.marginal_model, [wide], model.alpha, config)
+
+
+def test_select_alpha_rejects_more_votes_than_labels():
+    with pytest.raises(ValueError, match=re.escape("votes and labels disagree: (3,) vs (2,)")):
+        select_alpha(np.array([0.1, 0.5, 0.9]), np.array([0, 1]), b1=1)
+
+
+def test_vote_fraction_rejects_a_2d_input():
+    model = load_model(GOLDEN_PATH)
+    with pytest.raises(ValueError, match=re.escape("expected a 1-d feature vector, got shape (2, 3)")):
+        vote_fraction(model, np.zeros((2, 3)))
+
+
+def test_config_rejects_a_ridge_too_large_for_a_float():
+    with pytest.raises(ValueError, match="^ridge must be a finite number, got 1000"):
+        EnsembleConfig(d=1, b1=1, b2=1, seed=0, ridge=10**400)

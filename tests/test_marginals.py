@@ -198,3 +198,8 @@ def test_one_row_marginal_model_rejects_nan():
     # with one row there is no order to break, so the finiteness check is what catches NaN
     with pytest.raises(ValueError, match="^marginal column 0 has a non-finite value$"):
         MarginalModel(np.array([[np.nan, 1.0]]))
+
+
+def test_fit_transform_rejects_a_1d_array():
+    with pytest.raises(ValueError, match="^expected a 2-d feature matrix, got ndim=1$"):
+        fit_transform(np.zeros(3))

@@ -155,6 +155,22 @@ def _d_above_n_features(doc):
     block["cov0"] = block["cov1"] = np.eye(4).tolist()
 
 
+def _wrong_format(doc):
+    doc["format"] = "x"
+
+
+def _blocks_object(doc):
+    doc["blocks"] = {}
+
+
+def _string_matrix(doc):
+    doc["blocks"][0]["matrix"] = [["a", "b", "c"], ["d", "e", "f"]]
+
+
+def _string_stream(doc):
+    doc["blocks"][0]["stream"] = "ab"
+
+
 CASES = {
     "alpha_out_of_range": (_alpha_five, "alpha must lie in [0, 1]"),
     "boolean_alpha": (_boolean_alpha, "alpha must be a finite number, got True"),
@@ -211,6 +227,10 @@ CASES = {
     "d_above_n_features": (
         _d_above_n_features, "model needs d <= n_features, got d=4, n_features=3"
     ),
+    "wrong_format": (_wrong_format, "not a rankqda-ensemble file (format='x')"),
+    "blocks_object": (_blocks_object, "blocks must be a JSON list, got dict"),
+    "string_matrix": (_string_matrix, "block 0 matrix is not a numeric array"),
+    "string_stream": (_string_stream, "block 0 stream must be a JSON list, got str"),
 }
 
 

@@ -330,3 +330,29 @@ def test_model_rejects_an_asymmetric_covariance():
 def test_empty_matrix_has_an_empty_inverse_and_zero_log_det():
     assert inverse_spd(np.empty((0, 0))).shape == (0, 0)
     assert log_det_spd(np.empty((0, 0))) == 0.0
+
+
+@pytest.mark.parametrize("fn", [inverse_spd, log_det_spd])
+@pytest.mark.parametrize(
+    "M, shape",
+    [([1.0, 2.0], (2,)), ([[1.0, 2.0, 3.0]], (1, 3)), (np.ones((2, 2, 2)), (2, 2, 2))],
+    ids=["one_d", "non_square", "three_d"],
+)
+def test_spd_gate_rejects_an_argument_that_is_not_a_square_matrix(fn, M, shape):
+    # a plain ValueError: a shape error is not the ridge's fault
+    message = f"matrix must be a square matrix, got shape {shape}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$") as caught:
+        fn(M)
+    assert type(caught.value) is ValueError
+
+
+def test_model_reports_non_square_covariances_through_the_spd_gate():
+    cov = [[1.0, 0.0, 0.0]]
+    message = "class 0 covariance (ridge=0) must be a square matrix, got shape (1, 3)"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        RqdaModel(0.5, 0.5, cov, cov, 0.0)
+
+
+def test_projected_covariance_rejects_a_class_other_than_0_or_1():
+    with pytest.raises(ValueError, match="^class must be 0 or 1, got 2$"):
+        estimate_projected_covariance(np.zeros((4, 2)), np.array([0, 1, 0, 1]), r=2)
