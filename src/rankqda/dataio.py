@@ -4,11 +4,14 @@ Data files carry a header row; every column except the named label
 column is a numeric feature. UTF-8; every cell is a finite '.'-decimal
 number in ASCII digits (``nan``, ``inf``, ``1_000`` and ``１２`` are
 rejected); no missing values (an empty field is a hard error, never
-imputed). The reader makes one streaming pass: each row is checked and
-parsed as the CSV parser yields it, into one flat float buffer, so the
-first problem in file order is the one reported, whether it is a bad
-cell, a row the CSV parser rejects (named by its row, e.g. a field over
-the parser's size limit) or an undecodable byte.
+imputed). Blank lines are skipped anywhere in the file, as ``np.loadtxt``
+does, and row numbers in messages count data rows only; a line holding
+only spaces is a row with one field, not a blank line. The reader makes
+one streaming pass: each row is checked and parsed as the CSV parser
+yields it, into one flat float buffer, so the first problem in file
+order is the one reported, whether it is a bad cell, a row the CSV
+parser rejects (named by its row, e.g. a field over the parser's size
+limit) or an undecodable byte.
 """
 
 import csv
@@ -29,14 +32,14 @@ def read_data_csv(path, label_col: str | None = None):
     values = array("d")
     header, i = None, -1  # i: the last data row read
     with open(path, "r", newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
+        records = filter(None, csv.reader(f))  # a blank line is a record with no fields
         try:
-            header = next(reader, None)
+            header = next(records, None)
             if header is None:
                 raise DataError(f"empty data file: {path}")
             header = [h.strip() for h in header]
             label_idx = None  # looked up at the first data row: a header-only file has no data rows
-            for i, row in enumerate(reader):
+            for i, row in enumerate(records):
                 if i == 0 and label_col is not None:
                     if label_col not in header:
                         raise ValueError(f"label column {label_col!r} not found in {path}")

@@ -10,9 +10,10 @@ of (data, config): substreams are keyed by (seed, block, candidate), so
 the fit is reproducible regardless of execution order and could be
 parallelized across the block/candidate grid without changing results.
 
-Prediction has one kernel, :func:`vote_fractions`. On first use a model
-stacks its ``b1`` projections into one (p, b1*d) matrix and its blocks'
-``inv1 - inv0`` matrices and constants into arrays (never persisted).
+Prediction has one kernel, :func:`vote_fractions`. At construction a
+model stacks its ``b1`` projections into one (p, b1*d) matrix and its
+blocks' ``inv1 - inv0`` matrices and constants into arrays (never
+persisted), so a fitted, hand-built and loaded model hold the same arrays.
 Scoring then takes one marginal transform, and per chunk of rows one
 matmul into every block's space plus one
 :func:`qda.stacked_discriminant` call, with no loop over blocks.
@@ -30,8 +31,7 @@ candidate fit), and that X has one row per label by :func:`train_ensemble`.
 """
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,13 +127,16 @@ class EnsembleModel:
     ``(b1 + 1/2) / b1``, the constant class-0 rule. It owns each block's
     rules: a known flavor, a finite ``(d, n_features)`` matrix, ``(d, d)``
     covariances, a candidate in [0, b2), a stream of None or a tuple of
-    integers >= 0 and a train_error in [0, 1].
+    integers >= 0 and a train_error in [0, 1]. It then derives
+    ``stacked``, the blocks stacked for :func:`vote_fractions` (never
+    persisted). Immutable and safe for concurrent reads.
     """
 
     marginal_model: marginals.MarginalModel
     blocks: list[Block]
     alpha: float
     config: EnsembleConfig
+    stacked: StackedBlocks = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.blocks) != self.config.b1:
@@ -165,6 +168,7 @@ class EnsembleModel:
             for value in stream or ():
                 checked_int(value, f"block {k} stream entry", 0)
             checked_number(block.train_error, f"block {k} train_error", 0.0, 1.0)
+        object.__setattr__(self, "stacked", StackedBlocks.from_blocks(self.blocks))
 
     @property
     def n_features(self) -> int:
@@ -173,11 +177,6 @@ class EnsembleModel:
     @property
     def b1(self) -> int:
         return len(self.blocks)
-
-    @cached_property
-    def stacked(self) -> StackedBlocks:
-        """The blocks stacked for :func:`vote_fractions`; derived on first use."""
-        return StackedBlocks.from_blocks(self.blocks)
 
 
 def training_error(model: qda.RqdaModel, Z, labels) -> float:

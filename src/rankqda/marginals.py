@@ -12,9 +12,15 @@ of the inputs leaves them bit-identical.
 
 Because ``count`` is an integer in ``1..n``, a model fitted on n rows can
 only ever produce n distinct scores. :class:`MarginalModel` derives them
-once as a score table, ``inv_norm_cdf(arange(1, n + 1) / (n + 1))``, and
-both transforms turn counts into scores by indexing it, so the quantile
-function runs n times per model rather than once per entry.
+at construction as a score table, ``inv_norm_cdf(arange(1, n + 1) / (n + 1))``,
+and both transforms turn counts into scores by indexing it, so the
+quantile function runs n times per model rather than once per entry.
+
+The model also owns the layout of its sorted values: it holds them
+column-contiguous (Fortran order), so each feature's sorted values are
+adjacent in memory, which is what the per-feature binary search of the
+transforms reads. A fitted, hand-built or loaded model therefore holds
+the same arrays in the same layout.
 
 The transforms check the feature matrix (shape, finiteness, feature
 count); :class:`MarginalModel` checks that its columns are sorted and
@@ -24,8 +30,7 @@ hold an infinity only at either end, so the finiteness check that
 follows reads just the first and last row.
 """
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
@@ -123,10 +128,14 @@ class MarginalModel:
     """Per-feature sorted training values backing the rank transform.
 
     ``sorted_columns`` has shape (n, p); construction checks that every
-    column is ascending and finite. Immutable and safe for concurrent reads.
+    column is ascending and finite, then stores it column-contiguous (a
+    copy only if it is not already) and derives ``score_table``, entry
+    ``k - 1`` of which is the score of count k, ``inv_norm_cdf(k / (n + 1))``
+    (never persisted). Immutable and safe for concurrent reads.
     """
 
     sorted_columns: np.ndarray
+    score_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         cols = self.sorted_columns
@@ -136,6 +145,10 @@ class MarginalModel:
         infinite = np.flatnonzero(~np.isfinite(np.concatenate((cols[:1], cols[-1:]))).all(axis=0))
         if infinite.size:
             raise ValueError(f"marginal column {infinite[0]} has a non-finite value")
+        n = cols.shape[0]
+        # frozen: both fields are set here once, at construction
+        object.__setattr__(self, "sorted_columns", np.asfortranarray(cols))
+        object.__setattr__(self, "score_table", inv_norm_cdf(np.arange(1, n + 1) / (n + 1.0)))
 
     @property
     def n_samples(self) -> int:
@@ -144,15 +157,6 @@ class MarginalModel:
     @property
     def n_features(self) -> int:
         return self.sorted_columns.shape[1]
-
-    @cached_property
-    def score_table(self) -> np.ndarray:
-        """Entry ``k - 1`` is the score of count k: ``inv_norm_cdf(k / (n + 1))``.
-
-        Derived from ``n`` on first use and never persisted.
-        """
-        n = self.n_samples
-        return inv_norm_cdf(np.arange(1, n + 1) / (n + 1.0))
 
 
 def _check_finite_matrix(X: np.ndarray) -> None:
@@ -197,7 +201,9 @@ def fit_transform(X) -> tuple[MarginalModel, np.ndarray]:
         raise ValueError(f"feature matrix must be non-empty, got shape {X.shape}")
     _check_finite_matrix(X)
 
-    model = MarginalModel(np.sort(X, axis=0))
+    by_feature = X.T.copy()  # (p, n), one feature per contiguous row: the model's layout
+    by_feature.sort(axis=1)
+    model = MarginalModel(by_feature.T)
     return model, _scores(model, X)
 
 

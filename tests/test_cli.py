@@ -349,3 +349,21 @@ def test_library_warnings_are_one_line_each_on_stderr(tmp_path, capsys):
         "the estimate is rank-deficient without a ridge"
         for r in (0, 1)
     ]
+
+
+def test_synth_reproduces_the_pinned_pwl_files(tmp_path):
+    # identity covariances keep the latent draw free of BLAS/LAPACK rounding,
+    # and the piecewise-linear map is plain IEEE arithmetic
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    assert run("synth", "--p", 3, "--n-train", 20, "--n-test", 5, "--seed", 7,
+               "--cov0", "identity", "--cov1", "identity", "--marginal", "pwl:-1:-2,0:0,1:3",
+               "--latent", "--out-train", train, "--out-test", test) == 0
+    assert train.read_bytes() == (DATA_DIR / "synth_pwl_train.csv").read_bytes()
+    assert test.read_bytes() == (DATA_DIR / "synth_pwl_test.csv").read_bytes()
+
+
+def test_predict_reproduces_the_pinned_toy8_predictions(tmp_path):
+    out = tmp_path / "preds.csv"
+    assert run("predict", "--model", DATA_DIR / "toy8_model.json", "--data", TOY,
+               "--label-col", "label", "--out", out) == 0
+    assert out.read_bytes() == (DATA_DIR / "toy8_preds.csv").read_bytes()

@@ -1,12 +1,15 @@
 """The data CSV reader: one float table, one label split, first error wins."""
 
+import csv
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rankqda.dataio import read_data_csv, write_data_csv
+from rankqda.dataio import read_data_csv, write_data_csv, write_predictions_csv
 from rankqda.errors import DataError
 
 
@@ -142,3 +145,106 @@ def test_header_only_file_reports_no_data_rows_before_a_missing_label_column(tmp
     path = _csv(tmp_path, "x0,x1\n")
     with pytest.raises(DataError, match="^" + re.escape(f"no data rows in {path}") + "$"):
         read_data_csv(path, "label")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x0,label\n1.5,0\n2.5,1\n\n",
+        "\nx0,label\n1.5,0\n2.5,1\n",
+        "x0,label\n1.5,0\n\n\n2.5,1\n",
+        "\r\n\nx0,label\r\n\r\n1.5,0\r\n2.5,1\r\n\r\n",
+    ],
+    ids=["trailing", "before_header", "between_rows", "crlf_everywhere"],
+)
+def test_blank_lines_are_skipped(tmp_path, text):
+    X, y = read_data_csv(_csv_bytes(tmp_path, text.encode("utf-8")), "label")
+    np.testing.assert_array_equal(X, [[1.5], [2.5]])
+    assert y.tolist() == [0, 1]
+
+
+def test_header_followed_only_by_blank_lines_has_no_data_rows(tmp_path):
+    path = _csv(tmp_path, "x0,label\n\n\n")
+    with pytest.raises(DataError, match="^" + re.escape(f"no data rows in {path}") + "$"):
+        read_data_csv(path, "label")
+
+
+def test_a_file_of_blank_lines_is_empty(tmp_path):
+    path = _csv(tmp_path, "\n\n")
+    with pytest.raises(DataError, match="^" + re.escape(f"empty data file: {path}") + "$"):
+        read_data_csv(path)
+
+
+def test_row_numbers_after_blank_lines_count_data_rows(tmp_path):
+    path = _csv(tmp_path, "x0,label\n1.5,0\n\n\n2.5,x\n")
+    with pytest.raises(DataError, match="^" + re.escape("non-numeric value 'x' at row 1, column 'label'") + "$"):
+        read_data_csv(path, "label")
+
+
+@pytest.mark.parametrize(
+    "text, label_col, message",
+    [
+        ("x0,label\n1.5,0\n   \n2.5,1\n", "label", "row 1 of {path} has 1 fields, expected 2"),
+        ("x0\n1.5\n \t \n", None, "missing value at row 1, column 'x0'"),
+    ],
+    ids=["two_columns", "one_column"],
+)
+def test_a_whitespace_only_line_is_a_row(tmp_path, text, label_col, message):
+    path = _csv(tmp_path, text)
+    with pytest.raises(DataError, match="^" + re.escape(message.format(path=path)) + "$"):
+        read_data_csv(path, label_col)
+
+
+_finite_floats = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _data_files(draw):
+    n = draw(st.integers(1, 6))
+    p = draw(st.integers(1, 4))
+    X = np.array(draw(st.lists(_finite_floats, min_size=n * p, max_size=n * p))).reshape(n, p)
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    latent = None
+    if draw(st.booleans()):
+        latent = np.array(draw(st.lists(_finite_floats, min_size=n * p, max_size=n * p))).reshape(n, p)
+    return X, labels, latent
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=_data_files(), label_col=st.sampled_from(["label", None]))
+def test_write_data_csv_reads_back_bit_for_bit(tmp_path_factory, data, label_col):
+    X, labels, latent = data
+    path = tmp_path_factory.mktemp("roundtrip") / "data.csv"
+    write_data_csv(path, X, labels, latent)
+    features, y = read_data_csv(path, label_col)
+    others = [X] if latent is None else [X, latent]
+    if label_col is None:
+        expected = np.hstack([X, labels[:, None].astype(float)] + others[1:])
+        np.testing.assert_array_equal(_bits(features), _bits(expected))
+        assert y is None
+    else:
+        np.testing.assert_array_equal(_bits(features), _bits(np.hstack(others)))
+        assert y.dtype == int and y.tolist() == labels.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 1), _finite_floats), min_size=0, max_size=8),
+)
+def test_write_predictions_csv_reads_back_exactly(tmp_path_factory, rows):
+    preds = np.array([pred for pred, _ in rows], dtype=int)
+    votes = np.array([vote for _, vote in rows], dtype=float)
+    path = tmp_path_factory.mktemp("preds") / "preds.csv"
+    write_predictions_csv(path, preds, votes)
+    with open(path, newline="", encoding="utf-8") as f:
+        header, *body = list(csv.reader(f))
+    assert header == ["pred", "vote"]
+    assert [int(pred) for pred, _ in body] == preds.tolist()
+    np.testing.assert_array_equal(_bits([float(vote) for _, vote in body]), _bits(votes))
