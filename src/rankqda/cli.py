@@ -23,22 +23,24 @@ _STREAM_TEST = 4
 _STREAM_RISK = 5
 
 
-def _parse_cov(value: str, p: int, seed: int, tag: int, cov0=None):
+def _parse_cov(flag: str, value: str, p: int, seed: int, tag: int, cov0=None):
     if value == "identity":
         return np.eye(p)
     if value == "random":
         return synthdata.random_correlation_matrix(p, substream(seed, tag))
     if value == "same":
         if cov0 is None:
-            raise ValueError("'same' is only valid for --cov1")
+            raise ValueError(f"{flag}: 'same' is only valid for --cov1")
         return cov0.copy()
     if value.startswith("block:"):
-        parts = value.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"expected block:SIZE:RHO, got {value!r}")
-        return synthdata.block_correlation_matrix(p, int(parts[1]), float(parts[2]))
+        try:
+            _, size, rho = value.split(":")
+            size, rho = int(size), float(rho)
+        except ValueError:
+            raise ValueError(f"{flag}: expected block:SIZE:RHO, got {value!r}") from None
+        return synthdata.block_correlation_matrix(p, size, rho)
     raise ValueError(
-        f"unknown covariance spec {value!r}; use identity, random, "
+        f"{flag}: unknown covariance spec {value!r}; use identity, random, "
         "block:SIZE:RHO, or same"
     )
 
@@ -50,12 +52,13 @@ def _parse_marginal(value: str):
         pairs = []
         for chunk in value[4:].split(","):
             x, _, y = chunk.partition(":")
-            if not y:
-                raise ValueError(f"expected pwl:X:Y,X:Y,... got {value!r}")
-            pairs.append((float(x), float(y)))
+            try:
+                pairs.append((float(x), float(y)))
+            except ValueError:
+                raise ValueError(f"--marginal: expected pwl:X:Y,X:Y,... got {value!r}") from None
         return synthdata.piecewise_linear_map(pairs)
     raise ValueError(
-        f"unknown marginal map {value!r}; use "
+        f"--marginal: unknown marginal map {value!r}; use "
         f"{sorted(synthdata.MARGINAL_MAPS)} or pwl:X:Y,X:Y,..."
     )
 
@@ -63,8 +66,8 @@ def _parse_marginal(value: str):
 def _scenario_from_args(args) -> synthdata.ScenarioSpec:
     if not 0.0 < args.pi1 < 1.0:
         raise ValueError(f"prior must be interior: 0 < pi1 < 1, got {args.pi1}")
-    cov0 = _parse_cov(args.cov0, args.p, args.seed, _STREAM_COV0)
-    cov1 = _parse_cov(args.cov1, args.p, args.seed, _STREAM_COV1, cov0=cov0)
+    cov0 = _parse_cov("--cov0", args.cov0, args.p, args.seed, _STREAM_COV0)
+    cov1 = _parse_cov("--cov1", args.cov1, args.p, args.seed, _STREAM_COV1, cov0=cov0)
     return synthdata.ScenarioSpec(
         p=args.p,
         prior1=args.pi1,

@@ -25,9 +25,12 @@ values and :class:`EnsembleModel` ``d <= p``, its blocks (each projection
 matrix finite and ``(d, p)``, each pair of covariances ``(d, d)``) and
 ``alpha`` (in [0, 1], or the "always class 0" threshold
 ``(b1 + 1/2) / b1`` that :func:`select_alpha` may pick), whether the
-object is fitted, built by hand or loaded; the data are checked by
-:func:`marginals.fit_transform`, the labels by :mod:`qda` (once per
-candidate fit), and that X has one row per label by :func:`train_ensemble`.
+object is fitted, built by hand or loaded. The data are checked by
+:func:`marginals.fit_transform`. :func:`train_ensemble` checks the labels
+and that X has one row per label once per fit; its candidate loop fits
+every candidate with :mod:`qda`'s unchecked core on that one class
+split, and it warns once per fit, not once per candidate, about each
+class too small for a full-rank covariance.
 """
 
 import math
@@ -67,7 +70,7 @@ class EnsembleConfig:
                 object.__setattr__(self, name, checked_number(getattr(self, name), name, 0.0, high))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Block:
     """One selected (projection, discriminant) pair and its training error."""
 
@@ -82,7 +85,7 @@ class Block:
 _CHUNK_ELEMENTS = 2**15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StackedBlocks:
     """All blocks of an ensemble laid side by side for the vote kernel.
 
@@ -118,7 +121,7 @@ class StackedBlocks:
         return counts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleModel:
     """A fitted ensemble.
 
@@ -221,10 +224,12 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
     projected training scores; a candidate whose covariance is singular
     at the configured ridge is discarded. A block where every candidate
     fails aborts training (a silently smaller ensemble would corrupt the
-    vote fractions).
+    vote fractions). Once every block is fitted, warns for each class
+    with fewer than d+1 rows.
     """
     labels = np.asarray(labels)
-    qda.estimate_priors(labels)  # fail fast on bad labels, one class or one row
+    rows = qda._class_rows(labels)
+    priors = qda._priors(rows)  # fails fast on one class or one row
     X = np.asarray(X, dtype=float)
     if X.ndim == 2 and X.shape[0] != labels.size:
         raise ValueError(f"X has {X.shape[0]} rows but there are {labels.size} labels")
@@ -237,12 +242,10 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
         best: Block | None = None
         for c in range(config.b2):
             rng = substream(config.seed, b, c)
-            proj = projections.sample_projection(
-                p, config.d, config.flavor, rng, stream=(b, c)
-            )
+            proj = projections.sample_projection(p, config.d, config.flavor, rng, stream=(b, c))
             Z = projections.project(proj, scores)
             try:
-                model = qda.fit_rqda(Z, labels, config.ridge)
+                model = qda._fit(Z, rows, priors, config.ridge)
             except SingularMatrixError:
                 continue
             err = training_error(model, Z, labels)
@@ -254,6 +257,7 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
                 "(singular covariances); increase the ridge"
             )
         blocks.append(best)
+    qda._warn_small_classes(rows, config.d)  # after every check that can reject the fit
 
     if config.alpha is not None:
         alpha = float(config.alpha)

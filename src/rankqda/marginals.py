@@ -123,7 +123,7 @@ def inv_norm_cdf(u):
     return z.reshape(u_arr.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarginalModel:
     """Per-feature sorted training values backing the rank transform.
 

@@ -4,8 +4,10 @@ Matrices are stored row-major as nested lists; floats round-trip exactly
 through JSON's shortest-repr serialization. A block's priors are read as
 stored and :class:`qda.RqdaModel` derives the inverses and
 log-determinants from its covariances exactly as at fit, so a reloaded
-model equals the saved one and predicts bit-identically. The vote
-kernel's stacked arrays and the marginal score table are never stored.
+model holds the saved one's values (its :func:`model_to_dict` is equal)
+and predicts bit-identically; ``==`` on model objects is identity, as
+for every array-holding type of the package. The vote kernel's stacked
+arrays and the marginal score table are never stored.
 
 Loading checks what only a file gets wrong: keys, JSON types, and the
 shapes of the marginal and covariance arrays. Every value rule has one

@@ -23,7 +23,7 @@ import numpy as np
 FLAVORS = ("gaussian", "haar", "axis")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Projection:
     """A (d, p) projection matrix with its flavor and stream provenance."""
 

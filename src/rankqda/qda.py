@@ -16,11 +16,14 @@ blocks at once from stacked ``D`` matrices and constants; the
 ensemble's prediction kernel calls it once per row chunk, and
 :func:`discriminant` is its one-block case.
 
-:func:`fit_rqda` runs once per candidate projection: it checks its
-inputs once, selects each class's rows by an index array and forms both
-covariances with the moment helper behind
+One private, unchecked core, ``_fit``, fits a model on scores whose
+class rows and priors are already known: the auto ridge, then both
+class covariances from the moment helper behind
 :func:`estimate_projected_covariance`, so its results equal the public
-estimators' bit for bit.
+estimators' bit for bit. :func:`fit_rqda` is its checking boundary, and
+:func:`ensemble.train_ensemble`, which checks and splits the labels once
+per fit, calls it directly for each of its ``b1 * b2`` candidates. Each
+caller warns once per class too small for a full-rank covariance.
 
 Every SPD matrix, whether an :class:`RqdaModel` covariance or the
 argument of :func:`inverse_spd` or :func:`log_det_spd`, passes one gate,
@@ -81,22 +84,24 @@ def _split_scores(Z, labels) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]
     return Z, rows
 
 
-def _second_moment(Zr: np.ndarray, r: int, ridge: float) -> np.ndarray:
-    """``sum(z z') / n_r + ridge * I`` over the class-``r`` rows ``Zr``.
+def _warn_small_classes(rows, d: int, classes=(0, 1)) -> None:
+    """Warn once for each of ``classes`` with fewer than d+1 rows.
 
-    Warns when there are fewer than d+1 rows, naming the line that called
-    the public function calling this helper; raises
-    :class:`TrainingError` when there are none.
+    The warning names the line that called the public function calling
+    this helper.
     """
+    for r in classes:
+        if rows[r].size < d + 1:
+            warnings.warn(
+                f"class {r} has only {rows[r].size} samples for a {d}-dimensional "
+                "covariance; the estimate is rank-deficient without a ridge",
+                stacklevel=3,
+            )
+
+
+def _second_moment(Zr: np.ndarray, ridge: float) -> np.ndarray:
+    """``sum(z z') / n_r + ridge * I`` over the ``n_r >= 1`` class rows ``Zr``."""
     n_r, d = Zr.shape
-    if n_r == 0:
-        raise TrainingError(f"no samples of class {r}")
-    if n_r < d + 1:
-        warnings.warn(
-            f"class {r} has only {n_r} samples for a {d}-dimensional "
-            "covariance; the estimate is rank-deficient without a ridge",
-            stacklevel=3,
-        )
     M = _symmetrize(Zr.T @ Zr / n_r)
     if ridge:
         M = M + ridge * np.eye(d)
@@ -128,7 +133,11 @@ def estimate_projected_covariance(Z, labels, r: int, ridge: float = 0.0) -> np.n
     Z, rows = _split_scores(Z, labels)
     if r not in (0, 1):
         raise ValueError(f"class must be 0 or 1, got {r}")
-    return _second_moment(Z[rows[r]], r, checked_number(ridge, "ridge", 0.0))
+    ridge = checked_number(ridge, "ridge", 0.0)
+    if rows[r].size == 0:
+        raise TrainingError(f"no samples of class {r}")
+    _warn_small_classes(rows, Z.shape[1], (r,))
+    return _second_moment(Z[rows[r]], ridge)
 
 
 def _factor_spd(M: np.ndarray, what: str) -> tuple[np.ndarray, float]:
@@ -169,7 +178,7 @@ def inverse_spd(M) -> np.ndarray:
     return _factor_spd(np.asarray(M, dtype=float), "matrix")[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RqdaModel:
     """Quadratic discriminant for one projection: priors, class covariances, ridge.
 
@@ -251,14 +260,26 @@ def fit_rqda(Z, labels, ridge: float | None = None) -> RqdaModel:
     SingularMatrixError
         If a class covariance has no Cholesky factor at the given ridge;
         the message names the offending class.
+
+    Warns, once the model is built, for each class with fewer than d+1
+    rows.
     """
     Z, rows = _split_scores(Z, labels)
-    prior0, prior1 = _priors(rows)
+    model = _fit(Z, rows, _priors(rows), ridge)
+    _warn_small_classes(rows, Z.shape[1])
+    return model
+
+
+def _fit(Z: np.ndarray, rows, priors, ridge: float | None) -> RqdaModel:
+    """The fit core behind :func:`fit_rqda` and the ensemble's candidate loop.
+
+    It checks no input and warns about nothing: ``Z`` is a float (n, d)
+    array, ``rows`` the non-empty row indices of class 0 and class 1 and
+    ``priors`` their proportions.
+    """
     if ridge is None:
         ridge = RIDGE_SCALE * float(np.mean(Z * Z))
-    cov0 = _second_moment(Z[rows[0]], 0, ridge)
-    cov1 = _second_moment(Z[rows[1]], 1, ridge)
-    return RqdaModel(prior0, prior1, cov0, cov1, ridge)
+    return RqdaModel(*priors, *(_second_moment(Z[r], ridge) for r in rows), ridge)
 
 
 def stacked_discriminant(Z, D, const) -> np.ndarray:

@@ -88,7 +88,7 @@ def _check_correlation_matrix(C, p: int, name: str) -> np.ndarray:
     return C
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioSpec:
     """Generative parameters of one synthetic two-class scenario.
 
@@ -115,7 +115,7 @@ class ScenarioSpec:
         _resolve_maps(self.marginal_maps, self.p)  # validate early
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Sampled features with labels; latent scores kept for introspection."""
 

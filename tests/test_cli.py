@@ -285,6 +285,26 @@ ERROR_CASES = {
         lambda tmp: ["bayes-risk", "--p", 3, "--n", 100, "--seed", 1, "--cov1", "block:2"],
         "expected block:SIZE:RHO, got 'block:2'",
     ),
+    "block_spec_non_integer_size": (
+        lambda tmp: ["bayes-risk", "--p", 3, "--n", 100, "--seed", 1, "--cov1", "block:x:0.5"],
+        "--cov1: expected block:SIZE:RHO, got 'block:x:0.5'",
+    ),
+    "block_spec_fractional_size": (
+        lambda tmp: ["bayes-risk", "--p", 3, "--n", 100, "--seed", 1, "--cov1", "block:2.5:0.3"],
+        "--cov1: expected block:SIZE:RHO, got 'block:2.5:0.3'",
+    ),
+    "block_spec_non_numeric_rho": (
+        lambda tmp: ["bayes-risk", "--p", 3, "--n", 100, "--seed", 1, "--cov0", "block:2:abc"],
+        "--cov0: expected block:SIZE:RHO, got 'block:2:abc'",
+    ),
+    "pwl_marginal_non_numeric_knot": (
+        lambda tmp: ["bayes-risk", "--p", 3, "--n", 100, "--seed", 1, "--marginal", "pwl:a:1,2:3"],
+        "--marginal: expected pwl:X:Y,X:Y,... got 'pwl:a:1,2:3'",
+    ),
+    "d_above_p_with_a_tiny_class": (
+        lambda tmp: _train_argv(tmp, _csv(tmp, "x0,label\n1.0,0\n2.0,0\n0.5,1\n"), "--seed", 1),
+        "projection needs 1 <= d <= p, got d=2, p=1",
+    ),
     "unknown_covariance_spec": (
         lambda tmp: ["bayes-risk", "--p", 3, "--n", 100, "--seed", 1, "--cov0", "diagonal"],
         "unknown covariance spec 'diagonal'; use identity, random, block:SIZE:RHO, or same",

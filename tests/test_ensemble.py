@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +263,24 @@ def test_row_count_mismatch_rejected_before_any_candidate_fit(monkeypatch):
     X, labels = _two_cluster_data(n=50)
     with pytest.raises(ValueError, match="^X has 50 rows but there are 40 labels$"):
         train_ensemble(X, labels[:40], EnsembleConfig(d=2, b1=1, b2=1, seed=0))
+
+
+@pytest.mark.parametrize(
+    "labels, small",
+    [([0, 1, 0, 1, 1, 1, 1], [0]), ([1, 0, 1, 0, 0, 0, 0], [1]), ([0, 1, 0, 1], [0, 1])],
+)
+def test_rank_warning_fires_once_per_fit_and_small_class_naming_the_caller(labels, small):
+    labels = np.array(labels)
+    X = substream(4).standard_normal((labels.size, 3))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        train_ensemble(X, labels, EnsembleConfig(d=2, b1=4, b2=5, ridge=0.1, seed=4))
+    assert [str(w.message) for w in caught] == [
+        f"class {r} has only 2 samples for a 2-dimensional covariance; "
+        "the estimate is rank-deficient without a ridge"
+        for r in small
+    ]
+    assert all(w.filename == __file__ for w in caught)
 
 
 def test_one_row_training_data_rejected():

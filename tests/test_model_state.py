@@ -2,19 +2,24 @@
 
 A fitted, a hand-built and a reloaded model hold the same marginal table,
 column-contiguous and bit-equal to ``np.sort(X, axis=0)``, and each has its
-score table and stacked vote arrays from the moment it exists.
+score table and stacked vote arrays from the moment it exists. Every
+array-holding type compares and hashes by identity.
 """
 
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankqda import EnsembleConfig, fit_transform, inv_norm_cdf, load_model, save_model, train_ensemble
+from rankqda import (
+    EnsembleConfig, ScenarioSpec, fit_transform, inv_norm_cdf, load_model, save_model, train_ensemble,
+)
 from rankqda.ensemble import StackedBlocks
 from rankqda.marginals import MarginalModel, transform_new
 from rankqda.rng import substream
+from rankqda.synthdata import Dataset
 
 from test_ensemble import _two_cluster_data
 
@@ -101,3 +106,31 @@ def test_scores_do_not_depend_on_the_memory_layout_of_table_or_query(X, m, seed)
     for model in models:
         for q, scores in zip(queries, expected):
             np.testing.assert_array_equal(_bits(transform_new(model, q)), _bits(scores))
+
+
+def _equal_value_pair(kind, tmp_path):
+    """Two distinct instances of ``kind`` that hold equal values."""
+    X, labels = _two_cluster_data(n=40, p=3, seed=2)
+    fitted = train_ensemble(X, labels, EnsembleConfig(d=2, b1=2, b2=2, seed=2))
+    save_model(fitted, tmp_path / "model.json")
+    pair = (fitted, load_model(tmp_path / "model.json"))
+    parts = {
+        "EnsembleModel": lambda m: m,
+        "MarginalModel": lambda m: m.marginal_model,
+        "StackedBlocks": lambda m: m.stacked,
+        "Block": lambda m: m.blocks[0],
+        "Projection": lambda m: m.blocks[0].projection,
+        "RqdaModel": lambda m: m.blocks[0].model,
+        "ScenarioSpec": lambda m: ScenarioSpec(p=2, prior1=0.5, cov0=np.eye(2), cov1=np.eye(2)),
+        "Dataset": lambda m: Dataset(X.copy(), labels.copy(), X.copy()),
+    }
+    return tuple(parts[kind](m) for m in pair)
+
+
+@pytest.mark.parametrize("kind", ["EnsembleModel", "MarginalModel", "StackedBlocks", "Block",
+                                  "Projection", "RqdaModel", "ScenarioSpec", "Dataset"])
+def test_array_holding_types_compare_and_hash_by_identity(kind, tmp_path):
+    a, b = _equal_value_pair(kind, tmp_path)
+    assert type(a).__name__ == kind and a is not b
+    assert (a == b) is False and (a == a) is True and (a != b) is True
+    assert isinstance(hash(a), int) and hash(a) == hash(a)

@@ -1,0 +1,93 @@
+"""Print one sha256 line per training configuration: model file plus held-out votes.
+
+A change that must keep every output byte-equal runs this script against
+two checkouts and compares the lines:
+
+    PYTHONPATH=base/src python3 tools/same_outputs.py > base.txt
+    PYTHONPATH=src python3 tools/same_outputs.py > head.txt
+    diff base.txt head.txt
+
+Each line hashes the bytes ``save_model`` writes followed by the raw
+float64 vote fractions of a held-out sample. The grid covers the desk
+scenario (p=10, b1=100, b2=20) under each projection flavor and five
+seeds, the same scenario at prior1=0.3, a 7-row set with a 2-row class
+under the automatic and a fixed ridge, and the ``large`` shape (20000 x 50,
+d=5, b1=b2=20). It uses only the public API, so it runs against older
+checkouts too. Library warnings are silenced; they are not outputs.
+"""
+
+import hashlib
+import os
+import sys
+import tempfile
+import warnings
+
+import numpy as np
+
+import rankqda as rq
+from rankqda.rng import substream
+
+
+def desk_scenario(prior1: float = 0.5) -> rq.ScenarioSpec:
+    p = 10
+    cov0 = np.eye(p)
+    idx = np.arange(p - 1)
+    cov0[idx, idx + 1] = cov0[idx + 1, idx] = 0.05
+    cov1 = np.eye(p)
+    cov1[:4, :4] = 0.85
+    cov1[4, 5] = cov1[5, 4] = -0.8
+    np.fill_diagonal(cov1, 1.0)
+    return rq.ScenarioSpec(p=p, prior1=prior1, cov0=cov0, cov1=cov1,
+                           marginal_maps=["exp", "cube"] * 5, seed=20260810)
+
+
+def large_scenario() -> rq.ScenarioSpec:
+    p = 50
+    return rq.ScenarioSpec(p=p, prior1=0.5, cov0=np.eye(p),
+                           cov1=rq.block_correlation_matrix(p, 10, 0.5),
+                           marginal_maps=["exp", "cube"] * 25, seed=7)
+
+
+def drawn(spec, seed: int, n_train: int, n_test: int):
+    train = rq.sample_meta_gaussian(n_train, spec, substream(seed, 3))
+    test = rq.sample_meta_gaussian(n_test, spec, substream(seed, 4))
+    return train.features, train.labels, test.features
+
+
+def configurations():
+    """(name, X, labels, held-out X, config) for every line, in output order."""
+    for flavor in ("haar", "gaussian", "axis"):
+        for seed in range(1, 6):
+            X, y, T = drawn(desk_scenario(), seed, 500, 2000)
+            yield (f"desk-{flavor}-seed{seed}", X, y, T,
+                   rq.EnsembleConfig(d=3, b1=100, b2=20, flavor=flavor, seed=seed))
+    for seed in (1, 2):
+        X, y, T = drawn(desk_scenario(prior1=0.3), seed, 500, 2000)
+        yield (f"desk-prior0.3-seed{seed}", X, y, T,
+               rq.EnsembleConfig(d=3, b1=100, b2=20, seed=seed))
+    rng = np.random.default_rng(7)
+    X, T = rng.standard_normal((7, 3)), rng.standard_normal((50, 3))
+    y = np.array([0, 0, 1, 0, 0, 1, 0])
+    for name, ridge in (("auto", None), ("0.1", 0.1)):
+        yield (f"tiny-ridge-{name}", X, y, T,
+               rq.EnsembleConfig(d=2, b1=10, b2=5, ridge=ridge, seed=3))
+    X, y, T = drawn(large_scenario(), 7, 20000, 5000)
+    yield "large", X, y, T, rq.EnsembleConfig(d=5, b1=20, b2=20, seed=42)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        path = os.path.join(tmp, "model.json")
+        for name, X, y, T, config in configurations():
+            model = rq.train_ensemble(X, y, config)
+            rq.save_model(model, path)
+            with open(path, "rb") as f:
+                digest = hashlib.sha256(f.read())
+            digest.update(rq.vote_fractions(model, T).tobytes())
+            print(f"{name} {digest.hexdigest()}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
