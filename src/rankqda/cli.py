@@ -4,6 +4,15 @@ Seeds are mandatory wherever randomness is involved; there is no
 wall-clock fallback, so identical invocations produce identical files.
 All failures, bad flags included, exit 1 with one ``error: ...`` line on
 stderr; each library warning is one ``warning: ...`` line there.
+
+``synth`` and ``bayes-risk`` build one :class:`synthdata.ScenarioSpec`
+from the same scenario flags; the scenario's Bayes risk comes only from
+``bayes-risk``. Every error raised while parsing or building ``--cov0``,
+``--cov1`` or ``--marginal``, the parser's or synthdata's, is prefixed
+with that flag in one place. The count flags (``--p``, ``--n-train``,
+``--n-test``, ``--n``) must be >= 1 and ``--seed`` >= 0; both are
+checked, naming the flag, before any spec is parsed, so a spec error is
+never blamed on a bad count or seed.
 """
 
 import argparse
@@ -13,6 +22,7 @@ import warnings
 import numpy as np
 
 from . import dataio, ensemble, model_io, projections, synthdata
+from .errors import checked_int
 from .rng import substream
 
 # Substream tags so each CLI draw has its own deterministic stream.
@@ -22,26 +32,28 @@ _STREAM_TRAIN = 3
 _STREAM_TEST = 4
 _STREAM_RISK = 5
 
+# Lower bounds of the count flags and the seed, which spec parsing reads.
+_INT_FLAG_MINIMUMS = {"p": 1, "n_train": 1, "n_test": 1, "n": 1, "seed": 0}
 
-def _parse_cov(flag: str, value: str, p: int, seed: int, tag: int, cov0=None):
+
+def _parse_cov(value: str, p: int, seed: int, tag: int, cov0=None):
     if value == "identity":
         return np.eye(p)
     if value == "random":
         return synthdata.random_correlation_matrix(p, substream(seed, tag))
     if value == "same":
         if cov0 is None:
-            raise ValueError(f"{flag}: 'same' is only valid for --cov1")
+            raise ValueError("'same' is only valid for --cov1")
         return cov0.copy()
     if value.startswith("block:"):
         try:
             _, size, rho = value.split(":")
             size, rho = int(size), float(rho)
         except ValueError:
-            raise ValueError(f"{flag}: expected block:SIZE:RHO, got {value!r}") from None
+            raise ValueError(f"expected block:SIZE:RHO, got {value!r}") from None
         return synthdata.block_correlation_matrix(p, size, rho)
     raise ValueError(
-        f"{flag}: unknown covariance spec {value!r}; use identity, random, "
-        "block:SIZE:RHO, or same"
+        f"unknown covariance spec {value!r}; use identity, random, block:SIZE:RHO, or same"
     )
 
 
@@ -55,25 +67,33 @@ def _parse_marginal(value: str):
             try:
                 pairs.append((float(x), float(y)))
             except ValueError:
-                raise ValueError(f"--marginal: expected pwl:X:Y,X:Y,... got {value!r}") from None
+                raise ValueError(f"expected pwl:X:Y,X:Y,... got {value!r}") from None
         return synthdata.piecewise_linear_map(pairs)
     raise ValueError(
-        f"--marginal: unknown marginal map {value!r}; use "
+        f"unknown marginal map {value!r}; use "
         f"{sorted(synthdata.MARGINAL_MAPS)} or pwl:X:Y,X:Y,..."
     )
+
+
+def _flagged(flag: str, parse, *args):
+    """``parse(*args)``, with any ``ValueError``, its own or synthdata's, naming ``flag``."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _scenario_from_args(args) -> synthdata.ScenarioSpec:
     if not 0.0 < args.pi1 < 1.0:
         raise ValueError(f"prior must be interior: 0 < pi1 < 1, got {args.pi1}")
-    cov0 = _parse_cov("--cov0", args.cov0, args.p, args.seed, _STREAM_COV0)
-    cov1 = _parse_cov("--cov1", args.cov1, args.p, args.seed, _STREAM_COV1, cov0=cov0)
+    cov0 = _flagged("--cov0", _parse_cov, args.cov0, args.p, args.seed, _STREAM_COV0)
+    cov1 = _flagged("--cov1", _parse_cov, args.cov1, args.p, args.seed, _STREAM_COV1, cov0)
     return synthdata.ScenarioSpec(
         p=args.p,
         prior1=args.pi1,
         cov0=cov0,
         cov1=cov1,
-        marginal_maps=_parse_marginal(args.marginal),
+        marginal_maps=_flagged("--marginal", _parse_marginal, args.marginal),
         seed=args.seed,
     )
 
@@ -92,25 +112,12 @@ def _add_scenario_flags(sub):
 
 def cmd_synth(args) -> int:
     spec = _scenario_from_args(args)
-    train = synthdata.sample_meta_gaussian(
-        args.n_train, spec, substream(args.seed, _STREAM_TRAIN), args.fixed_counts
-    )
-    test = synthdata.sample_meta_gaussian(
-        args.n_test, spec, substream(args.seed, _STREAM_TEST), args.fixed_counts
-    )
-    for dataset, path in ((train, args.out_train), (test, args.out_test)):
-        dataio.write_data_csv(
-            path,
-            dataset.features,
-            dataset.labels,
-            latent=dataset.latent if args.latent else None,
-        )
+    for n, tag, path in ((args.n_train, _STREAM_TRAIN, args.out_train),
+                         (args.n_test, _STREAM_TEST, args.out_test)):
+        dataset = synthdata.sample_meta_gaussian(n, spec, substream(args.seed, tag), args.fixed_counts)
+        latent = dataset.latent if args.latent else None
+        dataio.write_data_csv(path, dataset.features, dataset.labels, latent=latent)
         print(f"wrote {dataset.n} rows to {path}")
-    if args.bayes_risk:
-        est = synthdata.monte_carlo_bayes_risk(
-            spec, args.bayes_n, substream(args.seed, _STREAM_RISK)
-        )
-        print(f"bayes_risk: {est.risk} (std_error {est.std_error}, n {est.n_samples})")
     return 0
 
 
@@ -197,9 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="include latent score columns in the CSVs")
     synth.add_argument("--fixed-counts", action="store_true",
                        help="fix class counts at round(pi1*n) instead of Bernoulli draws")
-    synth.add_argument("--bayes-risk", action="store_true",
-                       help="also print the scenario's Monte Carlo Bayes risk")
-    synth.add_argument("--bayes-n", type=int, default=200000)
     synth.set_defaults(func=cmd_synth)
 
     risk = commands.add_parser("bayes-risk", help="Monte Carlo Bayes risk of a scenario")
@@ -246,6 +250,9 @@ def main(argv=None) -> int:
         warnings.showwarning = _show_warning  # one line, like errors; restored on exit
         try:
             args = build_parser().parse_args(argv)
+            for name, minimum in _INT_FLAG_MINIMUMS.items():  # before any spec is parsed
+                if hasattr(args, name):
+                    checked_int(getattr(args, name), "--" + name.replace("_", "-"), minimum)
             return args.func(args)
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)

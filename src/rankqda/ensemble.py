@@ -18,7 +18,10 @@ Scoring then takes one marginal transform, and per chunk of rows one
 matmul into every block's space plus one
 :func:`qda.stacked_discriminant` call, with no loop over blocks.
 Training counts the votes it selects ``alpha`` on with the same kernel,
-so a training row gets the same vote at fit as at prediction.
+so a training row gets the same vote at fit as at prediction. A model
+stores its blocks as a tuple, and every array it holds (projection
+matrices, covariances, the marginal table and the stacked arrays) is
+read-only, so what it votes with in memory is what it saves.
 
 Each input rule has one owner: :class:`EnsembleConfig` checks the config
 values and :class:`EnsembleModel` ``d <= p``, its blocks (each projection
@@ -35,6 +38,7 @@ class too small for a full-rank covariance.
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -91,14 +95,21 @@ class StackedBlocks:
 
     ``projection`` is (p, b1*d): column block k is block k's ``A'``.
     ``D`` is (b1, d, d) and ``const`` is (b1,), the blocks' :class:`qda.RqdaModel` terms.
+    Each is held as a read-only float copy in the given memory layout.
     """
 
     projection: np.ndarray
     D: np.ndarray
     const: np.ndarray
 
+    def __post_init__(self):
+        for name in ("projection", "D", "const"):
+            value = np.array(getattr(self, name), dtype=float)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)  # frozen: the one write, at construction
+
     @classmethod
-    def from_blocks(cls, blocks: list[Block]) -> "StackedBlocks":
+    def from_blocks(cls, blocks: Sequence[Block]) -> "StackedBlocks":
         return cls(
             projection=np.vstack([block.projection.matrix for block in blocks]).T,
             D=np.stack([block.model.D for block in blocks]),
@@ -132,16 +143,19 @@ class EnsembleModel:
     covariances, a candidate in [0, b2), a stream of None or a tuple of
     integers >= 0 and a train_error in [0, 1]. It then derives
     ``stacked``, the blocks stacked for :func:`vote_fractions` (never
-    persisted). Immutable and safe for concurrent reads.
+    persisted). ``blocks`` is stored as a tuple, and every array the
+    model holds is read-only, so what it votes with is what it saves.
+    Immutable and safe for concurrent reads.
     """
 
     marginal_model: marginals.MarginalModel
-    blocks: list[Block]
+    blocks: tuple[Block, ...]
     alpha: float
     config: EnsembleConfig
     stacked: StackedBlocks = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(self.blocks))
         if len(self.blocks) != self.config.b1:
             raise ValueError(f"model has {len(self.blocks)} blocks, expected b1={self.config.b1}")
         top = float(_alpha_thresholds(self.config.b1)[-1])

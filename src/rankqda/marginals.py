@@ -20,7 +20,9 @@ The model also owns the layout of its sorted values: it holds them
 column-contiguous (Fortran order), so each feature's sorted values are
 adjacent in memory, which is what the per-feature binary search of the
 transforms reads. A fitted, hand-built or loaded model therefore holds
-the same arrays in the same layout.
+the same arrays in the same layout. Both arrays are read-only; a
+hand-built table that is already a column-contiguous float array is kept
+without a copy, so the caller's array becomes read-only.
 
 The transforms check the feature matrix (shape, finiteness, feature
 count); :class:`MarginalModel` checks that its columns are sorted and
@@ -128,10 +130,13 @@ class MarginalModel:
     """Per-feature sorted training values backing the rank transform.
 
     ``sorted_columns`` has shape (n, p); construction checks that every
-    column is ascending and finite, then stores it column-contiguous (a
-    copy only if it is not already) and derives ``score_table``, entry
-    ``k - 1`` of which is the score of count k, ``inv_norm_cdf(k / (n + 1))``
-    (never persisted). Immutable and safe for concurrent reads.
+    column is ascending and finite, then stores it as a column-contiguous
+    float array (a copy only if it is not one already) and derives
+    ``score_table``, entry ``k - 1`` of which is the score of count k,
+    ``inv_norm_cdf(k / (n + 1))`` (never persisted). Both arrays are
+    read-only: a hand-built table that is already a column-contiguous float
+    array is kept without a copy, so that array becomes read-only too.
+    Immutable and safe for concurrent reads.
     """
 
     sorted_columns: np.ndarray
@@ -146,9 +151,12 @@ class MarginalModel:
         if infinite.size:
             raise ValueError(f"marginal column {infinite[0]} has a non-finite value")
         n = cols.shape[0]
+        table = np.asarray(cols, dtype=float, order="F")
+        scores = inv_norm_cdf(np.arange(1, n + 1) / (n + 1.0))
         # frozen: both fields are set here once, at construction
-        object.__setattr__(self, "sorted_columns", np.asfortranarray(cols))
-        object.__setattr__(self, "score_table", inv_norm_cdf(np.arange(1, n + 1) / (n + 1.0)))
+        for name, value in (("sorted_columns", table), ("score_table", scores)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n_samples(self) -> int:

@@ -25,11 +25,20 @@ FLAVORS = ("gaussian", "haar", "axis")
 
 @dataclass(frozen=True, eq=False)
 class Projection:
-    """A (d, p) projection matrix with its flavor and stream provenance."""
+    """A (d, p) projection matrix with its flavor and stream provenance.
+
+    Holds a read-only float copy of ``matrix``, so no caller can write
+    the matrix an ensemble votes with or saves.
+    """
 
     matrix: np.ndarray
     flavor: str
     stream: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        matrix = np.array(self.matrix, dtype=float)
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)  # frozen: the one write, at construction
 
     @property
     def n_components(self) -> int:

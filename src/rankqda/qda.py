@@ -4,9 +4,10 @@ Both classes are modelled as centred Gaussians (the rank transform pins
 the marginal location at zero, so no mean vector is estimated). A model
 holds the class priors and the per-class second-moment matrices of the
 projected scores. :class:`RqdaModel` is the one constructor for fitted,
-oracle and loaded models alike: it derives each covariance's inverse
-and log-determinant from one Cholesky factor, and from them the terms
-of the quadratic decision function
+oracle and loaded models alike: it keeps read-only copies of the
+covariances it is given, derives each covariance's inverse and
+log-determinant from one Cholesky factor, and from them the terms of the
+quadratic decision function
 
     log(prior1/prior0) - 0.5*log(det1/det0) - 0.5*s'(inv1 - inv0)s
 
@@ -32,7 +33,9 @@ the private ``_factor_spd``: it rejects a matrix that is not square and
 training never discards such a candidate as singular), takes one
 Cholesky factor, and solves for the
 inverse with LAPACK ``dpotrs``, the routine that
-``scipy.linalg.cho_solve`` wraps, without its finiteness re-check.
+``scipy.linalg.cho_solve`` wraps, without its finiteness re-check. It is
+the model side's one SPD gate; the scenario generator in :mod:`synthdata`
+factors its correlation matrices at one site of its own.
 """
 
 import warnings
@@ -187,8 +190,10 @@ class RqdaModel:
     covariances (square, same-shape, finite, positive definite and
     exactly symmetric), then derives, from one Cholesky factor per
     covariance, the inverses, log-determinants, ``D = inv1 - inv0`` and
-    ``const`` (never persisted). Immutable and safe to share across
-    concurrent readers.
+    ``const`` (never persisted). It holds its own read-only copies of the
+    covariances and read-only derived arrays, so no caller can write what
+    it votes with or saves. Immutable and safe to share across concurrent
+    readers.
     """
 
     prior0: float
@@ -210,8 +215,8 @@ class RqdaModel:
                 f"priors must lie in (0, 1) and sum to 1, got prior0={p0}, prior1={p1}"
             )
         ridge = float(checked_number(self.ridge, "ridge", 0.0))
-        cov0 = np.asarray(self.cov0, dtype=float)
-        cov1 = np.asarray(self.cov1, dtype=float)
+        cov0 = np.array(self.cov0, dtype=float)  # the model's own copies
+        cov1 = np.array(self.cov1, dtype=float)
         if cov0.shape != cov1.shape:
             raise ValueError(f"covariances must be same-shape, got {cov0.shape} and {cov1.shape}")
         where = f"covariance (ridge={ridge:g})"
@@ -224,6 +229,8 @@ class RqdaModel:
         derived = dict(ridge=ridge, cov0=cov0, cov1=cov1, inv0=inv0, inv1=inv1, log_det0=log_det0,
                        log_det1=log_det1, D=inv1 - inv0, const=const)
         for name, value in derived.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
             object.__setattr__(self, name, value)  # frozen: the one write, at construction
 
     @property

@@ -8,9 +8,18 @@ classes, the optimal decision rule depends on the latent scores and the
 two correlation matrices only; :func:`bayes_oracle_classify` evaluates it
 with the true parameters and :func:`monte_carlo_bayes_risk` estimates the
 corresponding minimal error rate.
+
+A :class:`ScenarioSpec` keeps read-only copies of its two correlation
+matrices and derives, once, at construction, their Cholesky factors and
+the resolved per-feature maps; sampling reads those and factors nothing.
+The private ``_check_correlation_matrix`` is the module's one
+factorization: it checks a correlation matrix and returns its factor,
+for the spec, for :func:`block_correlation_matrix` and for each draw of
+:func:`random_correlation_matrix`. The oracle model factors its
+covariances through :mod:`qda`'s own SPD gate.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -73,8 +82,13 @@ def _resolve_maps(spec, p: int) -> list[Callable[[np.ndarray], np.ndarray]]:
     return resolved
 
 
-def _check_correlation_matrix(C, p: int, name: str) -> np.ndarray:
-    C = np.asarray(C, dtype=float)
+def _check_correlation_matrix(C: np.ndarray, p: int, name: str) -> np.ndarray:
+    """The lower Cholesky factor of the float (p, p) correlation matrix ``C``.
+
+    Raises ``ValueError`` naming ``name`` unless ``C`` has shape (p, p), a
+    unit diagonal, exact symmetry and a factor. The module's one
+    factorization.
+    """
     if C.shape != (p, p):
         raise ValueError(f"{name} must have shape ({p}, {p}), got {C.shape}")
     if not np.allclose(np.diag(C), 1.0, rtol=0.0, atol=1e-12):
@@ -82,10 +96,9 @@ def _check_correlation_matrix(C, p: int, name: str) -> np.ndarray:
     if not np.array_equal(C, C.T):
         raise ValueError(f"{name} must be symmetric")
     try:
-        np.linalg.cholesky(C)
+        return np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
         raise ValueError(f"{name} must be positive definite") from None
-    return C
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +109,13 @@ class ScenarioSpec:
     feature, or a length-p sequence of per-feature maps. ``prior1`` may
     sit on the boundary for sampling-only use; the Bayes oracle and the
     classification pipeline require an interior prior.
+
+    Construction checks ``p``, ``prior1``, both correlation matrices and
+    the maps, keeps read-only copies of ``cov0`` and ``cov1`` (a later
+    write to the caller's matrix changes nothing here), and derives from
+    them, once, what sampling reads: ``factor0`` and ``factor1``, the
+    lower Cholesky factors, and ``maps``, the tuple of per-feature map
+    callables. Immutable and safe for concurrent reads.
     """
 
     p: int
@@ -104,15 +124,23 @@ class ScenarioSpec:
     cov1: np.ndarray
     marginal_maps: str | Callable | Sequence = "identity"
     seed: int = 0
+    factor0: np.ndarray = field(init=False, repr=False)
+    factor1: np.ndarray = field(init=False, repr=False)
+    maps: tuple[Callable[[np.ndarray], np.ndarray], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.p < 1:
             raise ValueError(f"p must be >= 1, got {self.p}")
         if not 0.0 <= self.prior1 <= 1.0:
             raise ValueError(f"prior1 must lie in [0, 1], got {self.prior1}")
-        object.__setattr__(self, "cov0", _check_correlation_matrix(self.cov0, self.p, "cov0"))
-        object.__setattr__(self, "cov1", _check_correlation_matrix(self.cov1, self.p, "cov1"))
-        _resolve_maps(self.marginal_maps, self.p)  # validate early
+        # frozen: each field below is written here once, at construction
+        for r in (0, 1):
+            cov = np.array(getattr(self, f"cov{r}"), dtype=float)
+            factor = _check_correlation_matrix(cov, self.p, f"cov{r}")
+            for name, value in ((f"cov{r}", cov), (f"factor{r}", factor)):
+                value.setflags(write=False)
+                object.__setattr__(self, name, value)
+        object.__setattr__(self, "maps", tuple(_resolve_maps(self.marginal_maps, self.p)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +176,8 @@ def block_correlation_matrix(p: int, block_size: int, rho: float) -> np.ndarray:
     C = np.eye(p)
     C[:block_size, :block_size] = rho
     np.fill_diagonal(C, 1.0)
-    return _check_correlation_matrix(C, p, "block correlation matrix")
+    _check_correlation_matrix(C, p, "block correlation matrix")
+    return C
 
 
 def random_correlation_matrix(p: int, rng: np.random.Generator) -> np.ndarray:
@@ -168,8 +197,8 @@ def random_correlation_matrix(p: int, rng: np.random.Generator) -> np.ndarray:
         C = (C + C.T) / 2.0
         np.fill_diagonal(C, 1.0)
         try:
-            np.linalg.cholesky(C)
-        except np.linalg.LinAlgError:
+            _check_correlation_matrix(C, p, "random correlation matrix")
+        except ValueError:  # the measure-zero draw without a factor
             continue
         return C
 
@@ -189,11 +218,9 @@ def _sample_latent(
         labels = (rng.random(n) < spec.prior1).astype(int)
 
     normals = rng.standard_normal((n, spec.p))
-    L0 = np.linalg.cholesky(spec.cov0)
-    L1 = np.linalg.cholesky(spec.cov1)
-    latent = normals @ L0.T
+    latent = normals @ spec.factor0.T
     ones = labels == 1
-    latent[ones] = normals[ones] @ L1.T
+    latent[ones] = normals[ones] @ spec.factor1.T
     return labels, latent
 
 
@@ -208,9 +235,8 @@ def sample_meta_gaussian(
     through the per-feature marginal maps.
     """
     labels, latent = _sample_latent(n, spec, rng, fixed_counts)
-    maps = _resolve_maps(spec.marginal_maps, spec.p)
     features = np.empty_like(latent)
-    for j, m in enumerate(maps):
+    for j, m in enumerate(spec.maps):
         features[:, j] = m(latent[:, j])
     return Dataset(features=features, labels=labels, latent=latent)
 

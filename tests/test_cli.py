@@ -56,20 +56,18 @@ def test_synth_latent_flag_adds_columns(tmp_path):
     assert header == "x0,x1,label,s0,s1"
 
 
-def test_synth_prints_bayes_risk(tmp_path, capsys):
-    assert run("synth", "--p", 3, "--n-train", 10, "--n-test", 10, "--seed", 5,
-               "--cov0", "identity", "--cov1", "block:2:0.9",
-               "--bayes-risk", "--bayes-n", 2000,
-               "--out-train", tmp_path / "a.csv", "--out-test", tmp_path / "b.csv") == 0
-    assert "bayes_risk:" in capsys.readouterr().out
-
-
 def test_bayes_risk_command_identical_classes(capsys):
     assert run("bayes-risk", "--p", 4, "--cov0", "identity", "--cov1", "identity",
                "--n", 20000, "--seed", 2) == 0
     out = capsys.readouterr().out
     risk = float(out.split("bayes_risk:")[1].split()[0])
     assert abs(risk - 0.5) < 0.02
+
+
+def test_bayes_risk_prints_the_pinned_desk_line(capsys):
+    assert run("bayes-risk", "--p", 10, "--seed", 7, "--cov0", "identity", "--cov1", "block:4:0.85",
+               "--marginal", "cube", "--n", 50000) == 0
+    assert capsys.readouterr().out == "bayes_risk: 0.12854 (std_error 0.0014967796658159143, n 50000)\n"
 
 
 def test_train_matches_golden_model_file(tmp_path):
@@ -225,6 +223,11 @@ def _train_argv(tmp_path, data, *flags):
             "--model-out", tmp_path / "m.json", *flags]
 
 
+def _synth_argv(tmp_path, *flags):
+    return ["synth", "--p", 3, "--seed", 1, "--out-train", tmp_path / "a.csv",
+            "--out-test", tmp_path / "b.csv", *flags]
+
+
 def _csv(tmp_path, text):
     path = tmp_path / "data.csv"
     path.write_text(text)
@@ -320,6 +323,47 @@ ERROR_CASES = {
     "alpha_not_a_number": (
         lambda tmp: _train_argv(tmp, TOY, "--seed", 7, "--alpha", "x"),
         "--alpha must be a number or 'auto', got 'x'",
+    ),
+    "block_size_above_p": (
+        lambda tmp: ["bayes-risk", "--p", 3, "--n", 100, "--seed", 1,
+                     "--cov0", "block:2:0.5", "--cov1", "block:9:0.5"],
+        "--cov1: block size must lie in [0, 3], got 9",
+    ),
+    "block_not_positive_definite": (
+        lambda tmp: ["bayes-risk", "--p", 3, "--n", 100, "--seed", 1, "--cov1", "block:2:1.5"],
+        "--cov1: block correlation matrix must be positive definite",
+    ),
+    "pwl_marginal_not_increasing": (
+        lambda tmp: ["bayes-risk", "--p", 3, "--n", 100, "--seed", 1, "--marginal", "pwl:1:1,0:0"],
+        "--marginal: breakpoints must be strictly increasing",
+    ),
+    "p_negative": (
+        lambda tmp: ["bayes-risk", "--p", -1, "--n", 100, "--seed", 1, "--cov0", "identity"],
+        "--p must be a positive integer, got -1",
+    ),
+    "p_zero": (
+        lambda tmp: ["bayes-risk", "--p", 0, "--n", 100, "--seed", 1, "--cov0", "identity"],
+        "--p must be a positive integer, got 0",
+    ),
+    "n_zero": (
+        lambda tmp: ["bayes-risk", "--p", 3, "--n", 0, "--seed", 1],
+        "--n must be a positive integer, got 0",
+    ),
+    "n_train_zero": (
+        lambda tmp: _synth_argv(tmp, "--n-train", 0, "--n-test", 5),
+        "--n-train must be a positive integer, got 0",
+    ),
+    "n_test_zero": (
+        lambda tmp: _synth_argv(tmp, "--n-train", 5, "--n-test", 0),
+        "--n-test must be a positive integer, got 0",
+    ),
+    "seed_negative_with_a_random_spec": (
+        lambda tmp: ["bayes-risk", "--p", 3, "--n", 100, "--seed", -1, "--cov0", "random"],
+        "error: --seed must be an integer >= 0, got -1",
+    ),
+    "synth_bayes_risk_flag_removed": (
+        lambda tmp: _synth_argv(tmp, "--n-train", 5, "--n-test", 5, "--bayes-risk"),
+        "unrecognized arguments: --bayes-risk",
     ),
     "csv_no_data_rows": (
         lambda tmp: ["predict", "--model", DATA_DIR / "toy8_model.json",

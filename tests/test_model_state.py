@@ -3,7 +3,8 @@
 A fitted, a hand-built and a reloaded model hold the same marginal table,
 column-contiguous and bit-equal to ``np.sort(X, axis=0)``, and each has its
 score table and stacked vote arrays from the moment it exists. Every
-array-holding type compares and hashes by identity.
+array-holding type compares and hashes by identity, and the model types
+hold arrays no caller can write, so what a model votes with is what it saves.
 """
 
 import dataclasses
@@ -15,9 +16,12 @@ from hypothesis import strategies as st
 
 from rankqda import (
     EnsembleConfig, ScenarioSpec, fit_transform, inv_norm_cdf, load_model, save_model, train_ensemble,
+    vote_fractions,
 )
 from rankqda.ensemble import StackedBlocks
 from rankqda.marginals import MarginalModel, transform_new
+from rankqda.projections import Projection
+from rankqda.qda import RqdaModel
 from rankqda.rng import substream
 from rankqda.synthdata import Dataset
 
@@ -134,3 +138,42 @@ def test_array_holding_types_compare_and_hash_by_identity(kind, tmp_path):
     assert type(a).__name__ == kind and a is not b
     assert (a == b) is False and (a == a) is True and (a != b) is True
     assert isinstance(hash(a), int) and hash(a) == hash(a)
+
+
+# One write per model type into the arrays a trained model votes with and saves.
+_WRITES = {
+    "Projection": lambda m: np.copyto(m.blocks[0].projection.matrix, m.blocks[1].projection.matrix),
+    "RqdaModel": lambda m: np.copyto(m.blocks[2].model.cov0, 3 * np.eye(2)),
+    "MarginalModel": lambda m: np.copyto(m.marginal_model.sorted_columns[0], 0.0),
+    "StackedBlocks": lambda m: np.copyto(m.stacked.D[0], 0.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITES))
+def test_a_write_to_model_arrays_raises_and_reloaded_votes_equal_in_memory_votes(kind, tmp_path):
+    X, labels = _two_cluster_data(n=200, p=5, seed=4)
+    held_out = substream(40).standard_normal((2000, 5))
+    model = train_ensemble(X, labels, EnsembleConfig(d=2, b1=5, b2=3, seed=4))
+    votes = vote_fractions(model, held_out)
+    with pytest.raises(ValueError, match="read-only"):
+        _WRITES[kind](model)
+    with pytest.raises(AttributeError):
+        model.blocks.append(model.blocks[0])
+    save_model(model, tmp_path / "model.json")
+    np.testing.assert_array_equal(vote_fractions(model, held_out), votes)
+    np.testing.assert_array_equal(vote_fractions(load_model(tmp_path / "model.json"), held_out), votes)
+
+
+def test_hand_built_types_copy_their_input_arrays_or_make_them_read_only():
+    cov, matrix, D = np.eye(2), np.eye(2, 3), np.zeros((1, 2, 2))
+    model = RqdaModel(0.5, 0.5, cov, cov, 0.0)
+    projection = Projection(matrix, "axis")
+    stacked = StackedBlocks(matrix.T, D, np.zeros(1))
+    cov[0, 0] = matrix[0, 0] = D[0, 0, 0] = 9.0
+    assert model.cov0[0, 0] == model.cov1[0, 0] == projection.matrix[0, 0] == stacked.projection[0, 0] == 1.0
+    assert stacked.D[0, 0, 0] == 0.0
+    column_major = np.asfortranarray([[0.0, 1.0], [2.0, 3.0]])
+    assert MarginalModel(column_major).sorted_columns is column_major
+    assert not column_major.flags.writeable
+    row_major = np.array([[0.0, 1.0], [2.0, 3.0]])
+    assert not MarginalModel(row_major).sorted_columns.flags.writeable and row_major.flags.writeable

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rankqda import (
+    MARGINAL_MAPS,
     ScenarioSpec,
     bayes_oracle_classify,
     block_correlation_matrix,
@@ -96,6 +97,61 @@ class TestScenarioSpecValidation:
     def test_unknown_marginal_rejected(self):
         with pytest.raises(ValueError, match="unknown marginal map"):
             _spec(maps="sigmoid")
+
+
+class TestScenarioSpecOwnsItsState:
+    def _inputs_and_spec(self):
+        cov0 = random_correlation_matrix(4, substream(21))
+        cov1 = block_correlation_matrix(4, 3, 0.6)
+        return cov0, cov1, _spec(p=4, cov0=cov0, cov1=cov1, maps=["exp", "cube", "identity", "exp"])
+
+    def test_factors_are_bit_equal_to_cholesky_of_its_covariances(self):
+        _, _, spec = self._inputs_and_spec()
+        for cov, factor in ((spec.cov0, spec.factor0), (spec.cov1, spec.factor1)):
+            np.testing.assert_array_equal(factor.view(np.uint64), np.linalg.cholesky(cov).view(np.uint64))
+
+    def test_derived_fields_are_set_at_construction(self):
+        _, _, spec = self._inputs_and_spec()
+        assert {"factor0", "factor1", "maps"} <= set(vars(spec))
+        exp, cube, identity = (MARGINAL_MAPS[k] for k in ("exp", "cube", "identity"))
+        assert spec.maps == (exp, cube, identity, exp)
+
+    def test_arrays_are_read_only(self):
+        _, _, spec = self._inputs_and_spec()
+        for name in ("cov0", "cov1", "factor0", "factor1"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(spec, name)[0, 0] = 0.5
+
+    def test_a_later_write_to_the_input_changes_neither_spec_nor_samples(self):
+        cov0, cov1, spec = self._inputs_and_spec()
+        held = spec.cov0.copy(), spec.cov1.copy()
+        before = sample_meta_gaussian(300, spec, substream(22))
+        cov0[...] = np.eye(4)
+        cov1[0, 1] = cov1[1, 0] = -0.3
+        np.testing.assert_array_equal(spec.cov0, held[0])
+        np.testing.assert_array_equal(spec.cov1, held[1])
+        after = sample_meta_gaussian(300, spec, substream(22))
+        np.testing.assert_array_equal(after.features, before.features)
+        np.testing.assert_array_equal(after.latent, before.latent)
+
+    def test_sampling_factors_nothing(self, monkeypatch):
+        _, _, spec = self._inputs_and_spec()
+        calls, cholesky = [], np.linalg.cholesky
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return cholesky(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        for fixed_counts in (False, True):
+            sample_meta_gaussian(100, spec, substream(23), fixed_counts)
+        assert calls == []
+        oracle_model(spec)
+        oracle_calls = len(calls)
+        calls.clear()
+        monte_carlo_bayes_risk(spec, 1000, substream(24))
+        # the only factors are the oracle model's, taken by qda's one SPD gate
+        assert len(calls) == oracle_calls == 2
 
 
 class TestSampleMetaGaussian:

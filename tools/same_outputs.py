@@ -1,4 +1,4 @@
-"""Print one sha256 line per training configuration: model file plus held-out votes.
+"""Print one line per scenario draw and per training configuration.
 
 A change that must keep every output byte-equal runs this script against
 two checkouts and compares the lines:
@@ -7,8 +7,15 @@ two checkouts and compares the lines:
     PYTHONPATH=src python3 tools/same_outputs.py > head.txt
     diff base.txt head.txt
 
-Each line hashes the bytes ``save_model`` writes followed by the raw
-float64 vote fractions of a held-out sample. The grid covers the desk
+The scenario lines come first. For each of five scenarios (the desk one,
+the desk one at prior1=0.3, ``large``, a ``random_correlation_matrix``
+pair at p=6 and a ``piecewise_linear_map`` scenario at p=3), one line
+hashes the bytes of the features, labels and latent scores that
+``sample_meta_gaussian`` draws with Bernoulli labels, one the same with
+``fixed_counts``, and one prints the ``monte_carlo_bayes_risk`` estimate.
+
+Each training line hashes the bytes ``save_model`` writes followed by the
+raw float64 vote fractions of a held-out sample. The grid covers the desk
 scenario (p=10, b1=100, b2=20) under each projection flavor and five
 seeds, the same scenario at prior1=0.3, a 7-row set with a 2-row class
 under the automatic and a fixed ridge, and the ``large`` shape (20000 x 50,
@@ -48,6 +55,31 @@ def large_scenario() -> rq.ScenarioSpec:
                            marginal_maps=["exp", "cube"] * 25, seed=7)
 
 
+def scenarios():
+    """(name, spec) for every scenario line, in output order."""
+    yield "desk", desk_scenario()
+    yield "desk-prior0.3", desk_scenario(prior1=0.3)
+    yield "large", large_scenario()
+    yield "random-p6", rq.ScenarioSpec(
+        p=6, prior1=0.5, cov0=rq.random_correlation_matrix(6, substream(3, 1)),
+        cov1=rq.random_correlation_matrix(6, substream(3, 2)), marginal_maps="exp", seed=3)
+    yield "pwl-p3", rq.ScenarioSpec(
+        p=3, prior1=0.4, cov0=np.eye(3), cov1=rq.block_correlation_matrix(3, 2, 0.6),
+        marginal_maps=rq.piecewise_linear_map([(-1.0, -2.0), (0.0, 0.0), (1.0, 3.0)]), seed=5)
+
+
+def scenario_lines():
+    for name, spec in scenarios():
+        for mode, fixed_counts in (("sample", False), ("fixed-counts", True)):
+            data = rq.sample_meta_gaussian(2000, spec, substream(11, 3), fixed_counts)
+            digest = hashlib.sha256()
+            for a in (data.features, data.labels, data.latent):
+                digest.update(a.tobytes())
+            yield f"scenario-{name}-{mode} {digest.hexdigest()}"
+        est = rq.monte_carlo_bayes_risk(spec, 20000, substream(11, 5))
+        yield f"scenario-{name}-bayes-risk {est.risk!r} {est.std_error!r} {est.n_samples}"
+
+
 def drawn(spec, seed: int, n_train: int, n_test: int):
     train = rq.sample_meta_gaussian(n_train, spec, substream(seed, 3))
     test = rq.sample_meta_gaussian(n_test, spec, substream(seed, 4))
@@ -78,6 +110,8 @@ def configurations():
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        for line in scenario_lines():
+            print(line, flush=True)
         path = os.path.join(tmp, "model.json")
         for name, X, y, T, config in configurations():
             model = rq.train_ensemble(X, y, config)
