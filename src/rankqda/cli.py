@@ -10,9 +10,10 @@ from the same scenario flags; the scenario's Bayes risk comes only from
 ``bayes-risk``. Every error raised while parsing or building ``--cov0``,
 ``--cov1`` or ``--marginal``, the parser's or synthdata's, is prefixed
 with that flag in one place. The count flags (``--p``, ``--n-train``,
-``--n-test``, ``--n``) must be >= 1 and ``--seed`` >= 0; both are
-checked, naming the flag, before any spec is parsed, so a spec error is
-never blamed on a bad count or seed.
+``--n-test``, ``--n`` and ``train``'s ``--d``, ``--b1``, ``--b2``) must
+be >= 1 and ``--seed`` >= 0; both are checked, naming the flag, before
+any spec is parsed or file read, so a spec error is never blamed on a
+bad count or seed.
 """
 
 import argparse
@@ -32,8 +33,10 @@ _STREAM_TRAIN = 3
 _STREAM_TEST = 4
 _STREAM_RISK = 5
 
-# Lower bounds of the count flags and the seed, which spec parsing reads.
-_INT_FLAG_MINIMUMS = {"p": 1, "n_train": 1, "n_test": 1, "n": 1, "seed": 0}
+# Lower bounds of the count flags and the seed, checked before anything reads them.
+_INT_FLAG_MINIMUMS = {
+    "p": 1, "n_train": 1, "n_test": 1, "n": 1, "d": 1, "b1": 1, "b2": 1, "seed": 0,
+}
 
 
 def _parse_cov(value: str, p: int, seed: int, tag: int, cov0=None):

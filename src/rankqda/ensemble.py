@@ -1,14 +1,28 @@
 """Random-projection ensemble around the single-projection classifier.
 
 Training runs ``b1`` blocks; each block draws ``b2`` candidate
-projections from its own substream, fits a quadratic discriminant per
-candidate, and keeps the candidate with the lowest training error (ties
-go to the lowest candidate index). Prediction averages the selected
-blocks' hard votes into a fraction ``nu`` and thresholds it at ``alpha``
-(``nu >= alpha`` means class 1). The whole pipeline is a pure function
-of (data, config): substreams are keyed by (seed, block, candidate), so
-the fit is reproducible regardless of execution order and could be
-parallelized across the block/candidate grid without changing results.
+projections, each from its own substream, and keeps the candidate whose
+quadratic discriminant has the lowest training error (ties go to the
+lowest candidate index). Prediction averages the selected blocks' hard
+votes into a fraction ``nu`` and thresholds it at ``alpha`` (``nu >=
+alpha`` means class 1). The whole pipeline is a pure function of (data,
+config): substreams are keyed by (seed, block, candidate), so the fit is
+reproducible regardless of execution order and could be parallelized
+across the block/candidate grid without changing results.
+
+A block chooses its candidate in one batch, from moments transported
+through the projections: each class's p x p second moment ``M_r`` of the
+probit scores is formed once per fit, and a candidate ``A``'s covariance
+is ``A M_r A'`` (plus the ridge). One stacked Cholesky factor gives
+every candidate's discriminant, and the training rows are scored for
+all ``b2`` candidates at once, a chunk of rows at a time. Transported
+covariances round differently from the ``Z_r'Z_r / n_r`` a model
+stores, so the batch only bounds each candidate's error: it counts the
+rows too close to the boundary to trust their batched sign, and refits
+exactly every candidate whose error could still be the lowest (about
+one per block on the desk scenario). Every stored number, and so every
+model file, comes from that exact refit, the same ``qda`` core and
+error as a fit of each candidate on its own.
 
 Prediction has one kernel, :func:`vote_fractions`. At construction a
 model stacks its ``b1`` projections into one (p, b1*d) matrix and its
@@ -30,10 +44,10 @@ matrix finite and ``(d, p)``, each pair of covariances ``(d, d)``) and
 ``(b1 + 1/2) / b1`` that :func:`select_alpha` may pick), whether the
 object is fitted, built by hand or loaded. The data are checked by
 :func:`marginals.fit_transform`. :func:`train_ensemble` checks the labels
-and that X has one row per label once per fit; its candidate loop fits
-every candidate with :mod:`qda`'s unchecked core on that one class
-split, and it warns once per fit, not once per candidate, about each
-class too small for a full-rank covariance.
+and that X has one row per label once per fit; its refits call
+:mod:`qda`'s unchecked core on that one class split, and it warns once
+per fit, not once per candidate, about each class too small for a
+full-rank covariance.
 """
 
 import math
@@ -230,16 +244,74 @@ def select_alpha(votes, labels, b1: int) -> float:
     return float(thresholds[np.argmin(errors)])
 
 
+# A training row's batched discriminant ``delta`` is unsure of its sign
+# when |delta| <= _UNSURE_MARGIN * (|const| + sum_r k_r (d + |z|^2 tr(inv_r))),
+# with k_r = tr(C_r) tr(inv_r) >= cond(C_r). That is a first-order bound
+# on how far ``delta`` moves when each covariance C_r moves by
+# _UNSURE_MARGIN of its largest eigenvalue, so it widens with the
+# condition number. On the desk and ``large`` fits the batched and exact
+# ``delta`` differ by at most 2e-16 times the bracketed scale.
+_UNSURE_MARGIN = 1e-10
+
+
+def _error_bounds(matrices, moments, pooled, scores, labels, priors, ridge):
+    """Bounds ``(lo, hi)`` on each candidate's exact training error.
+
+    ``matrices`` is a block's (b2, d, p) candidate projections, ``moments``
+    the (2, p, p) class second moments ``S_r'S_r / n_r`` of the probit
+    ``scores`` and ``pooled`` their pooled ``S'S / n`` (read only for the
+    auto ridge). Each candidate's covariances are the transported
+    ``A M_r A' + ridge * I``; its batched error counts the rows whose
+    batched discriminant sign misclassifies them, and ``lo`` and ``hi``
+    subtract and add the rows unsure of their sign. Training rows are
+    scored in chunks, so no (n, b2, d) array is built. Raises
+    ``np.linalg.LinAlgError`` if any covariance has no Cholesky factor.
+    """
+    b2, d, p = matrices.shape
+    cov = matrices @ moments[:, None] @ matrices.swapaxes(1, 2)
+    if ridge is None:
+        ridge = (qda.RIDGE_SCALE / d) * ((matrices @ pooled) * matrices).sum(axis=(1, 2))[:, None, None]
+    cov = (cov + cov.swapaxes(2, 3)) / 2.0 + ridge * np.eye(d)
+    D, const, inv = qda._stacked_terms(cov, priors)
+    tr_cov, tr_inv = np.trace(cov, axis1=2, axis2=3), np.trace(inv, axis1=2, axis2=3)
+    kappa = tr_cov * tr_inv
+    tol_const = _UNSURE_MARGIN * (np.abs(const) + d * kappa.sum(axis=0))
+    tol_norm = _UNSURE_MARGIN * (kappa * tr_inv).sum(axis=0)
+
+    maps = matrices.transpose(2, 0, 1).reshape(p, b2 * d)  # column block c is candidate c's A'
+    wrong = np.zeros(b2, dtype=int)
+    unsure = np.zeros(b2, dtype=int)
+    step = max(1, _CHUNK_ELEMENTS // (b2 * d))
+    for start in range(0, scores.shape[0], step):
+        Z = (scores[start:start + step] @ maps).reshape(-1, b2, d)
+        delta = qda.stacked_discriminant(Z, D, const)
+        wrong += ((delta >= 0.0) != labels[start:start + step, None]).sum(axis=0)
+        tol = tol_const + tol_norm * np.einsum("mkj,mkj->mk", Z, Z)
+        unsure += (~(np.abs(delta) > tol)).sum(axis=0)  # a NaN delta is unsure too
+    n = scores.shape[0]
+    return (wrong - unsure) / n, (wrong + unsure) / n
+
+
 def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
     """Fit the full pipeline: marginals once, then b1 selected blocks.
 
     Each of the b1 x b2 candidates draws its projection from the
-    substream keyed by (seed, block, candidate) and is fitted on the
-    projected training scores; a candidate whose covariance is singular
-    at the configured ridge is discarded. A block where every candidate
-    fails aborts training (a silently smaller ensemble would corrupt the
-    vote fractions). Once every block is fitted, warns for each class
-    with fewer than d+1 rows.
+    substream keyed by (seed, block, candidate); a candidate whose
+    covariance is singular at the configured ridge is discarded. Each
+    block keeps the candidate with the lowest training error, the lowest
+    index on ties. A block where every candidate fails aborts training (a
+    silently smaller ensemble would corrupt the vote fractions). Once
+    every block is fitted, warns for each class with fewer than d+1 rows.
+
+    A block bounds all its candidates' errors in one batch
+    (:func:`_error_bounds`), then refits exactly, with :func:`qda._fit`
+    and :func:`training_error`, each candidate whose lower bound is at
+    most the smallest upper bound, and then any candidate whose lower
+    bound is at most the best exact error (needed only when a refit was
+    singular). A candidate it does not refit has an exact error above
+    the best one, so the block keeps the candidate a per-candidate fit
+    would keep, with the same stored numbers. If some covariance of the
+    batch has no factor, every candidate of that block is refitted.
     """
     labels = np.asarray(labels)
     rows = qda._class_rows(labels)
@@ -250,21 +322,34 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
 
     marginal_model, scores = marginals.fit_transform(X)
     p = marginal_model.n_features
+    moments = np.stack([scores[r].T @ scores[r] / r.size for r in rows])
+    pooled = scores.T @ scores / labels.size if config.ridge is None else None
 
-    blocks: list[Block] = []
-    for b in range(config.b1):
-        best: Block | None = None
-        for c in range(config.b2):
-            rng = substream(config.seed, b, c)
-            proj = projections.sample_projection(p, config.d, config.flavor, rng, stream=(b, c))
+    def refit(b, matrices, candidates, best):
+        for c in candidates:
+            proj = projections.Projection(matrix=matrices[c], flavor=config.flavor, stream=(b, c))
             Z = projections.project(proj, scores)
             try:
                 model = qda._fit(Z, rows, priors, config.ridge)
             except SingularMatrixError:
                 continue
             err = training_error(model, Z, labels)
-            if best is None or err < best.train_error:
+            if best is None or (err, c) < (best.train_error, best.candidate):
                 best = Block(projection=proj, model=model, train_error=err, candidate=c)
+        return best
+
+    blocks: list[Block] = []
+    for b in range(config.b1):
+        rngs = [substream(config.seed, b, c) for c in range(config.b2)]
+        matrices = projections._sample_matrices(p, config.d, config.flavor, rngs)
+        try:
+            lo, hi = _error_bounds(matrices, moments, pooled, scores, labels, priors, config.ridge)
+        except np.linalg.LinAlgError:
+            lo, hi = np.full(config.b2, -np.inf), np.full(config.b2, np.inf)
+        shortlist = lo <= hi.min()
+        best = refit(b, matrices, np.flatnonzero(shortlist).tolist(), None)
+        bound = np.inf if best is None else best.train_error
+        best = refit(b, matrices, np.flatnonzero((lo <= bound) & ~shortlist).tolist(), best)
         if best is None:
             raise TrainingError(
                 f"block {b}: all {config.b2} candidate projections failed to fit "

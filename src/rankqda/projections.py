@@ -64,27 +64,39 @@ def sample_projection(
     uniform; the probability-zero rank-deficient draw is guarded by a
     re-draw. ``axis`` rows are distinct standard basis vectors.
     """
+    return Projection(matrix=_sample_matrices(p, d, flavor, [rng])[0], flavor=flavor, stream=stream)
+
+
+def _sample_matrices(p: int, d: int, flavor: str, rngs) -> np.ndarray:
+    """One (d, p) matrix per generator, stacked into a (len(rngs), d, p) array.
+
+    The one sampling recipe behind :func:`sample_projection` and the
+    ensemble's blocks: matrix k depends only on ``rngs[k]``, and equals
+    what :func:`sample_projection` draws from that generator, because the
+    stacked ``np.linalg.qr`` factors each matrix with the same LAPACK
+    calls as a single one. A ``haar`` draw with a rank-deficient factor
+    is re-drawn from its own generator.
+    """
     if not 1 <= d <= p:
         raise ValueError(f"projection needs 1 <= d <= p, got d={d}, p={p}")
     if flavor not in FLAVORS:
         raise ValueError(f"unknown projection flavor {flavor!r}; choose from {FLAVORS}")
 
+    if flavor == "axis":
+        matrices = np.zeros((len(rngs), d, p))
+        for k, rng in enumerate(rngs):
+            matrices[k, np.arange(d), rng.choice(p, size=d, replace=False)] = 1.0
+        return matrices
+    G = np.stack([rng.standard_normal((d, p)) for rng in rngs])
     if flavor == "gaussian":
-        matrix = rng.standard_normal((d, p)) / np.sqrt(d)
-    elif flavor == "haar":
-        while True:
-            G = rng.standard_normal((d, p))
-            Q, R = np.linalg.qr(G.T)
-            diag = np.diag(R)
-            if np.all(np.abs(diag) > 1e-12):
-                break
-        matrix = (Q * np.sign(diag)).T
-    else:
-        cols = rng.choice(p, size=d, replace=False)
-        matrix = np.zeros((d, p))
-        matrix[np.arange(d), cols] = 1.0
-
-    return Projection(matrix=matrix, flavor=flavor, stream=stream)
+        return G / np.sqrt(d)
+    Q, R = np.linalg.qr(G.transpose(0, 2, 1))
+    signs = np.sign(np.diagonal(R, axis1=1, axis2=2))
+    for k, rng in enumerate(rngs):
+        while not np.all(np.abs(np.diag(R[k])) > 1e-12):
+            Q[k], R[k] = np.linalg.qr(rng.standard_normal((d, p)).T)
+            signs[k] = np.sign(np.diag(R[k]))
+    return (Q * signs[:, None, :]).transpose(0, 2, 1)
 
 
 def project(A: Projection, S) -> np.ndarray:

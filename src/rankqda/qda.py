@@ -23,8 +23,12 @@ class covariances from the moment helper behind
 :func:`estimate_projected_covariance`, so its results equal the public
 estimators' bit for bit. :func:`fit_rqda` is its checking boundary, and
 :func:`ensemble.train_ensemble`, which checks and splits the labels once
-per fit, calls it directly for each of its ``b1 * b2`` candidates. Each
-caller warns once per class too small for a full-rank covariance.
+per fit, calls it directly for each candidate its batched selection
+refits. Each caller warns once per class too small for a full-rank
+covariance. That selection gets the discriminant terms of a whole block
+of candidates from the private ``_stacked_terms``, one stacked Cholesky
+factor per covariance; those terms only rank candidates and are never
+stored.
 
 Every SPD matrix, whether an :class:`RqdaModel` covariance or the
 argument of :func:`inverse_spd` or :func:`log_det_spd`, passes one gate,
@@ -287,6 +291,25 @@ def _fit(Z: np.ndarray, rows, priors, ridge: float | None) -> RqdaModel:
     if ridge is None:
         ridge = RIDGE_SCALE * float(np.mean(Z * Z))
     return RqdaModel(*priors, *(_second_moment(Z[r], ridge) for r in rows), ridge)
+
+
+def _stacked_terms(cov: np.ndarray, priors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(D, const, inv)`` of ``k`` candidate models in one pass.
+
+    ``cov`` has shape (2, k, d, d): class 0's and class 1's covariance of
+    each candidate. One stacked Cholesky factor per covariance gives the
+    (2, k, d, d) inverses ``inv`` and the log-determinants, and from them
+    the (k, d, d) ``D`` and (k,) ``const`` of :class:`RqdaModel`'s formula.
+    Nothing is checked, and the results need not round like
+    :class:`RqdaModel`'s; raises ``np.linalg.LinAlgError`` if any
+    covariance has no factor.
+    """
+    L = np.linalg.cholesky(cov)
+    L_inv = np.linalg.inv(L)
+    inv = np.matmul(L_inv.swapaxes(-1, -2), L_inv)
+    log_det = 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
+    const = np.log(priors[1] / priors[0]) - 0.5 * (log_det[1] - log_det[0])
+    return inv[1] - inv[0], const, inv
 
 
 def stacked_discriminant(Z, D, const) -> np.ndarray:

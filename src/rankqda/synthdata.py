@@ -106,9 +106,10 @@ class ScenarioSpec:
     """Generative parameters of one synthetic two-class scenario.
 
     ``marginal_maps`` is a single map (name or callable) applied to every
-    feature, or a length-p sequence of per-feature maps. ``prior1`` may
-    sit on the boundary for sampling-only use; the Bayes oracle and the
-    classification pipeline require an interior prior.
+    feature, or a length-p sequence of per-feature maps, stored as a
+    tuple so a later edit of the caller's list changes nothing here.
+    ``prior1`` may sit on the boundary for sampling-only use; the Bayes
+    oracle and the classification pipeline require an interior prior.
 
     Construction checks ``p``, ``prior1``, both correlation matrices and
     the maps, keeps read-only copies of ``cov0`` and ``cov1`` (a later
@@ -140,6 +141,8 @@ class ScenarioSpec:
             for name, value in ((f"cov{r}", cov), (f"factor{r}", factor)):
                 value.setflags(write=False)
                 object.__setattr__(self, name, value)
+        if not (isinstance(self.marginal_maps, str) or callable(self.marginal_maps)):
+            object.__setattr__(self, "marginal_maps", tuple(self.marginal_maps))
         object.__setattr__(self, "maps", tuple(_resolve_maps(self.marginal_maps, self.p)))
 
 

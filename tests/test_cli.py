@@ -357,6 +357,18 @@ ERROR_CASES = {
         lambda tmp: _synth_argv(tmp, "--n-train", 5, "--n-test", 0),
         "--n-test must be a positive integer, got 0",
     ),
+    "d_zero": (
+        lambda tmp: _train_argv(tmp, TOY, "--seed", 1, "--d", 0),
+        "error: --d must be a positive integer, got 0",
+    ),
+    "b1_zero": (
+        lambda tmp: _train_argv(tmp, TOY, "--seed", 1, "--b1", 0),
+        "error: --b1 must be a positive integer, got 0",
+    ),
+    "b2_negative": (
+        lambda tmp: _train_argv(tmp, TOY, "--seed", 1, "--b2", -2),
+        "error: --b2 must be a positive integer, got -2",
+    ),
     "seed_negative_with_a_random_spec": (
         lambda tmp: ["bayes-risk", "--p", 3, "--n", 100, "--seed", -1, "--cov0", "random"],
         "error: --seed must be an integer >= 0, got -1",

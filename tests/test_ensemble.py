@@ -6,9 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankqda import (
+    FLAVORS,
     EnsembleConfig,
+    SingularMatrixError,
     qda,
     TrainingError,
     classify,
@@ -417,3 +421,125 @@ def test_vote_fraction_rejects_a_2d_input():
 def test_config_rejects_a_ridge_too_large_for_a_float():
     with pytest.raises(ValueError, match="^ridge must be a finite number, got 1000"):
         EnsembleConfig(d=1, b1=1, b2=1, seed=0, ridge=10**400)
+
+
+def _per_candidate_blocks(X, labels, config, singular=()):
+    """Each block's (candidate, train_error, model) from one fit_rqda per candidate.
+
+    None for a block where every candidate is singular; a (block,
+    candidate) pair in ``singular`` is treated as singular too.
+    """
+    _, scores = fit_transform(X)
+    chosen = []
+    for b in range(config.b1):
+        best = None
+        for c in range(config.b2):
+            proj = sample_projection(X.shape[1], config.d, config.flavor, substream(config.seed, b, c))
+            Z = project(proj, scores)
+            try:
+                if (b, c) in singular:
+                    raise SingularMatrixError("treated as singular")
+                model = fit_rqda(Z, labels, config.ridge)
+            except SingularMatrixError:
+                continue
+            err = training_error(model, Z, labels)
+            if best is None or err < best[1]:
+                best = (c, err, model)
+        chosen.append(best)
+    return chosen
+
+
+def _assert_blocks_match(model, chosen):
+    for block, (candidate, err, fitted) in zip(model.blocks, chosen):
+        assert (block.candidate, block.train_error) == (candidate, err)
+        for name in ("cov0", "cov1"):
+            assert getattr(block.model, name).tobytes() == getattr(fitted, name).tobytes()
+
+
+@st.composite
+def selection_problems(draw):
+    p = draw(st.integers(1, 5))
+    d = draw(st.integers(1, p))
+    n0 = draw(st.integers(1, 12))  # may be below d + 1
+    n1 = draw(st.integers(1, 12))
+    rng = substream(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.permutation(np.repeat([0, 1], [n0, n1]))
+    X = rng.standard_normal((n0 + n1, p)) * np.where(labels == 1, 2.0, 1.0)[:, None]
+    if draw(st.booleans()):
+        X = np.round(X)  # quantized features: tied columns and tied errors
+    config = EnsembleConfig(
+        d=d,
+        b1=draw(st.integers(1, 3)),
+        b2=draw(st.integers(1, 8)),
+        flavor=draw(st.sampled_from(FLAVORS)),
+        ridge=draw(st.sampled_from([None, 0.0, 0.1])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    return X, labels, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(selection_problems())
+def test_batched_selection_equals_the_per_candidate_argmin(problem):
+    X, labels, config = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        chosen = _per_candidate_blocks(X, labels, config)
+        failed = [b for b, best in enumerate(chosen) if best is None]
+        if failed:
+            with pytest.raises(TrainingError, match=f"^block {failed[0]}: all {config.b2} "):
+                train_ensemble(X, labels, config)
+            return
+        model = train_ensemble(X, labels, config)
+    _assert_blocks_match(model, chosen)
+
+
+def _stack_failures(monkeypatch):
+    """Count the batched factorizations that raise, keeping their behaviour."""
+    failures, stacked = [], qda._stacked_terms
+
+    def counting(*args):
+        try:
+            return stacked(*args)
+        except np.linalg.LinAlgError:
+            failures.append(1)
+            raise
+
+    monkeypatch.setattr(qda, "_stacked_terms", counting)
+    return failures
+
+
+def test_block_whose_batched_factor_fails_refits_every_candidate(monkeypatch):
+    # the two class-0 rows tie at the middle rank of column 0, so their
+    # scores there are exactly zero: at the zero ridge, a candidate on
+    # column 0 is singular and the others are not
+    X = substream(5).standard_normal((7, 3))
+    X[:, 0] = [1.0, 2.0, 3.0, 3.0, 5.0, 6.0, 7.0]
+    labels = np.array([1, 1, 0, 0, 1, 1, 1])
+    config = EnsembleConfig(d=1, b1=6, b2=3, flavor="axis", ridge=0.0, seed=2)
+    failures = _stack_failures(monkeypatch)
+    chosen = _per_candidate_blocks(X, labels, config)
+    model = train_ensemble(X, labels, config)
+    assert 0 < len(failures) < config.b1
+    _assert_blocks_match(model, chosen)
+
+
+def test_a_singular_exact_refit_widens_the_refits_to_the_next_best(monkeypatch):
+    X, labels = _two_cluster_data(seed=8)
+    config = EnsembleConfig(d=2, b1=4, b2=10, seed=17)
+    winners = [block.candidate for block in train_ensemble(X, labels, config).blocks]
+    _, scores = fit_transform(X)
+    refused = [project(sample_projection(4, 2, "haar", substream(17, b, c)), scores)
+               for b, c in enumerate(winners)]
+    fit = qda._fit
+
+    def refusing(Z, *args):
+        if any(np.array_equal(Z, R) for R in refused):
+            raise SingularMatrixError("refused")
+        return fit(Z, *args)
+
+    monkeypatch.setattr(qda, "_fit", refusing)
+    model = train_ensemble(X, labels, config)
+    chosen = _per_candidate_blocks(X, labels, config, singular=set(enumerate(winners)))
+    assert [block.candidate for block in model.blocks] != winners
+    _assert_blocks_match(model, chosen)

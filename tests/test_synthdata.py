@@ -134,6 +134,21 @@ class TestScenarioSpecOwnsItsState:
         np.testing.assert_array_equal(after.features, before.features)
         np.testing.assert_array_equal(after.latent, before.latent)
 
+    def test_a_later_edit_of_the_maps_list_changes_neither_spec_nor_samples(self):
+        maps = ["exp", "cube", "identity", "exp"]
+        spec = _spec(p=4, cov0=np.eye(4), cov1=block_correlation_matrix(4, 3, 0.6), maps=maps)
+        before = sample_meta_gaussian(300, spec, substream(23))
+        maps[0] = "identity"
+        assert spec.marginal_maps == ("exp", "cube", "identity", "exp")
+        after = sample_meta_gaussian(300, spec, substream(23))
+        np.testing.assert_array_equal(after.features, before.features)
+
+    def test_a_single_map_is_kept_as_given(self):
+        spec = _spec(p=3, cov0=np.eye(3), cov1=np.eye(3), maps="cube")
+        assert spec.marginal_maps == "cube"
+        spec = _spec(p=3, cov0=np.eye(3), cov1=np.eye(3), maps=np.exp)
+        assert spec.marginal_maps is np.exp
+
     def test_sampling_factors_nothing(self, monkeypatch):
         _, _, spec = self._inputs_and_spec()
         calls, cholesky = [], np.linalg.cholesky

@@ -19,8 +19,13 @@ raw float64 vote fractions of a held-out sample. The grid covers the desk
 scenario (p=10, b1=100, b2=20) under each projection flavor and five
 seeds, the same scenario at prior1=0.3, a 7-row set with a 2-row class
 under the automatic and a fixed ridge, and the ``large`` shape (20000 x 50,
-d=5, b1=b2=20). It uses only the public API, so it runs against older
-checkouts too. Library warnings are silenced; they are not outputs.
+d=5, b1=b2=20). Three lines reach the corners of candidate selection: one
+axis coordinate per candidate on the desk draw (repeated coordinates give
+exactly tied errors), a 9-row set at ridge 0 whose class-0 scores are zero
+in column 0 (so the candidates on that column are singular and the others
+are not), and d = p on the desk draw. It uses only the public API, so it
+runs against older checkouts too. Library warnings are silenced; they are
+not outputs.
 """
 
 import hashlib
@@ -103,6 +108,15 @@ def configurations():
     for name, ridge in (("auto", None), ("0.1", 0.1)):
         yield (f"tiny-ridge-{name}", X, y, T,
                rq.EnsembleConfig(d=2, b1=10, b2=5, ridge=ridge, seed=3))
+    X, y, T = drawn(desk_scenario(), 1, 500, 2000)
+    yield "desk-axis-d1-ties", X, y, T, rq.EnsembleConfig(d=1, b1=100, b2=20, flavor="axis", seed=1)
+    yield "desk-d-equals-p", X, y, T, rq.EnsembleConfig(d=10, b1=20, b2=10, seed=1)
+    rng = np.random.default_rng(5)
+    X, T = rng.standard_normal((9, 5)), rng.standard_normal((50, 5))
+    X[:, 0] = [1.0, 2.0, 5.0, 5.0, 5.0, 6.0, 7.0, 8.0, 9.0]  # class 0 ties at the middle rank
+    y = np.array([1, 1, 0, 0, 0, 1, 1, 1, 1])
+    yield ("ridge0-some-singular", X, y, T,
+           rq.EnsembleConfig(d=1, b1=20, b2=5, flavor="axis", ridge=0.0, seed=0))
     X, y, T = drawn(large_scenario(), 7, 20000, 5000)
     yield "large", X, y, T, rq.EnsembleConfig(d=5, b1=20, b2=20, seed=42)
 
