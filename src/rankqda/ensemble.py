@@ -15,14 +15,16 @@ through the projections: each class's p x p second moment ``M_r`` of the
 probit scores is formed once per fit, and a candidate ``A``'s covariance
 is ``A M_r A'`` (plus the ridge). One stacked Cholesky factor gives
 every candidate's discriminant, and the training rows are scored for
-all ``b2`` candidates at once, a chunk of rows at a time. Transported
-covariances round differently from the ``Z_r'Z_r / n_r`` a model
-stores, so the batch only bounds each candidate's error: it counts the
-rows too close to the boundary to trust their batched sign, and refits
-exactly every candidate whose error could still be the lowest (about
-one per block on the desk scenario). Every stored number, and so every
-model file, comes from that exact refit, the same ``qda`` core and
-error as a fit of each candidate on its own.
+all ``b2`` candidates at once, through the vote kernel's chunk loop
+(:meth:`StackedBlocks.chunks`). Transported covariances round
+differently from the ``Z_r'Z_r / n_r`` a model stores, so the batch only
+bounds each candidate's error from below: it counts the misclassified
+rows far enough from the boundary to trust their batched sign. One rule
+then picks the candidate: refit exactly in ascending bound order and
+stop at the first bound above the best exact error (about one refit per
+block on the desk scenario). Every stored number, and so every model
+file, comes from that exact refit, the same ``qda`` core and error as a
+fit of each candidate on its own.
 
 Prediction has one kernel, :func:`vote_fractions`. At construction a
 model stacks its ``b1`` projections into one (p, b1*d) matrix and its
@@ -98,17 +100,19 @@ class Block:
     candidate: int
 
 
-# Rows per prediction chunk keep the stacked (rows, b1*d) buffers at
+# Rows per chunk keep the stacked (rows, b*d) buffers at
 # about this many elements, so memory stays flat in the number of rows.
 _CHUNK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True, eq=False)
 class StackedBlocks:
-    """All blocks of an ensemble laid side by side for the vote kernel.
+    """``b`` discriminants side by side, scored by one chunked loop.
 
-    ``projection`` is (p, b1*d): column block k is block k's ``A'``.
-    ``D`` is (b1, d, d) and ``const`` is (b1,), the blocks' :class:`qda.RqdaModel` terms.
+    The ``b`` are an ensemble's blocks for the vote kernel, or one
+    block's candidates for selection. ``projection`` is (p, b*d): column
+    block k is discriminant k's ``A'``. ``D`` is (b, d, d) and ``const``
+    is (b,), the :class:`qda.RqdaModel` terms.
     Each is held as a read-only float copy in the given memory layout.
     """
 
@@ -134,15 +138,25 @@ class StackedBlocks:
     def chunk_rows(self) -> int:
         return max(1, _CHUNK_ELEMENTS // self.projection.shape[1])
 
+    def chunks(self, scores: np.ndarray):
+        """Per chunk of rows of probit ``scores``: the row slice, ``Z`` and ``delta``.
+
+        ``Z`` (rows, b, d) is the chunk in every stacked space and
+        ``delta`` (rows, b) its discriminants: the one loop that scores
+        rows through the stack, for votes and for candidate bounds alike.
+        """
+        b, d = self.D.shape[:2]
+        step = self.chunk_rows
+        for start in range(0, scores.shape[0], step):
+            rows = slice(start, start + step)
+            Z = (scores[rows] @ self.projection).reshape(-1, b, d)
+            yield rows, Z, qda.stacked_discriminant(Z, self.D, self.const)
+
     def vote_counts(self, scores: np.ndarray) -> np.ndarray:
         """Number of blocks voting class 1 for each row of probit ``scores``."""
-        b1, d = self.D.shape[:2]
-        step = self.chunk_rows
         counts = np.empty(scores.shape[0], dtype=int)
-        for start in range(0, scores.shape[0], step):
-            Z = (scores[start:start + step] @ self.projection).reshape(-1, b1, d)
-            delta = qda.stacked_discriminant(Z, self.D, self.const)
-            counts[start:start + step] = (delta >= 0.0).sum(axis=1)
+        for rows, _, delta in self.chunks(scores):
+            counts[rows] = (delta >= 0.0).sum(axis=1)
         return counts
 
 
@@ -254,18 +268,18 @@ def select_alpha(votes, labels, b1: int) -> float:
 _UNSURE_MARGIN = 1e-10
 
 
-def _error_bounds(matrices, moments, pooled, scores, labels, priors, ridge):
-    """Bounds ``(lo, hi)`` on each candidate's exact training error.
+def _lower_bounds(matrices, moments, pooled, scores, labels, priors, ridge) -> np.ndarray:
+    """A lower bound on each candidate's exact training error.
 
     ``matrices`` is a block's (b2, d, p) candidate projections, ``moments``
     the (2, p, p) class second moments ``S_r'S_r / n_r`` of the probit
     ``scores`` and ``pooled`` their pooled ``S'S / n`` (read only for the
     auto ridge). Each candidate's covariances are the transported
-    ``A M_r A' + ridge * I``; its batched error counts the rows whose
-    batched discriminant sign misclassifies them, and ``lo`` and ``hi``
-    subtract and add the rows unsure of their sign. Training rows are
-    scored in chunks, so no (n, b2, d) array is built. Raises
-    ``np.linalg.LinAlgError`` if any covariance has no Cholesky factor.
+    ``A M_r A' + ridge * I``; its bound counts the rows whose batched
+    discriminant misclassifies them and is sure of its sign. The rows
+    are scored through :meth:`StackedBlocks.chunks`, so no (n, b2, d)
+    array is built. Raises ``np.linalg.LinAlgError`` if any covariance
+    has no Cholesky factor.
     """
     b2, d, p = matrices.shape
     cov = matrices @ moments[:, None] @ matrices.swapaxes(1, 2)
@@ -278,18 +292,14 @@ def _error_bounds(matrices, moments, pooled, scores, labels, priors, ridge):
     tol_const = _UNSURE_MARGIN * (np.abs(const) + d * kappa.sum(axis=0))
     tol_norm = _UNSURE_MARGIN * (kappa * tr_inv).sum(axis=0)
 
-    maps = matrices.transpose(2, 0, 1).reshape(p, b2 * d)  # column block c is candidate c's A'
+    # column block c of the stacked map is candidate c's A'
+    stacked = StackedBlocks(projection=matrices.transpose(2, 0, 1).reshape(p, b2 * d), D=D, const=const)
     wrong = np.zeros(b2, dtype=int)
-    unsure = np.zeros(b2, dtype=int)
-    step = max(1, _CHUNK_ELEMENTS // (b2 * d))
-    for start in range(0, scores.shape[0], step):
-        Z = (scores[start:start + step] @ maps).reshape(-1, b2, d)
-        delta = qda.stacked_discriminant(Z, D, const)
-        wrong += ((delta >= 0.0) != labels[start:start + step, None]).sum(axis=0)
+    for rows, Z, delta in stacked.chunks(scores):
         tol = tol_const + tol_norm * np.einsum("mkj,mkj->mk", Z, Z)
-        unsure += (~(np.abs(delta) > tol)).sum(axis=0)  # a NaN delta is unsure too
-    n = scores.shape[0]
-    return (wrong - unsure) / n, (wrong + unsure) / n
+        sure = np.abs(delta) > tol  # a NaN delta is unsure
+        wrong += (sure & ((delta >= 0.0) != labels[rows, None])).sum(axis=0)
+    return wrong / scores.shape[0]
 
 
 def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
@@ -303,15 +313,16 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
     silently smaller ensemble would corrupt the vote fractions). Once
     every block is fitted, warns for each class with fewer than d+1 rows.
 
-    A block bounds all its candidates' errors in one batch
-    (:func:`_error_bounds`), then refits exactly, with :func:`qda._fit`
-    and :func:`training_error`, each candidate whose lower bound is at
-    most the smallest upper bound, and then any candidate whose lower
-    bound is at most the best exact error (needed only when a refit was
-    singular). A candidate it does not refit has an exact error above
-    the best one, so the block keeps the candidate a per-candidate fit
-    would keep, with the same stored numbers. If some covariance of the
-    batch has no factor, every candidate of that block is refitted.
+    A block bounds all its candidates' errors from below in one batch
+    (:func:`_lower_bounds`), then makes one pass over the candidates in
+    ascending bound order (lowest index first on equal bounds): each is
+    refitted exactly, with :func:`qda._fit` and :func:`training_error`,
+    until the next bound exceeds the best exact error so far; a singular
+    refit is skipped. A candidate left out has an exact error at least
+    its bound, above the best one, so it could neither win nor tie: the
+    block keeps the candidate a per-candidate fit would keep, with the
+    same stored numbers. If some covariance of the batch has no factor,
+    every bound is -inf and the pass refits the whole block.
     """
     labels = np.asarray(labels)
     rows = qda._class_rows(labels)
@@ -325,8 +336,18 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
     moments = np.stack([scores[r].T @ scores[r] / r.size for r in rows])
     pooled = scores.T @ scores / labels.size if config.ridge is None else None
 
-    def refit(b, matrices, candidates, best):
-        for c in candidates:
+    blocks: list[Block] = []
+    for b in range(config.b1):
+        rngs = [substream(config.seed, b, c) for c in range(config.b2)]
+        matrices = projections._sample_matrices(p, config.d, config.flavor, rngs)
+        try:
+            lower = _lower_bounds(matrices, moments, pooled, scores, labels, priors, config.ridge)
+        except np.linalg.LinAlgError:
+            lower = np.full(config.b2, -np.inf)
+        best = None
+        for c in np.argsort(lower, kind="stable").tolist():
+            if best is not None and lower[c] > best.train_error:
+                break  # this and every later candidate errs more than the best
             proj = projections.Projection(matrix=matrices[c], flavor=config.flavor, stream=(b, c))
             Z = projections.project(proj, scores)
             try:
@@ -336,20 +357,6 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
             err = training_error(model, Z, labels)
             if best is None or (err, c) < (best.train_error, best.candidate):
                 best = Block(projection=proj, model=model, train_error=err, candidate=c)
-        return best
-
-    blocks: list[Block] = []
-    for b in range(config.b1):
-        rngs = [substream(config.seed, b, c) for c in range(config.b2)]
-        matrices = projections._sample_matrices(p, config.d, config.flavor, rngs)
-        try:
-            lo, hi = _error_bounds(matrices, moments, pooled, scores, labels, priors, config.ridge)
-        except np.linalg.LinAlgError:
-            lo, hi = np.full(config.b2, -np.inf), np.full(config.b2, np.inf)
-        shortlist = lo <= hi.min()
-        best = refit(b, matrices, np.flatnonzero(shortlist).tolist(), None)
-        bound = np.inf if best is None else best.train_error
-        best = refit(b, matrices, np.flatnonzero((lo <= bound) & ~shortlist).tolist(), best)
         if best is None:
             raise TrainingError(
                 f"block {b}: all {config.b2} candidate projections failed to fit "

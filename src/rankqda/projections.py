@@ -91,12 +91,11 @@ def _sample_matrices(p: int, d: int, flavor: str, rngs) -> np.ndarray:
     if flavor == "gaussian":
         return G / np.sqrt(d)
     Q, R = np.linalg.qr(G.transpose(0, 2, 1))
-    signs = np.sign(np.diagonal(R, axis1=1, axis2=2))
-    for k, rng in enumerate(rngs):
-        while not np.all(np.abs(np.diag(R[k])) > 1e-12):
-            Q[k], R[k] = np.linalg.qr(rng.standard_normal((d, p)).T)
-            signs[k] = np.sign(np.diag(R[k]))
-    return (Q * signs[:, None, :]).transpose(0, 2, 1)
+    diag = np.diagonal(R, axis1=1, axis2=2)  # a view, so it follows each re-draw
+    for k in np.flatnonzero(~(np.abs(diag) > 1e-12).all(axis=1)):
+        while not (np.abs(diag[k]) > 1e-12).all():
+            Q[k], R[k] = np.linalg.qr(rngs[k].standard_normal((d, p)).T)
+    return (Q * np.sign(diag)[:, None, :]).transpose(0, 2, 1)
 
 
 def project(A: Projection, S) -> np.ndarray:

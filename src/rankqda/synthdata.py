@@ -25,23 +25,31 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import qda
+from .errors import checked_int
 
 
 def piecewise_linear_map(breakpoints) -> Callable[[np.ndarray], np.ndarray]:
     """Strictly increasing piecewise-linear map through user breakpoints.
 
-    ``breakpoints`` is a sequence of (input, output) knots with strictly
-    increasing coordinates on both axes; the map interpolates linearly
-    between knots and extrapolates with the end-segment slopes.
+    ``breakpoints`` is a sequence of finite (input, output) knots with
+    strictly increasing coordinates on both axes; the map interpolates
+    linearly between knots and extrapolates with the end-segment slopes,
+    which must be finite too (an infinite knot or slope would make the
+    map constant or infinite).
     """
     pts = np.asarray(breakpoints, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise ValueError("breakpoints must be a sequence of at least two (x, y) pairs")
-    xs, ys = pts[:, 0], pts[:, 1]
-    if not (np.all(np.diff(xs) > 0) and np.all(np.diff(ys) > 0)):
+    if not np.isfinite(pts).all():
+        raise ValueError("breakpoints must be finite")
+    with np.errstate(all="ignore"):  # an overflow or 0/0 here is rejected below
+        steps = np.diff(pts, axis=0)
+        slope_lo, slope_hi = steps[[0, -1], 1] / steps[[0, -1], 0]
+    if not (steps > 0).all():
         raise ValueError("breakpoints must be strictly increasing in both coordinates")
-    slope_lo = (ys[1] - ys[0]) / (xs[1] - xs[0])
-    slope_hi = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+    if not np.isfinite([*steps.ravel(), slope_lo, slope_hi]).all():
+        raise ValueError("breakpoints must give finite differences and end-segment slopes")
+    xs, ys = pts[:, 0], pts[:, 1]
 
     def apply(s):
         s = np.asarray(s, dtype=float)
@@ -85,12 +93,14 @@ def _resolve_maps(spec, p: int) -> list[Callable[[np.ndarray], np.ndarray]]:
 def _check_correlation_matrix(C: np.ndarray, p: int, name: str) -> np.ndarray:
     """The lower Cholesky factor of the float (p, p) correlation matrix ``C``.
 
-    Raises ``ValueError`` naming ``name`` unless ``C`` has shape (p, p), a
-    unit diagonal, exact symmetry and a factor. The module's one
-    factorization.
+    Raises ``ValueError`` naming ``name`` unless ``C`` has shape (p, p),
+    finite entries, a unit diagonal, exact symmetry and a factor, checked
+    in that order. The module's one factorization.
     """
     if C.shape != (p, p):
         raise ValueError(f"{name} must have shape ({p}, {p}), got {C.shape}")
+    if not np.isfinite(C).all():
+        raise ValueError(f"{name} has a non-finite value")
     if not np.allclose(np.diag(C), 1.0, rtol=0.0, atol=1e-12):
         raise ValueError(f"{name} must have unit diagonal")
     if not np.array_equal(C, C.T):
@@ -111,7 +121,8 @@ class ScenarioSpec:
     ``prior1`` may sit on the boundary for sampling-only use; the Bayes
     oracle and the classification pipeline require an interior prior.
 
-    Construction checks ``p``, ``prior1``, both correlation matrices and
+    Construction checks ``p`` (an integer >= 1; numpy's is stored as
+    int, bool is rejected), ``prior1``, both correlation matrices and
     the maps, keeps read-only copies of ``cov0`` and ``cov1`` (a later
     write to the caller's matrix changes nothing here), and derives from
     them, once, what sampling reads: ``factor0`` and ``factor1``, the
@@ -130,11 +141,10 @@ class ScenarioSpec:
     maps: tuple[Callable[[np.ndarray], np.ndarray], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        # frozen: each field is written here once, at construction
+        object.__setattr__(self, "p", checked_int(self.p, "p", 1))
         if not 0.0 <= self.prior1 <= 1.0:
             raise ValueError(f"prior1 must lie in [0, 1], got {self.prior1}")
-        # frozen: each field below is written here once, at construction
         for r in (0, 1):
             cov = np.array(getattr(self, f"cov{r}"), dtype=float)
             factor = _check_correlation_matrix(cov, self.p, f"cov{r}")
@@ -174,7 +184,7 @@ def block_correlation_matrix(p: int, block_size: int, rho: float) -> np.ndarray:
 
     Positive definite for ``-1/(block_size-1) < rho < 1``.
     """
-    if not 0 <= block_size <= p:
+    if checked_int(block_size, "block size", 0) > p:
         raise ValueError(f"block size must lie in [0, {p}], got {block_size}")
     C = np.eye(p)
     C[:block_size, :block_size] = rho
@@ -190,8 +200,7 @@ def random_correlation_matrix(p: int, rng: np.random.Generator) -> np.ndarray:
     which is almost surely positive definite; the measure-zero failure is
     guarded by a re-draw.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    p = checked_int(p, "p", 1)
     while True:
         G = rng.standard_normal((p, p + 2))
         M = G @ G.T
@@ -210,8 +219,7 @@ def _sample_latent(
     n: int, spec: ScenarioSpec, rng: np.random.Generator, fixed_counts: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Labels and latent Gaussian scores, before any marginal map."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = checked_int(n, "n", 1)
     if fixed_counts:
         n1 = int(round(spec.prior1 * n))
         labels = np.zeros(n, dtype=int)
@@ -271,8 +279,7 @@ def monte_carlo_bayes_risk(
     invariant to the scenario's marginal maps by construction. Returns
     the rate with its binomial standard error sqrt(r(1-r)/N).
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = checked_int(n_samples, "n_samples", 1)
     model = oracle_model(spec)
     labels, latent = _sample_latent(n_samples, spec, rng)
     preds = qda.rqda_classify(latent, model)

@@ -337,6 +337,18 @@ ERROR_CASES = {
         lambda tmp: ["bayes-risk", "--p", 3, "--n", 100, "--seed", 1, "--marginal", "pwl:1:1,0:0"],
         "--marginal: breakpoints must be strictly increasing",
     ),
+    "pwl_marginal_infinite_knot": (
+        lambda tmp: _synth_argv(tmp, "--n-train", 5, "--n-test", 5, "--marginal", "pwl:0:0,inf:1"),
+        "--marginal: breakpoints must be finite",
+    ),
+    "pwl_marginal_overflowing_slope": (
+        lambda tmp: _synth_argv(tmp, "--n-train", 5, "--n-test", 5, "--marginal", "pwl:0:0,1e-320:1"),
+        "--marginal: breakpoints must give finite differences and end-segment slopes",
+    ),
+    "block_rho_nan": (
+        lambda tmp: ["bayes-risk", "--p", 3, "--n", 100, "--seed", 1, "--cov1", "block:2:nan"],
+        "--cov1: block correlation matrix has a non-finite value",
+    ),
     "p_negative": (
         lambda tmp: ["bayes-risk", "--p", -1, "--n", 100, "--seed", 1, "--cov0", "identity"],
         "--p must be a positive integer, got -1",

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from rankqda import (
     FLAVORS,
     EnsembleConfig,
+    ScenarioSpec,
     SingularMatrixError,
     qda,
     TrainingError,
@@ -22,6 +23,7 @@ from rankqda import (
     predict,
     project,
     rqda_classify,
+    sample_meta_gaussian,
     sample_projection,
     save_model,
     select_alpha,
@@ -543,3 +545,34 @@ def test_a_singular_exact_refit_widens_the_refits_to_the_next_best(monkeypatch):
     chosen = _per_candidate_blocks(X, labels, config, singular=set(enumerate(winners)))
     assert [block.candidate for block in model.blocks] != winners
     _assert_blocks_match(model, chosen)
+
+
+def _desk_draw():
+    """The desk scenario's 500 training rows drawn from substream (1, 3)."""
+    p = 10
+    cov0 = np.eye(p)
+    idx = np.arange(p - 1)
+    cov0[idx, idx + 1] = cov0[idx + 1, idx] = 0.05
+    cov1 = np.eye(p)
+    cov1[:4, :4] = 0.85
+    cov1[4, 5] = cov1[5, 4] = -0.8
+    np.fill_diagonal(cov1, 1.0)
+    spec = ScenarioSpec(p=p, prior1=0.5, cov0=cov0, cov1=cov1,
+                        marginal_maps=["exp", "cube"] * 5, seed=20260810)
+    data = sample_meta_gaussian(500, spec, substream(1, 3))
+    return data.features, data.labels
+
+
+def test_selection_refits_about_one_candidate_per_block(monkeypatch):
+    # 104 exact refits for 100 blocks of 20 candidates when this was written;
+    # a looser bound or selection rule would refit many more
+    X, labels = _desk_draw()
+    calls, fit = [], qda._fit
+
+    def counting(*args):
+        calls.append(1)
+        return fit(*args)
+
+    monkeypatch.setattr(qda, "_fit", counting)
+    train_ensemble(X, labels, EnsembleConfig(d=3, b1=100, b2=20, seed=1))
+    assert 100 <= len(calls) <= 110

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rankqda import Projection, project, sample_projection
+from rankqda.projections import _sample_matrices
 from rankqda.rng import substream
 
 from oracles import naive_matmul
@@ -119,3 +120,29 @@ class TestCovarianceTransport:
         ]
         # E ||A v||^2 = d/p for a uniform frame; 3-sigma Monte Carlo band
         assert np.mean(energies) == pytest.approx(2 / 8, abs=0.03)
+
+
+class _FirstDrawRankDeficient:
+    """Wraps a generator; its first (d, p) draw gets an all-zero row."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, 0
+
+    def standard_normal(self, shape):
+        self.draws += 1
+        G = self.rng.standard_normal(shape)
+        if self.draws == 1:
+            G[1] = 0.0
+        return G
+
+
+def test_a_rank_deficient_haar_draw_is_redrawn_from_its_own_generator():
+    p, d = 5, 3
+    stub = _FirstDrawRankDeficient(substream(61))
+    matrices = _sample_matrices(p, d, "haar", [substream(60), stub, substream(62)])
+    assert stub.draws == 2
+    rng = substream(61)
+    rng.standard_normal((d, p))  # the rejected draw
+    for k, expected in enumerate([substream(60), rng, substream(62)]):
+        np.testing.assert_array_equal(matrices[k], sample_projection(p, d, "haar", expected).matrix)
+    np.testing.assert_allclose(matrices[1] @ matrices[1].T, np.eye(d), atol=1e-12)

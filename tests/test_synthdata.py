@@ -77,6 +77,17 @@ class TestPiecewiseLinearMap:
         with pytest.raises(ValueError):
             piecewise_linear_map([(0.0, 1.0), (0.0, 2.0)])
 
+    @pytest.mark.parametrize("breakpoints, message", [
+        ([(0.0, 0.0), (math.inf, 1.0)], "breakpoints must be finite"),
+        ([(0.0, math.nan), (1.0, 1.0)], "breakpoints must be finite"),
+        ([(0.0, 0.0), (1e-320, 1.0)], "breakpoints must give finite differences and end-segment slopes"),
+        ([(0.0, -1e308), (1.0, 1e308)], "breakpoints must give finite differences and end-segment slopes"),
+    ])
+    def test_non_finite_knots_and_overflowing_slopes_rejected(self, breakpoints, message):
+        # either would give a constant, infinite or NaN map, not a strictly increasing one
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            piecewise_linear_map(breakpoints)
+
 
 class TestScenarioSpecValidation:
     def test_non_unit_diagonal_rejected(self):
@@ -89,6 +100,17 @@ class TestScenarioSpecValidation:
         C[0, 1] = C[1, 0] = -0.99
         with pytest.raises(ValueError, match="positive definite"):
             _spec(cov1=C)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_non_finite_correlation_rejected_as_non_finite(self, which):
+        C = np.eye(3)
+        C[0, 1] = C[1, 0] = np.nan
+        with pytest.raises(ValueError, match=f"^cov{which} has a non-finite value$"):
+            _spec(**{f"cov{which}": C})
+
+    def test_non_finite_block_correlation_rejected_as_non_finite(self):
+        with pytest.raises(ValueError, match="^block correlation matrix has a non-finite value$"):
+            block_correlation_matrix(3, 2, np.nan)
 
     def test_prior_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -256,6 +278,26 @@ class TestMonteCarloBayesRisk:
             math.sqrt(est.risk * (1 - est.risk) / 1000), abs=1e-15
         )
         assert est.n_samples == 1000
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda v: ScenarioSpec(p=v, prior1=0.5, cov0=np.eye(2), cov1=np.eye(2)), "p must be a positive integer"),
+    (lambda v: sample_meta_gaussian(v, _spec(), substream(15)), "n must be a positive integer"),
+    (lambda v: monte_carlo_bayes_risk(_spec(), v, substream(16)), "n_samples must be a positive integer"),
+    (lambda v: random_correlation_matrix(v, substream(17)), "p must be a positive integer"),
+    (lambda v: block_correlation_matrix(3, v, 0.5), "block size must be an integer >= 0"),
+])
+@pytest.mark.parametrize("value", [2.0, True, -1])
+def test_counts_must_be_integers_with_an_error_naming_them(call, message, value):
+    with pytest.raises(ValueError, match=f"^{message}, got "):
+        call(value)
+
+
+def test_numpy_integer_counts_are_accepted():
+    spec = _spec(p=np.int64(3))
+    assert type(spec.p) is int
+    assert sample_meta_gaussian(np.int32(5), spec, substream(18)).n == 5
+    assert monte_carlo_bayes_risk(spec, np.int64(10), substream(19)).n_samples == 10
 
 
 class TestPipelineRecoversLatentCorrelation:
