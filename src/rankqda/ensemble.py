@@ -327,7 +327,7 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
     labels = np.asarray(labels)
     rows = qda._class_rows(labels)
     priors = qda._priors(rows)  # fails fast on one class or one row
-    X = np.asarray(X, dtype=float)
+    X = np.asarray(X)  # cast (and complex rejected) in fit_transform
     if X.ndim == 2 and X.shape[0] != labels.size:
         raise ValueError(f"X has {X.shape[0]} rows but there are {labels.size} labels")
 
@@ -381,13 +381,13 @@ def vote_fractions(model: EnsembleModel, X) -> np.ndarray:
 
     Every value is an exact integer multiple of 1/b1.
     """
-    scores = marginals.transform_new(model.marginal_model, np.atleast_2d(np.asarray(X, dtype=float)))
+    scores = marginals.transform_new(model.marginal_model, np.atleast_2d(np.asarray(X)))
     return model.stacked.vote_counts(scores) / model.b1
 
 
 def vote_fraction(model: EnsembleModel, x) -> float:
     """Vote fraction for a single p-vector."""
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-d feature vector, got shape {x.shape}")
     return float(vote_fractions(model, x[None, :])[0])

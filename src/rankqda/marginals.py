@@ -20,16 +20,31 @@ The model also owns the layout of its sorted values: it holds them
 column-contiguous (Fortran order), so each feature's sorted values are
 adjacent in memory, which is what the per-feature binary search of the
 transforms reads. A fitted, hand-built or loaded model therefore holds
-the same arrays in the same layout. Both arrays are read-only; a
+the same arrays in the same layout. Its arrays are read-only; a
 hand-built table that is already a column-contiguous float array is kept
 without a copy, so the caller's array becomes read-only.
 
-The transforms check the feature matrix (shape, finiteness, feature
-count); :class:`MarginalModel` checks that its columns are sorted and
-finite, for fitted, hand-built and loaded models alike. A NaN fails the
-order check (unless the column has one row), and a sorted column can
-hold an infinity only at either end, so the finiteness check that
-follows reads just the first and last row.
+Counts are found by one of two searches, chosen by the number of rows.
+Above ``_FENCE_ROWS`` rows, one ``np.searchsorted`` per feature runs over
+that column. For fewer rows, the per-call overhead of that loop would be
+most of the cost, so the model also derives a fence index at
+construction (never persisted): the sorted values at positions
+``W, 2W, ...`` of each column (``W = _FENCE_WIDTH``), stored as one
+ascending complex key ``j + 1j*fence`` (numpy orders complex numbers by
+real part, then imaginary part). One search of that key finds, for every
+entry at once, the number f of column j's fences ``<= x``; the count is
+then ``f*W`` plus the number of values ``<= x`` among the W values from
+position ``f*W`` (a window moved back to end at the column's end when it
+would pass it). Values before the window are ``<= x`` and values after it
+are ``> x``, so both searches give the same counts. The key takes 16 bytes
+per fence, about 1/8 of the table.
+
+The transforms check the feature matrix (real, not complex; shape,
+finiteness, feature count); :class:`MarginalModel` checks that its
+columns are sorted and finite, for fitted, hand-built and loaded models
+alike. A NaN fails the order check (unless the column has one row), and
+a sorted column can hold an infinity only at either end, so the
+finiteness check that follows reads just the first and last row.
 """
 
 from dataclasses import dataclass, field
@@ -53,6 +68,14 @@ _C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
 _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
       3.754408661907416e+00)
 _P_LOW = 0.02425
+
+# Sorted values per fence of the fence index; the few-row search compares
+# each entry with one window of this many values.
+_FENCE_WIDTH = 16
+# Up to this many rows are counted through the fence index, more by one
+# searchsorted per feature. Timed on 2 CPUs, the fence search is faster up
+# to about 24 rows at p=50 and up to about 8 at p=10.
+_FENCE_ROWS = 16
 
 
 def norm_cdf(z):
@@ -133,14 +156,18 @@ class MarginalModel:
     column is ascending and finite, then stores it as a column-contiguous
     float array (a copy only if it is not one already) and derives
     ``score_table``, entry ``k - 1`` of which is the score of count k,
-    ``inv_norm_cdf(k / (n + 1))`` (never persisted). Both arrays are
-    read-only: a hand-built table that is already a column-contiguous float
-    array is kept without a copy, so that array becomes read-only too.
-    Immutable and safe for concurrent reads.
+    ``inv_norm_cdf(k / (n + 1))``, and ``fence_key``, the fence index of
+    the few-row search: for each column j in turn, ``j + 1j*v`` for the
+    sorted values v at positions ``W, 2W, ...`` (``W = _FENCE_WIDTH``),
+    shape ``(p * ((n - 1) // W),)``. Neither derived array is persisted.
+    All three arrays are read-only: a hand-built table that is already a
+    column-contiguous float array is kept without a copy, so that array
+    becomes read-only too. Immutable and safe for concurrent reads.
     """
 
     sorted_columns: np.ndarray
     score_table: np.ndarray = field(init=False, repr=False)
+    fence_key: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         cols = self.sorted_columns
@@ -150,11 +177,14 @@ class MarginalModel:
         infinite = np.flatnonzero(~np.isfinite(np.concatenate((cols[:1], cols[-1:]))).all(axis=0))
         if infinite.size:
             raise ValueError(f"marginal column {infinite[0]} has a non-finite value")
-        n = cols.shape[0]
+        n, p = cols.shape
         table = np.asarray(cols, dtype=float, order="F")
         scores = inv_norm_cdf(np.arange(1, n + 1) / (n + 1.0))
-        # frozen: both fields are set here once, at construction
-        for name, value in (("sorted_columns", table), ("score_table", scores)):
+        # (p, fences) in C order, so column j's fences are one ascending run
+        fences = np.arange(p)[:, None] + 1j * table[_FENCE_WIDTH::_FENCE_WIDTH].T
+        # frozen: every field is set here once, at construction
+        for name, value in (("sorted_columns", table), ("score_table", scores),
+                            ("fence_key", fences.ravel())):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -167,6 +197,14 @@ class MarginalModel:
         return self.sorted_columns.shape[1]
 
 
+def _real_array(x) -> np.ndarray:
+    """``x`` as a float array; complex input is rejected, never truncated to its real part."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise DataError("complex feature values are not supported; features must be real")
+    return x.astype(float, copy=False)
+
+
 def _check_finite_matrix(X: np.ndarray) -> None:
     bad = ~np.isfinite(X)
     if bad.any():
@@ -176,9 +214,20 @@ def _check_finite_matrix(X: np.ndarray) -> None:
 
 def _scores(model: MarginalModel, X: np.ndarray) -> np.ndarray:
     """Table scores of the counts of training values <= X, clamped to [1, n]."""
-    counts = np.empty(X.shape, dtype=np.intp)
-    for j in range(model.n_features):
-        counts[:, j] = np.searchsorted(model.sorted_columns[:, j], X[:, j], side="right")
+    n, p = model.sorted_columns.shape
+    if X.shape[0] <= _FENCE_ROWS:
+        j = np.arange(p)
+        # complex order compares parts with <, so -0.0 and 0.0 tie as in the loop
+        fences = np.searchsorted(model.fence_key, j + 1j * X, side="right")
+        fences -= j * (model.fence_key.size // p)
+        width = min(_FENCE_WIDTH, n)
+        start = np.minimum(fences * _FENCE_WIDTH, n - width)
+        window = model.sorted_columns.T.ravel()[(start + j * n)[..., None] + np.arange(width)]
+        counts = start + (window <= X[..., None]).sum(axis=-1)
+    else:
+        counts = np.empty(X.shape, dtype=np.intp)
+        for j in range(p):
+            counts[:, j] = np.searchsorted(model.sorted_columns[:, j], X[:, j], side="right")
     # side="right" counts never exceed n; training rows count themselves (>= 1).
     np.maximum(counts, 1, out=counts)
     return model.score_table[counts - 1]
@@ -201,7 +250,7 @@ def fit_transform(X) -> tuple[MarginalModel, np.ndarray]:
         of training values <= the entry within its column. All scores
         lie in ``[inv_norm_cdf(1/(n+1)), inv_norm_cdf(n/(n+1))]``.
     """
-    X = np.asarray(X, dtype=float)
+    X = _real_array(X)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-d feature matrix, got ndim={X.ndim}")
     n, p = X.shape
@@ -226,7 +275,7 @@ def transform_new(model: MarginalModel, x) -> np.ndarray:
 
     Accepts a single p-vector or an (m, p) matrix of rows.
     """
-    x = np.asarray(x, dtype=float)
+    x = _real_array(x)
     single = x.ndim == 1
     X = x[None, :] if single else x
     if X.ndim != 2 or X.shape[1] != model.n_features:

@@ -53,9 +53,11 @@ def piecewise_linear_map(breakpoints) -> Callable[[np.ndarray], np.ndarray]:
 
     def apply(s):
         s = np.asarray(s, dtype=float)
-        out = np.interp(s, xs, ys)
-        out = np.where(s < xs[0], ys[0] + slope_lo * (s - xs[0]), out)
-        out = np.where(s > xs[-1], ys[-1] + slope_hi * (s - xs[-1]), out)
+        out = np.array(np.interp(s, xs, ys))
+        # each end line only where it applies: elsewhere it can overflow
+        below, above = s < xs[0], s > xs[-1]
+        out[below] = ys[0] + slope_lo * (s[below] - xs[0])
+        out[above] = ys[-1] + slope_hi * (s[above] - xs[-1])
         return out
 
     return apply

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from rankqda import (
     FLAVORS,
+    DataError,
     EnsembleConfig,
     ScenarioSpec,
     SingularMatrixError,
@@ -576,3 +577,20 @@ def test_selection_refits_about_one_candidate_per_block(monkeypatch):
     monkeypatch.setattr(qda, "_fit", counting)
     train_ensemble(X, labels, EnsembleConfig(d=3, b1=100, b2=20, seed=1))
     assert 100 <= len(calls) <= 110
+
+
+@pytest.mark.parametrize("entry", ["classify", "vote_fraction", "predict", "vote_fractions", "train_ensemble"])
+def test_complex_features_are_rejected_at_every_entry_point(entry):
+    # a cast to float would keep only the real part and answer for other features
+    model = load_model(GOLDEN_PATH)
+    x = np.ones(model.n_features) + 1j
+    X, labels = _two_cluster_data(n=20, p=3, seed=1)
+    calls = {
+        "classify": lambda: classify(model, x),
+        "vote_fraction": lambda: vote_fraction(model, x),
+        "predict": lambda: predict(model, np.stack([x, x])),
+        "vote_fractions": lambda: vote_fractions(model, x),
+        "train_ensemble": lambda: train_ensemble(X + 0.5j, labels, EnsembleConfig(d=2, b1=2, b2=2)),
+    }
+    with pytest.raises(DataError, match="^complex feature values are not supported; features must be real$"):
+        calls[entry]()

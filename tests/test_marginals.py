@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from rankqda import DataError, fit_transform, inv_norm_cdf, norm_cdf, transform_new
-from rankqda.marginals import MarginalModel
+from rankqda.marginals import _FENCE_ROWS, _FENCE_WIDTH, MarginalModel
+from rankqda.rng import substream
 
 from oracles import bisection_inv_norm_cdf
 
@@ -203,3 +206,70 @@ def test_one_row_marginal_model_rejects_nan():
 def test_fit_transform_rejects_a_1d_array():
     with pytest.raises(ValueError, match="^expected a 2-d feature matrix, got ndim=1$"):
         fit_transform(np.zeros(3))
+
+
+# Values where a search can go wrong: both signed zeros, the smallest
+# subnormals and the largest finite values.
+_EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308,
+                         np.finfo(float).max, -np.finfo(float).max])
+
+
+@st.composite
+def tables_and_queries(draw):
+    """A sorted table with ties and edge values, and 1 to _FENCE_ROWS + 1 query rows.
+
+    Queries mix table values (every fence among them), values just off them,
+    edge values and points below the minimum and above the maximum.
+    """
+    n = draw(st.one_of(st.sampled_from([1, _FENCE_WIDTH, _FENCE_WIDTH + 1, 2 * _FENCE_WIDTH,
+                                        2 * _FENCE_WIDTH + 1]), st.integers(1, 80)))
+    p = draw(st.integers(1, 4))
+    m = draw(st.one_of(st.sampled_from([1, _FENCE_ROWS, _FENCE_ROWS + 1]),
+                       st.integers(1, _FENCE_ROWS + 1)))
+    rng = substream(draw(st.integers(0, 2**32 - 1)))
+    grid = np.round(rng.standard_normal(n * p) * 2.0) / 2.0  # many ties
+    X = rng.choice(np.concatenate([grid, _EDGE_VALUES]), (n, p))
+    table = np.sort(X, axis=0)
+    low, high = table.min() - 1.0, table.max() + 1.0  # rounds back onto an edge value at +-1.7e308
+    with np.errstate(over="ignore"):  # next to the largest finite value is inf, dropped below
+        pool = np.concatenate([table.ravel(), np.nextafter(table.ravel(), np.inf),
+                               np.nextafter(table.ravel(), -np.inf), _EDGE_VALUES, [low, high]])
+    pool = pool[np.isfinite(pool)]
+    return table, rng.choice(pool, (m, p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=tables_and_queries())
+def test_fence_search_counts_equal_the_per_column_loop(case):
+    table, Q = case
+    model = MarginalModel(table)
+    # padded past _FENCE_ROWS rows, the same queries take the per-column loop
+    padded = np.vstack([Q, np.repeat(Q[:1], _FENCE_ROWS + 1, axis=0)])
+    loop = transform_new(model, padded)[: Q.shape[0]]
+    bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
+    np.testing.assert_array_equal(bits(transform_new(model, Q)), bits(loop))
+    np.testing.assert_array_equal(bits(transform_new(model, Q[0])), bits(loop[0]))
+
+
+def test_fence_key_holds_every_fence_of_each_column_in_order():
+    table = np.sort(substream(4).standard_normal((2 * _FENCE_WIDTH + 3, 2)), axis=0)
+    model = MarginalModel(table)
+    fences = table[_FENCE_WIDTH::_FENCE_WIDTH]
+    expected = np.concatenate([j + 1j * fences[:, j] for j in range(2)])
+    np.testing.assert_array_equal(model.fence_key, expected)
+    assert np.all(model.fence_key[1:] >= model.fence_key[:-1])  # numpy's complex order
+    assert not model.fence_key.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        model.fence_key[0] = 0.0
+    assert MarginalModel(table[:_FENCE_WIDTH]).fence_key.size == 0  # one window holds the column
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fit_transform(np.ones((3, 2)) + 1j),
+    lambda: fit_transform(np.ones((3, 2)).astype(complex)),  # even with no imaginary part
+    lambda: transform_new(fit_transform(np.ones((3, 2)))[0], np.ones(2) + 1j),
+    lambda: transform_new(fit_transform(np.ones((3, 2)))[0], [[1.0, 2.0 + 0.5j]]),
+])
+def test_complex_features_are_rejected_not_truncated(call):
+    with pytest.raises(DataError, match="^complex feature values are not supported; features must be real$"):
+        call()

@@ -20,6 +20,7 @@ from rankqda import (
 )
 from rankqda.ensemble import StackedBlocks
 from rankqda.marginals import MarginalModel, transform_new
+from rankqda.model_io import model_to_dict
 from rankqda.projections import Projection
 from rankqda.qda import RqdaModel
 from rankqda.rng import substream
@@ -177,3 +178,19 @@ def test_hand_built_types_copy_their_input_arrays_or_make_them_read_only():
     assert not column_major.flags.writeable
     row_major = np.array([[0.0, 1.0], [2.0, 3.0]])
     assert not MarginalModel(row_major).sorted_columns.flags.writeable and row_major.flags.writeable
+
+
+def test_fence_key_is_derived_read_only_and_never_persisted(tmp_path):
+    X, labels = _two_cluster_data(n=70, p=3, seed=6)
+    X[::5, 0] = -0.0
+    fitted = train_ensemble(X, labels, EnsembleConfig(d=2, b1=3, b2=2, seed=6))
+    save_model(fitted, tmp_path / "model.json")
+    loaded = load_model(tmp_path / "model.json")
+    hand_built = MarginalModel(np.sort(X, axis=0))
+    for marginal in (fitted.marginal_model, loaded.marginal_model, hand_built):
+        assert "fence_key" in vars(marginal) and not marginal.fence_key.flags.writeable
+        np.testing.assert_array_equal(_bits(marginal.fence_key.view(float)),
+                                      _bits(fitted.marginal_model.fence_key.view(float)))
+    doc = model_to_dict(fitted)
+    assert doc == model_to_dict(loaded)
+    assert set(doc["marginals"]) == {"n", "columns"}

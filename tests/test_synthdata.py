@@ -88,6 +88,13 @@ class TestPiecewiseLinearMap:
         with pytest.raises(ValueError, match=f"^{message}$"):
             piecewise_linear_map(breakpoints)
 
+    def test_steep_map_computes_each_end_line_only_where_it_applies(self):
+        # the end lines evaluated everywhere overflow inside the knot range
+        m = piecewise_linear_map([(0.0, 0.0), (1.0, 1e308), (2.0, 1.7e308)])
+        assert m(1.9) == pytest.approx(1.63e308)
+        np.testing.assert_allclose(m([-0.5, 0.5, 1.9, 2.1]), [-5e307, 5e307, 1.63e308, 1.77e308])
+        assert m(1.9).shape == () and m([[-0.5], [2.1]]).shape == (2, 1)
+
 
 class TestScenarioSpecValidation:
     def test_non_unit_diagonal_rejected(self):

@@ -14,8 +14,10 @@ hashes the bytes of the features, labels and latent scores that
 ``sample_meta_gaussian`` draws with Bernoulli labels, one the same with
 ``fixed_counts``, and one prints the ``monte_carlo_bayes_risk`` estimate.
 
-Each training line hashes the bytes ``save_model`` writes followed by the
-raw float64 vote fractions of a held-out sample. The grid covers the desk
+Each training line hashes the bytes ``save_model`` writes, the raw float64
+vote fractions of a held-out sample, then those of its first 200 rows
+scored one row at a time with ``vote_fraction`` (single rows take a
+different count search from bulk scoring). The grid covers the desk
 scenario (p=10, b1=100, b2=20) under each projection flavor and five
 seeds, the same scenario at prior1=0.3, a 7-row set with a 2-row class
 under the automatic and a fixed ridge, and the ``large`` shape (20000 x 50,
@@ -133,6 +135,7 @@ def main() -> int:
             with open(path, "rb") as f:
                 digest = hashlib.sha256(f.read())
             digest.update(rq.vote_fractions(model, T).tobytes())
+            digest.update(np.array([rq.vote_fraction(model, t) for t in T[:200]]).tobytes())
             print(f"{name} {digest.hexdigest()}", flush=True)
     return 0
 
