@@ -12,11 +12,12 @@ across the block/candidate grid without changing results.
 
 A block chooses its candidate in one batch, from moments transported
 through the projections: each class's p x p second moment ``M_r`` of the
-probit scores is formed once per fit, and a candidate ``A``'s covariance
-is ``A M_r A'`` (plus the ridge). One stacked Cholesky factor gives
-every candidate's discriminant, and the training rows are scored for
-all ``b2`` candidates at once, through the vote kernel's chunk loop
-(:meth:`StackedBlocks.chunks`). Transported covariances round
+probit scores is formed once per fit, and :mod:`qda` turns them into
+every candidate's covariances ``A M_r A'``, ridge and discriminant terms
+by the same rules as an exact fit, with one stacked Cholesky factor
+(this module does no covariance arithmetic). The training rows are
+scored for all ``b2`` candidates at once, through the vote kernel's
+chunk loop (:meth:`StackedBlocks.chunks`). Transported covariances round
 differently from the ``Z_r'Z_r / n_r`` a model stores, so the batch only
 bounds each candidate's error from below: it counts the misclassified
 rows far enough from the boundary to trust their batched sign. One rule
@@ -59,7 +60,7 @@ from typing import Sequence
 import numpy as np
 
 from . import marginals, projections, qda
-from .errors import SingularMatrixError, TrainingError, checked_int, checked_number
+from .errors import SingularMatrixError, TrainingError, checked_int, checked_number, real_array
 from .rng import substream
 
 
@@ -113,7 +114,8 @@ class StackedBlocks:
     block's candidates for selection. ``projection`` is (p, b*d): column
     block k is discriminant k's ``A'``. ``D`` is (b, d, d) and ``const``
     is (b,), the :class:`qda.RqdaModel` terms.
-    Each is held as a read-only float copy in the given memory layout.
+    Each is held as a read-only float copy in the given memory layout;
+    complex arrays are rejected rather than cast to their real part.
     """
 
     projection: np.ndarray
@@ -122,7 +124,8 @@ class StackedBlocks:
 
     def __post_init__(self):
         for name in ("projection", "D", "const"):
-            value = np.array(getattr(self, name), dtype=float)
+            message = f"stacked {name} must be real, not complex"
+            value = np.array(real_array(getattr(self, name), message), dtype=float)
             value.setflags(write=False)
             object.__setattr__(self, name, value)  # frozen: the one write, at construction
 
@@ -259,44 +262,34 @@ def select_alpha(votes, labels, b1: int) -> float:
 
 
 # A training row's batched discriminant ``delta`` is unsure of its sign
-# when |delta| <= _UNSURE_MARGIN * (|const| + sum_r k_r (d + |z|^2 tr(inv_r))),
-# with k_r = tr(C_r) tr(inv_r) >= cond(C_r). That is a first-order bound
-# on how far ``delta`` moves when each covariance C_r moves by
-# _UNSURE_MARGIN of its largest eigenvalue, so it widens with the
-# condition number. On the desk and ``large`` fits the batched and exact
-# ``delta`` differ by at most 2e-16 times the bracketed scale.
+# when |delta| <= _UNSURE_MARGIN * (scale[0] + scale[1] * |z|^2), the
+# bound :func:`qda._stacked_terms` gives on how far ``delta`` moves when
+# each covariance moves by this fraction of its largest eigenvalue. On the
+# desk and ``large`` fits the batched and exact ``delta`` differ by at
+# most 2e-16 times that scale.
 _UNSURE_MARGIN = 1e-10
 
 
-def _lower_bounds(matrices, moments, pooled, scores, labels, priors, ridge) -> np.ndarray:
+def _lower_bounds(matrices, moments, scores, labels, priors, ridge) -> np.ndarray:
     """A lower bound on each candidate's exact training error.
 
-    ``matrices`` is a block's (b2, d, p) candidate projections, ``moments``
-    the (2, p, p) class second moments ``S_r'S_r / n_r`` of the probit
-    ``scores`` and ``pooled`` their pooled ``S'S / n`` (read only for the
-    auto ridge). Each candidate's covariances are the transported
-    ``A M_r A' + ridge * I``; its bound counts the rows whose batched
-    discriminant misclassifies them and is sure of its sign. The rows
-    are scored through :meth:`StackedBlocks.chunks`, so no (n, b2, d)
-    array is built. Raises ``np.linalg.LinAlgError`` if any covariance
-    has no Cholesky factor.
+    ``matrices`` is a block's (b2, d, p) candidate projections and
+    ``moments`` the (2, p, p) class second moments of the probit
+    ``scores``, from which :func:`qda._stacked_terms` gives every
+    candidate's discriminant terms. A candidate's bound counts the rows
+    whose batched discriminant misclassifies them and is sure of its
+    sign. The rows are scored through :meth:`StackedBlocks.chunks`, so no
+    (n, b2, d) array is built. Raises ``np.linalg.LinAlgError`` if any
+    covariance has no Cholesky factor.
     """
     b2, d, p = matrices.shape
-    cov = matrices @ moments[:, None] @ matrices.swapaxes(1, 2)
-    if ridge is None:
-        ridge = (qda.RIDGE_SCALE / d) * ((matrices @ pooled) * matrices).sum(axis=(1, 2))[:, None, None]
-    cov = (cov + cov.swapaxes(2, 3)) / 2.0 + ridge * np.eye(d)
-    D, const, inv = qda._stacked_terms(cov, priors)
-    tr_cov, tr_inv = np.trace(cov, axis1=2, axis2=3), np.trace(inv, axis1=2, axis2=3)
-    kappa = tr_cov * tr_inv
-    tol_const = _UNSURE_MARGIN * (np.abs(const) + d * kappa.sum(axis=0))
-    tol_norm = _UNSURE_MARGIN * (kappa * tr_inv).sum(axis=0)
+    D, const, scale = qda._stacked_terms(matrices, moments, priors, ridge)
 
     # column block c of the stacked map is candidate c's A'
     stacked = StackedBlocks(projection=matrices.transpose(2, 0, 1).reshape(p, b2 * d), D=D, const=const)
     wrong = np.zeros(b2, dtype=int)
     for rows, Z, delta in stacked.chunks(scores):
-        tol = tol_const + tol_norm * np.einsum("mkj,mkj->mk", Z, Z)
+        tol = _UNSURE_MARGIN * (scale[0] + scale[1] * np.einsum("mkj,mkj->mk", Z, Z))
         sure = np.abs(delta) > tol  # a NaN delta is unsure
         wrong += (sure & ((delta >= 0.0) != labels[rows, None])).sum(axis=0)
     return wrong / scores.shape[0]
@@ -333,15 +326,14 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
 
     marginal_model, scores = marginals.fit_transform(X)
     p = marginal_model.n_features
-    moments = np.stack([scores[r].T @ scores[r] / r.size for r in rows])
-    pooled = scores.T @ scores / labels.size if config.ridge is None else None
+    moments = np.stack([qda._second_moment(scores[r], 0.0) for r in rows])
 
     blocks: list[Block] = []
     for b in range(config.b1):
         rngs = [substream(config.seed, b, c) for c in range(config.b2)]
         matrices = projections._sample_matrices(p, config.d, config.flavor, rngs)
         try:
-            lower = _lower_bounds(matrices, moments, pooled, scores, labels, priors, config.ridge)
+            lower = _lower_bounds(matrices, moments, scores, labels, priors, config.ridge)
         except np.linalg.LinAlgError:
             lower = np.full(config.b2, -np.inf)
         best = None

@@ -3,6 +3,8 @@
 import math
 import numbers
 
+import numpy as np
+
 
 class DataError(ValueError):
     """Raised when input data contains missing or non-finite values."""
@@ -43,3 +45,16 @@ def checked_number(value, what: str, low: float = -math.inf, high: float = math.
         bounds = f"be >= {low:g}" if high == math.inf else f"lie in [{low:g}, {high:g}]"
         raise ValueError(f"{what} must {bounds}, got {value}")
     return value if isinstance(value, (int, float)) else float(value)
+
+
+def real_array(value, message: str, error: type[ValueError] = ValueError) -> np.ndarray:
+    """``value`` as an array, not yet cast; raises ``error(message)`` if it is complex.
+
+    numpy casts a complex array to float by keeping its real part, with
+    only a ``ComplexWarning``, so whatever casts outside input to float
+    passes it through this check first.
+    """
+    array = np.asarray(value)
+    if array.dtype.kind == "c":
+        raise error(message)
+    return array

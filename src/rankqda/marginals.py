@@ -41,10 +41,11 @@ per fence, about 1/8 of the table.
 
 The transforms check the feature matrix (real, not complex; shape,
 finiteness, feature count); :class:`MarginalModel` checks that its
-columns are sorted and finite, for fitted, hand-built and loaded models
-alike. A NaN fails the order check (unless the column has one row), and
-a sorted column can hold an infinity only at either end, so the
-finiteness check that follows reads just the first and last row.
+table is real, 2-d and non-empty and that its columns are sorted and
+finite, for fitted, hand-built and loaded models alike. A NaN fails the
+order check (unless the column has one row), and a sorted column can
+hold an infinity only at either end, so the finiteness check that
+follows reads just the first and last row.
 """
 
 from dataclasses import dataclass, field
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import DataError
+from .errors import DataError, real_array
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -152,9 +153,11 @@ def inv_norm_cdf(u):
 class MarginalModel:
     """Per-feature sorted training values backing the rank transform.
 
-    ``sorted_columns`` has shape (n, p); construction checks that every
-    column is ascending and finite, then stores it as a column-contiguous
-    float array (a copy only if it is not one already) and derives
+    ``sorted_columns`` is an (n, p) array-like with n, p >= 1. Construction
+    converts it once to a column-contiguous float array (a copy only if
+    it is not one already), rejecting a complex table rather than keeping
+    its real part, then checks the shape and that every column is
+    ascending and finite, and derives
     ``score_table``, entry ``k - 1`` of which is the score of count k,
     ``inv_norm_cdf(k / (n + 1))``, and ``fence_key``, the fence index of
     the few-row search: for each column j in turn, ``j + 1j*v`` for the
@@ -170,15 +173,17 @@ class MarginalModel:
     fence_key: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        cols = self.sorted_columns
-        unsorted = np.flatnonzero(~(cols[1:] >= cols[:-1]).all(axis=0))  # NaN is unsorted
+        message = "marginal table must be real, not complex"
+        table = np.asarray(real_array(self.sorted_columns, message), dtype=float, order="F")
+        if table.ndim != 2 or 0 in table.shape:
+            raise ValueError(f"marginal table must be a non-empty 2-d array, got shape {table.shape}")
+        unsorted = np.flatnonzero(~(table[1:] >= table[:-1]).all(axis=0))  # NaN is unsorted
         if unsorted.size:
             raise ValueError(f"marginal column {unsorted[0]} is not sorted ascending")
-        infinite = np.flatnonzero(~np.isfinite(np.concatenate((cols[:1], cols[-1:]))).all(axis=0))
+        infinite = np.flatnonzero(~np.isfinite(np.concatenate((table[:1], table[-1:]))).all(axis=0))
         if infinite.size:
             raise ValueError(f"marginal column {infinite[0]} has a non-finite value")
-        n, p = cols.shape
-        table = np.asarray(cols, dtype=float, order="F")
+        n, p = table.shape
         scores = inv_norm_cdf(np.arange(1, n + 1) / (n + 1.0))
         # (p, fences) in C order, so column j's fences are one ascending run
         fences = np.arange(p)[:, None] + 1j * table[_FENCE_WIDTH::_FENCE_WIDTH].T
@@ -199,10 +204,8 @@ class MarginalModel:
 
 def _real_array(x) -> np.ndarray:
     """``x`` as a float array; complex input is rejected, never truncated to its real part."""
-    x = np.asarray(x)
-    if x.dtype.kind == "c":
-        raise DataError("complex feature values are not supported; features must be real")
-    return x.astype(float, copy=False)
+    message = "complex feature values are not supported; features must be real"
+    return real_array(x, message, DataError).astype(float, copy=False)
 
 
 def _check_finite_matrix(X: np.ndarray) -> None:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import real_array
+
 FLAVORS = ("gaussian", "haar", "axis")
 
 
@@ -28,7 +30,8 @@ class Projection:
     """A (d, p) projection matrix with its flavor and stream provenance.
 
     Holds a read-only float copy of ``matrix``, so no caller can write
-    the matrix an ensemble votes with or saves.
+    the matrix an ensemble votes with or saves; a complex matrix is
+    rejected rather than cast to its real part.
     """
 
     matrix: np.ndarray
@@ -36,7 +39,8 @@ class Projection:
     stream: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=float)
+        message = "projection matrix must be real, not complex"
+        matrix = np.array(real_array(self.matrix, message), dtype=float)
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)  # frozen: the one write, at construction
 

@@ -25,10 +25,19 @@ estimators' bit for bit. :func:`fit_rqda` is its checking boundary, and
 :func:`ensemble.train_ensemble`, which checks and splits the labels once
 per fit, calls it directly for each candidate its batched selection
 refits. Each caller warns once per class too small for a full-rank
-covariance. That selection gets the discriminant terms of a whole block
-of candidates from the private ``_stacked_terms``, one stacked Cholesky
-factor per covariance; those terms only rank candidates and are never
-stored.
+covariance.
+
+This module owns every rule that turns class second moments into
+covariances and discriminant terms, for one model and for a stack of
+candidates alike. ``_ridged`` is the covariance rule (the exactly
+symmetric part plus ``ridge * I``, nothing added at ridge 0) and
+``_discriminant_terms`` the ``D``/``const`` formula. The batched
+selection gets a whole block of candidates' terms from the private
+``_stacked_terms``: the covariances ``A M_r A'`` transported from each
+class's second moment ``M_r``, ``_fit``'s auto ridge, one stacked
+Cholesky factor per covariance, and a scale for how far each
+discriminant can move under rounding. Those terms only rank candidates
+and are never stored.
 
 Every SPD matrix, whether an :class:`RqdaModel` covariance or the
 argument of :func:`inverse_spd` or :func:`log_det_spd`, passes one gate,
@@ -39,7 +48,10 @@ Cholesky factor, and solves for the
 inverse with LAPACK ``dpotrs``, the routine that
 ``scipy.linalg.cho_solve`` wraps, without its finiteness re-check. It is
 the model side's one SPD gate; the scenario generator in :mod:`synthdata`
-factors its correlation matrices at one site of its own.
+factors its correlation matrices at one site of its own. The stacked
+candidate terms take a second route, a stacked Cholesky factor and
+inverse: ``dpotrs`` has no stacked form, and the gate's inverse is
+pinned bit for bit to ``scipy.linalg.cho_solve``.
 """
 
 import warnings
@@ -48,14 +60,25 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpotrs
 
-from .errors import SingularMatrixError, TrainingError, checked_number
+from .errors import SingularMatrixError, TrainingError, checked_number, real_array
 
 # Auto ridge scale relative to the mean squared projected score.
 RIDGE_SCALE = 1e-6
 
 
 def _symmetrize(M: np.ndarray) -> np.ndarray:
-    return (M + M.T) / 2.0
+    return (M + M.swapaxes(-1, -2)) / 2.0
+
+
+def _ridged(M: np.ndarray, ridge) -> np.ndarray:
+    """The exactly symmetric part of ``M`` plus ``ridge * I``: the covariance rule.
+
+    ``M`` is one (d, d) matrix or a stack of them, and ``ridge`` a number
+    or an array that broadcasts against the stack. At ridge 0 nothing is
+    added, so no ``-0.0`` entry becomes ``0.0``.
+    """
+    M = _symmetrize(M)
+    return M + ridge * np.eye(M.shape[-1]) if np.any(ridge) else M
 
 
 def _class_rows(labels) -> tuple[np.ndarray, np.ndarray]:
@@ -108,11 +131,7 @@ def _warn_small_classes(rows, d: int, classes=(0, 1)) -> None:
 
 def _second_moment(Zr: np.ndarray, ridge: float) -> np.ndarray:
     """``sum(z z') / n_r + ridge * I`` over the ``n_r >= 1`` class rows ``Zr``."""
-    n_r, d = Zr.shape
-    M = _symmetrize(Zr.T @ Zr / n_r)
-    if ridge:
-        M = M + ridge * np.eye(d)
-    return M
+    return _ridged(Zr.T @ Zr / Zr.shape[0], ridge)
 
 
 def estimate_priors(labels) -> tuple[float, float]:
@@ -166,6 +185,15 @@ def _factor_spd(M: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     return _symmetrize(inv), float(2.0 * np.sum(np.log(np.diag(L))))
 
 
+def _discriminant_terms(inv, log_det, priors):
+    """``D = inv1 - inv0`` and ``const = log(prior1/prior0) - 0.5*(log_det1 - log_det0)``.
+
+    ``inv`` and ``log_det`` hold class 0's and class 1's inverse and
+    log-determinant, of one model or of a stack of candidates.
+    """
+    return inv[1] - inv[0], np.log(priors[1] / priors[0]) - 0.5 * (log_det[1] - log_det[0])
+
+
 def log_det_spd(M) -> float:
     """Log-determinant of a symmetric positive definite matrix.
 
@@ -191,7 +219,7 @@ class RqdaModel:
 
     Construction checks the priors (each in (0, 1), summing to 1 within
     1e-12), the ridge (a finite number >= 0, stored as a float) and the
-    covariances (square, same-shape, finite, positive definite and
+    covariances (real, square, same-shape, finite, positive definite and
     exactly symmetric), then derives, from one Cholesky factor per
     covariance, the inverses, log-determinants, ``D = inv1 - inv0`` and
     ``const`` (never persisted). It holds its own read-only copies of the
@@ -219,8 +247,10 @@ class RqdaModel:
                 f"priors must lie in (0, 1) and sum to 1, got prior0={p0}, prior1={p1}"
             )
         ridge = float(checked_number(self.ridge, "ridge", 0.0))
-        cov0 = np.array(self.cov0, dtype=float)  # the model's own copies
-        cov1 = np.array(self.cov1, dtype=float)
+        cov0, cov1 = (  # the model's own copies
+            np.array(real_array(cov, f"class {r} covariance must be real, not complex"), dtype=float)
+            for r, cov in enumerate((self.cov0, self.cov1))
+        )
         if cov0.shape != cov1.shape:
             raise ValueError(f"covariances must be same-shape, got {cov0.shape} and {cov1.shape}")
         where = f"covariance (ridge={ridge:g})"
@@ -229,9 +259,9 @@ class RqdaModel:
         for r, cov in enumerate((cov0, cov1)):
             if not (cov == cov.T).all():  # LAPACK reads one triangle; the other must match it
                 raise ValueError(f"class {r} covariance is not symmetric")
-        const = float(np.log(p1 / p0) - 0.5 * (log_det1 - log_det0))
+        D, const = _discriminant_terms((inv0, inv1), (log_det0, log_det1), (p0, p1))
         derived = dict(ridge=ridge, cov0=cov0, cov1=cov1, inv0=inv0, inv1=inv1, log_det0=log_det0,
-                       log_det1=log_det1, D=inv1 - inv0, const=const)
+                       log_det1=log_det1, D=D, const=float(const))
         for name, value in derived.items():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
@@ -293,23 +323,50 @@ def _fit(Z: np.ndarray, rows, priors, ridge: float | None) -> RqdaModel:
     return RqdaModel(*priors, *(_second_moment(Z[r], ridge) for r in rows), ridge)
 
 
-def _stacked_terms(cov: np.ndarray, priors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(D, const, inv)`` of ``k`` candidate models in one pass.
+def _stacked_covariances(matrices, moments, priors, ridge) -> tuple[np.ndarray, np.ndarray]:
+    """``(cov, ridge)`` of the ``k`` candidate models with (k, d, p) projections ``matrices``.
 
-    ``cov`` has shape (2, k, d, d): class 0's and class 1's covariance of
-    each candidate. One stacked Cholesky factor per covariance gives the
-    (2, k, d, d) inverses ``inv`` and the log-determinants, and from them
-    the (k, d, d) ``D`` and (k,) ``const`` of :class:`RqdaModel`'s formula.
-    Nothing is checked, and the results need not round like
-    :class:`RqdaModel`'s; raises ``np.linalg.LinAlgError`` if any
-    covariance has no factor.
+    ``moments`` is (2, p, p), each class's second moment ``S_r'S_r / n_r``
+    of the scores ``S``, and ``priors`` the class proportions. The (2, k,
+    d, d) ``cov`` applies :func:`_fit`'s rules to the transported moments
+    ``A M_r A'``: the covariance rule of :func:`_ridged` with ``ridge``,
+    or, if it is None, with the auto ridge, ``RIDGE_SCALE`` times the mean
+    squared projected score ``tr(A M A') / d`` under the pooled moment
+    ``M = prior0*M_0 + prior1*M_1``. The ridge is returned as used: the
+    given number, or the auto ridges as a (k, 1, 1) array. Transported
+    moments round differently from ``Z_r'Z_r / n_r``, so both equal
+    :func:`_fit`'s only to rounding.
     """
+    cov = matrices @ moments[:, None] @ matrices.swapaxes(1, 2)
+    if ridge is None:  # the prior-weighted mean diagonal entry is the mean squared score
+        ridge = RIDGE_SCALE * np.dot(priors, cov.diagonal(axis1=2, axis2=3).mean(axis=2))[:, None, None]
+    return _ridged(cov, ridge), ridge
+
+
+def _stacked_terms(matrices, moments, priors, ridge) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """``(D, const, scale)`` of the ``k`` candidate models in one pass.
+
+    The arguments are :func:`_stacked_covariances`'s. One stacked Cholesky
+    factor per covariance ``C_r`` gives its inverse and log-determinant,
+    and from them the (k, d, d) ``D`` and (k,) ``const`` of
+    :class:`RqdaModel`'s formula. ``scale`` is a pair of (k,) arrays:
+    when each ``C_r`` moves by a fraction ``eps`` of its largest
+    eigenvalue, a row ``z``'s discriminant moves by at most about
+    ``eps * (scale[0] + scale[1] * |z|^2)``. That is a first-order bound
+    with ``k_r = tr(C_r) tr(C_r^-1) >= cond(C_r)``: ``scale[0] = |const| +
+    d * sum_r k_r`` and ``scale[1] = sum_r k_r tr(C_r^-1)``. Nothing is
+    checked, and the results need not round like :class:`RqdaModel`'s;
+    raises ``np.linalg.LinAlgError`` if any covariance has no factor.
+    """
+    cov, _ = _stacked_covariances(matrices, moments, priors, ridge)
     L = np.linalg.cholesky(cov)
     L_inv = np.linalg.inv(L)
     inv = np.matmul(L_inv.swapaxes(-1, -2), L_inv)
     log_det = 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
-    const = np.log(priors[1] / priors[0]) - 0.5 * (log_det[1] - log_det[0])
-    return inv[1] - inv[0], const, inv
+    D, const = _discriminant_terms(inv, log_det, priors)
+    tr_inv = np.trace(inv, axis1=2, axis2=3)
+    kappa = np.trace(cov, axis1=2, axis2=3) * tr_inv
+    return D, const, (np.abs(const) + cov.shape[-1] * kappa.sum(axis=0), (kappa * tr_inv).sum(axis=0))
 
 
 def stacked_discriminant(Z, D, const) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import qda
-from .errors import checked_int
+from .errors import checked_int, real_array
 
 
 def piecewise_linear_map(breakpoints) -> Callable[[np.ndarray], np.ndarray]:
@@ -124,7 +124,8 @@ class ScenarioSpec:
     oracle and the classification pipeline require an interior prior.
 
     Construction checks ``p`` (an integer >= 1; numpy's is stored as
-    int, bool is rejected), ``prior1``, both correlation matrices and
+    int, bool is rejected), ``prior1``, both correlation matrices (each
+    real, not complex, then as ``_check_correlation_matrix`` says) and
     the maps, keeps read-only copies of ``cov0`` and ``cov1`` (a later
     write to the caller's matrix changes nothing here), and derives from
     them, once, what sampling reads: ``factor0`` and ``factor1``, the
@@ -148,7 +149,8 @@ class ScenarioSpec:
         if not 0.0 <= self.prior1 <= 1.0:
             raise ValueError(f"prior1 must lie in [0, 1], got {self.prior1}")
         for r in (0, 1):
-            cov = np.array(getattr(self, f"cov{r}"), dtype=float)
+            message = f"cov{r} must be real, not complex"
+            cov = np.array(real_array(getattr(self, f"cov{r}"), message), dtype=float)
             factor = _check_correlation_matrix(cov, self.p, f"cov{r}")
             for name, value in ((f"cov{r}", cov), (f"factor{r}", factor)):
                 value.setflags(write=False)

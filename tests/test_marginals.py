@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -201,6 +202,31 @@ def test_one_row_marginal_model_rejects_nan():
     # with one row there is no order to break, so the finiteness check is what catches NaN
     with pytest.raises(ValueError, match="^marginal column 0 has a non-finite value$"):
         MarginalModel(np.array([[np.nan, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (np.ones((3, 2)) + 1j, "marginal table must be real, not complex"),
+        (np.zeros(3), "marginal table must be a non-empty 2-d array, got shape (3,)"),
+        (np.zeros((2, 2, 2)), "marginal table must be a non-empty 2-d array, got shape (2, 2, 2)"),
+        (np.empty((0, 3)), "marginal table must be a non-empty 2-d array, got shape (0, 3)"),
+        (np.empty((4, 0)), "marginal table must be a non-empty 2-d array, got shape (4, 0)"),
+    ],
+    ids=["complex", "one_d", "three_d", "no_rows", "no_columns"],
+)
+def test_marginal_model_rejects_a_malformed_table_at_construction(table, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        MarginalModel(table)
+
+
+def test_marginal_model_converts_an_array_like_table_once():
+    table = [[1.0, 2.0], [3.0, 4.0]]
+    model = MarginalModel(table)
+    assert model.sorted_columns.flags.f_contiguous and not model.sorted_columns.flags.writeable
+    np.testing.assert_array_equal(model.sorted_columns, table)
+    np.testing.assert_array_equal(transform_new(model, [3.0, 3.0]),
+                                  transform_new(MarginalModel(np.array(table)), [3.0, 3.0]))
 
 
 def test_fit_transform_rejects_a_1d_array():

@@ -194,3 +194,11 @@ def test_fence_key_is_derived_read_only_and_never_persisted(tmp_path):
     doc = model_to_dict(fitted)
     assert doc == model_to_dict(loaded)
     assert set(doc["marginals"]) == {"n", "columns"}
+
+
+@pytest.mark.parametrize("name", ["projection", "D", "const"])
+def test_stacked_blocks_reject_a_complex_array_naming_it(name):
+    arrays = dict(projection=np.ones((3, 2)), D=np.zeros((1, 2, 2)), const=np.zeros(1))
+    arrays[name] = arrays[name] + 1j
+    with pytest.raises(ValueError, match=f"^stacked {name} must be real, not complex$"):
+        StackedBlocks(**arrays)

@@ -146,3 +146,8 @@ def test_a_rank_deficient_haar_draw_is_redrawn_from_its_own_generator():
     for k, expected in enumerate([substream(60), rng, substream(62)]):
         np.testing.assert_array_equal(matrices[k], sample_projection(p, d, "haar", expected).matrix)
     np.testing.assert_allclose(matrices[1] @ matrices[1].T, np.eye(d), atol=1e-12)
+
+
+def test_complex_matrix_is_rejected_not_truncated():
+    with pytest.raises(ValueError, match="^projection matrix must be real, not complex$"):
+        Projection(np.ones((1, 3)) + 1j, "haar")

@@ -30,7 +30,9 @@ from rankqda import (
     transform_new,
     vote_fractions,
 )
+from rankqda import qda
 from rankqda.model_io import model_from_dict, model_to_dict
+from rankqda.projections import _sample_matrices
 from rankqda.qda import RIDGE_SCALE, _symmetrize
 from rankqda.rng import substream
 
@@ -216,3 +218,49 @@ def test_spd_inverse_and_log_det_match_scipy_cholesky_bit_for_bit(M):
     expected = _symmetrize(cho_solve((L, True), np.eye(M.shape[0])))
     np.testing.assert_array_equal(inverse_spd(M), expected)
     assert log_det_spd(M) == 2.0 * np.sum(np.log(np.diag(L)))
+
+
+@st.composite
+def candidate_stacks(draw):
+    """Tied probit scores, their labels, a stack of candidates of any flavor and a ridge."""
+    n, p = draw(st.integers(3, 40)), draw(st.integers(1, 6))
+    d, k = draw(st.integers(1, p)), draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = substream(seed)
+    n1 = draw(st.integers(1, n - 1))
+    labels = rng.permutation(np.repeat([0, 1], [n - n1, n1]))
+    X = np.round(rng.standard_normal((n, p)) * draw(st.sampled_from([0.5, 2.0])))  # many ties
+    flavor = draw(st.sampled_from(FLAVORS))
+    matrices = _sample_matrices(p, d, flavor, [substream(seed, c) for c in range(k)])
+    return fit_transform(X)[1], labels, matrices, draw(st.sampled_from([None, 0.0, 0.1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(candidate_stacks())
+def test_stacked_covariances_and_auto_ridge_equal_the_exact_fit(stack):
+    scores, labels, matrices, ridge = stack
+    rows = qda._class_rows(labels)
+    priors = qda._priors(rows)
+    moments = np.stack([qda._second_moment(scores[r], 0.0) for r in rows])
+    cov, ridges = qda._stacked_covariances(matrices, moments, priors, ridge)
+    ridges = np.broadcast_to(ridges, (len(matrices), 1, 1))[:, 0, 0]
+    for c, A in enumerate(matrices):
+        Z = scores @ A.T
+        try:
+            model = qda._fit(Z, rows, priors, ridge)
+            expected_ridge, expected = model.ridge, (model.cov0, model.cov1)
+        except SingularMatrixError:  # the covariances _fit builds, from the public estimator
+            expected_ridge = RIDGE_SCALE * float(np.mean(Z * Z)) if ridge is None else ridge
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                expected = [estimate_projected_covariance(Z, labels, r, expected_ridge) for r in (0, 1)]
+        if ridge is None:
+            np.testing.assert_allclose(ridges[c], expected_ridge, rtol=1e-12, atol=0.0)
+        else:
+            assert ridges[c] == expected_ridge
+        for r in (0, 1):
+            # the rounding scale of both products: |A| (|S_r|'|S_r| / n_r) |A|'
+            S = np.abs(scores[rows[r]])
+            scale = (np.abs(A) @ (S.T @ S / S.shape[0]) @ np.abs(A).T).max() + abs(expected_ridge)
+            np.testing.assert_allclose(cov[r, c], expected[r], rtol=0.0, atol=1e-12 * scale)
+            np.testing.assert_array_equal(cov[r, c], cov[r, c].T)

@@ -327,6 +327,21 @@ def test_model_rejects_an_asymmetric_covariance():
         RqdaModel(0.5, 0.5, [[2.0, 5.0], [0.5, 1.0]], np.eye(2), 0.0)
 
 
+@pytest.mark.parametrize(
+    "cov0, cov1, message",
+    [
+        (np.eye(2) + 0.1j, np.eye(2), "class 0 covariance must be real, not complex"),
+        (np.eye(2), np.eye(2).astype(complex), "class 1 covariance must be real, not complex"),
+        (np.eye(2), np.eye(3), "covariances must be same-shape, got (2, 2) and (3, 3)"),
+    ],
+    ids=["complex_cov0", "complex_cov1_without_imaginary_part", "shapes_differ"],
+)
+def test_model_constructor_rejects_malformed_covariances(cov0, cov1, message):
+    # a complex covariance would otherwise be cast to its real part with only a warning
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        RqdaModel(0.5, 0.5, cov0, cov1, 0.0)
+
+
 def test_empty_matrix_has_an_empty_inverse_and_zero_log_det():
     assert inverse_spd(np.empty((0, 0))).shape == (0, 0)
     assert log_det_spd(np.empty((0, 0))) == 0.0
