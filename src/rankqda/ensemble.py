@@ -60,7 +60,7 @@ from typing import Sequence
 import numpy as np
 
 from . import marginals, projections, qda
-from .errors import SingularMatrixError, TrainingError, checked_int, checked_number, real_array
+from .errors import SingularMatrixError, TrainingError, checked_int, checked_number, freeze, real_array
 from .rng import substream
 
 
@@ -83,12 +83,12 @@ class EnsembleConfig:
 
     def __post_init__(self):
         for name, minimum in (("d", 1), ("b1", 1), ("b2", 1), ("seed", 0)):
-            object.__setattr__(self, name, checked_int(getattr(self, name), name, minimum))
+            freeze(self, **{name: checked_int(getattr(self, name), name, minimum)})
         if self.flavor not in projections.FLAVORS:
             raise ValueError(f"flavor must be one of {projections.FLAVORS}, got {self.flavor!r}")
         for name, high in (("ridge", math.inf), ("alpha", 1.0)):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, checked_number(getattr(self, name), name, 0.0, high))
+                freeze(self, **{name: checked_number(getattr(self, name), name, 0.0, high)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,9 +125,7 @@ class StackedBlocks:
     def __post_init__(self):
         for name in ("projection", "D", "const"):
             message = f"stacked {name} must be real, not complex"
-            value = np.array(real_array(getattr(self, name), message), dtype=float)
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)  # frozen: the one write, at construction
+            freeze(self, **{name: real_array(getattr(self, name), message, copy=True)})
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Block]) -> "StackedBlocks":
@@ -186,17 +184,16 @@ class EnsembleModel:
     stacked: StackedBlocks = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        if len(self.blocks) != self.config.b1:
-            raise ValueError(f"model has {len(self.blocks)} blocks, expected b1={self.config.b1}")
+        blocks = tuple(self.blocks)
+        if len(blocks) != self.config.b1:
+            raise ValueError(f"model has {len(blocks)} blocks, expected b1={self.config.b1}")
         top = float(_alpha_thresholds(self.config.b1)[-1])
         alpha = top if self.alpha == top else checked_number(self.alpha, "alpha", 0.0, 1.0)
-        object.__setattr__(self, "alpha", alpha)
         d, p = self.config.d, self.n_features
         if d > p:
             raise ValueError(f"model needs d <= n_features, got d={d}, n_features={p}")
         shape = (d, p)
-        for k, block in enumerate(self.blocks):
+        for k, block in enumerate(blocks):
             flavor, stream = block.projection.flavor, block.projection.stream
             if flavor not in projections.FLAVORS:
                 raise ValueError(f"block {k} flavor must be one of {projections.FLAVORS}, got {flavor!r}")
@@ -216,7 +213,7 @@ class EnsembleModel:
             for value in stream or ():
                 checked_int(value, f"block {k} stream entry", 0)
             checked_number(block.train_error, f"block {k} train_error", 0.0, 1.0)
-        object.__setattr__(self, "stacked", StackedBlocks.from_blocks(self.blocks))
+        freeze(self, blocks=blocks, alpha=alpha, stacked=StackedBlocks.from_blocks(blocks))
 
     @property
     def n_features(self) -> int:
@@ -246,7 +243,7 @@ def select_alpha(votes, labels, b1: int) -> float:
     stable under float noise in the votes. Ties pick the smallest alpha.
     The errors at all thresholds come from one sort of each class's votes.
     """
-    votes = np.asarray(votes, dtype=float)
+    votes = real_array(votes, "votes must be real, not complex")
     rows = qda._class_rows(labels)
     if votes.shape != (rows[0].size + rows[1].size,):
         raise ValueError(

@@ -1,4 +1,13 @@
-"""Exception types and the value checks shared across the package."""
+"""Exception types and the value checks shared across the package.
+
+Two rules have their one owner here. :func:`real_array` is the one
+converter of outside input to a float array: every model constructor and
+every public numeric entry passes its array arguments through it, so a
+complex array is rejected with the caller's message instead of being cast
+to its real part. :func:`freeze` is the one write of a frozen dataclass
+field: each model type's ``__post_init__`` sets what it checked and
+derived through it, and an array set that way is read-only.
+"""
 
 import math
 import numbers
@@ -47,14 +56,30 @@ def checked_number(value, what: str, low: float = -math.inf, high: float = math.
     return value if isinstance(value, (int, float)) else float(value)
 
 
-def real_array(value, message: str, error: type[ValueError] = ValueError) -> np.ndarray:
-    """``value`` as an array, not yet cast; raises ``error(message)`` if it is complex.
+def real_array(
+    value, message: str, error: type[ValueError] = ValueError, copy: bool = False, order: str = "K"
+) -> np.ndarray:
+    """``value`` as a float array; raises ``error(message)`` if it is complex.
 
     numpy casts a complex array to float by keeping its real part, with
-    only a ``ComplexWarning``, so whatever casts outside input to float
-    passes it through this check first.
+    only a ``ComplexWarning``, so outside input is cast only here. The
+    result is ``value`` itself when that is already a float array in
+    ``order``, unless ``copy`` asks for the caller's own copy.
     """
     array = np.asarray(value)
     if array.dtype.kind == "c":
         raise error(message)
-    return array
+    return array.astype(float, order=order, copy=copy)
+
+
+def freeze(obj, **fields) -> None:
+    """Set each of ``fields`` on the frozen dataclass ``obj``, at construction.
+
+    The one write of a frozen field: ``__post_init__`` sets through it
+    what it checked or derived. An array is marked read-only first, so no
+    caller can write what the object holds.
+    """
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)

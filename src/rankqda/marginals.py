@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import DataError, real_array
+from .errors import DataError, freeze, real_array
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -77,6 +77,8 @@ _FENCE_WIDTH = 16
 # searchsorted per feature. Timed on 2 CPUs, the fence search is faster up
 # to about 24 rows at p=50 and up to about 8 at p=10.
 _FENCE_ROWS = 16
+
+_COMPLEX_FEATURES = "complex feature values are not supported; features must be real"
 
 
 def norm_cdf(z):
@@ -173,8 +175,7 @@ class MarginalModel:
     fence_key: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        message = "marginal table must be real, not complex"
-        table = np.asarray(real_array(self.sorted_columns, message), dtype=float, order="F")
+        table = real_array(self.sorted_columns, "marginal table must be real, not complex", order="F")
         if table.ndim != 2 or 0 in table.shape:
             raise ValueError(f"marginal table must be a non-empty 2-d array, got shape {table.shape}")
         unsorted = np.flatnonzero(~(table[1:] >= table[:-1]).all(axis=0))  # NaN is unsorted
@@ -187,11 +188,7 @@ class MarginalModel:
         scores = inv_norm_cdf(np.arange(1, n + 1) / (n + 1.0))
         # (p, fences) in C order, so column j's fences are one ascending run
         fences = np.arange(p)[:, None] + 1j * table[_FENCE_WIDTH::_FENCE_WIDTH].T
-        # frozen: every field is set here once, at construction
-        for name, value in (("sorted_columns", table), ("score_table", scores),
-                            ("fence_key", fences.ravel())):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        freeze(self, sorted_columns=table, score_table=scores, fence_key=fences.ravel())
 
     @property
     def n_samples(self) -> int:
@@ -200,12 +197,6 @@ class MarginalModel:
     @property
     def n_features(self) -> int:
         return self.sorted_columns.shape[1]
-
-
-def _real_array(x) -> np.ndarray:
-    """``x`` as a float array; complex input is rejected, never truncated to its real part."""
-    message = "complex feature values are not supported; features must be real"
-    return real_array(x, message, DataError).astype(float, copy=False)
 
 
 def _check_finite_matrix(X: np.ndarray) -> None:
@@ -253,7 +244,7 @@ def fit_transform(X) -> tuple[MarginalModel, np.ndarray]:
         of training values <= the entry within its column. All scores
         lie in ``[inv_norm_cdf(1/(n+1)), inv_norm_cdf(n/(n+1))]``.
     """
-    X = _real_array(X)
+    X = real_array(X, _COMPLEX_FEATURES, DataError)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-d feature matrix, got ndim={X.ndim}")
     n, p = X.shape
@@ -278,7 +269,7 @@ def transform_new(model: MarginalModel, x) -> np.ndarray:
 
     Accepts a single p-vector or an (m, p) matrix of rows.
     """
-    x = _real_array(x)
+    x = real_array(x, _COMPLEX_FEATURES, DataError)
     single = x.ndim == 1
     X = x[None, :] if single else x
     if X.ndim != 2 or X.shape[1] != model.n_features:

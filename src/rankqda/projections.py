@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import real_array
+from .errors import freeze, real_array
 
 FLAVORS = ("gaussian", "haar", "axis")
 
@@ -40,9 +40,7 @@ class Projection:
 
     def __post_init__(self):
         message = "projection matrix must be real, not complex"
-        matrix = np.array(real_array(self.matrix, message), dtype=float)
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)  # frozen: the one write, at construction
+        freeze(self, matrix=real_array(self.matrix, message, copy=True))
 
     @property
     def n_components(self) -> int:
@@ -103,8 +101,11 @@ def _sample_matrices(p: int, d: int, flavor: str, rngs) -> np.ndarray:
 
 
 def project(A: Projection, S) -> np.ndarray:
-    """Apply the projection to score rows: row i of the output is A @ S_i."""
-    S = np.asarray(S, dtype=float)
+    """Apply the projection to score rows: row i of the output is A @ S_i.
+
+    Raises ``ValueError`` if ``S`` is complex or its last axis is not p long.
+    """
+    S = real_array(S, "scores must be real, not complex")
     if S.shape[-1] != A.n_features:
         raise ValueError(
             f"score dimension mismatch: projection expects p={A.n_features}, "

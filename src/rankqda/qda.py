@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpotrs
 
-from .errors import SingularMatrixError, TrainingError, checked_number, real_array
+from .errors import SingularMatrixError, TrainingError, checked_number, freeze, real_array
 
 # Auto ridge scale relative to the mean squared projected score.
 RIDGE_SCALE = 1e-6
@@ -105,8 +105,8 @@ def _priors(rows) -> tuple[float, float]:
 
 
 def _split_scores(Z, labels) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """``Z`` as a float (n, d) array and the rows of each class of its n labels."""
-    Z = np.asarray(Z, dtype=float)
+    """``Z`` as a real (n, d) float array and the rows of each class of its n labels."""
+    Z = real_array(Z, "scores must be real, not complex")
     rows = _class_rows(labels)
     n = rows[0].size + rows[1].size
     if Z.ndim != 2 or Z.shape[0] != n:
@@ -198,10 +198,11 @@ def log_det_spd(M) -> float:
     """Log-determinant of a symmetric positive definite matrix.
 
     Computed as twice the log-sum of the Cholesky diagonal. Raises
-    ``ValueError`` if ``M`` is not square or an entry is not finite, and
-    :class:`SingularMatrixError` if the factorization fails.
+    ``ValueError`` if ``M`` is complex or not square or has an entry that
+    is not finite, and :class:`SingularMatrixError` if the factorization
+    fails.
     """
-    return _factor_spd(np.asarray(M, dtype=float), "matrix")[1]
+    return _factor_spd(real_array(M, "matrix must be real, not complex"), "matrix")[1]
 
 
 def inverse_spd(M) -> np.ndarray:
@@ -210,17 +211,18 @@ def inverse_spd(M) -> np.ndarray:
     The result is symmetrized exactly; ``max|M @ inv - I|`` stays below
     1e-8 for reasonably conditioned inputs. Raises as :func:`log_det_spd`.
     """
-    return _factor_spd(np.asarray(M, dtype=float), "matrix")[0]
+    return _factor_spd(real_array(M, "matrix must be real, not complex"), "matrix")[0]
 
 
 @dataclass(frozen=True, eq=False)
 class RqdaModel:
     """Quadratic discriminant for one projection: priors, class covariances, ridge.
 
-    Construction checks the priors (each in (0, 1), summing to 1 within
-    1e-12), the ridge (a finite number >= 0, stored as a float) and the
-    covariances (real, square, same-shape, finite, positive definite and
-    exactly symmetric), then derives, from one Cholesky factor per
+    Construction checks the priors (each a finite number in (0, 1),
+    summing to 1 within 1e-12; a numpy scalar is stored as a float), the
+    ridge (a finite number >= 0, stored as a float) and the covariances
+    (real, square, same-shape, finite, positive definite and exactly
+    symmetric), then derives, from one Cholesky factor per
     covariance, the inverses, log-determinants, ``D = inv1 - inv0`` and
     ``const`` (never persisted). It holds its own read-only copies of the
     covariances and read-only derived arrays, so no caller can write what
@@ -241,14 +243,14 @@ class RqdaModel:
     const: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        p0, p1 = self.prior0, self.prior1
+        p0, p1 = checked_number(self.prior0, "prior0"), checked_number(self.prior1, "prior1")
         if not (0.0 < p0 < 1.0 and 0.0 < p1 < 1.0 and abs(p0 + p1 - 1.0) <= 1e-12):
             raise ValueError(
                 f"priors must lie in (0, 1) and sum to 1, got prior0={p0}, prior1={p1}"
             )
         ridge = float(checked_number(self.ridge, "ridge", 0.0))
         cov0, cov1 = (  # the model's own copies
-            np.array(real_array(cov, f"class {r} covariance must be real, not complex"), dtype=float)
+            real_array(cov, f"class {r} covariance must be real, not complex", copy=True)
             for r, cov in enumerate((self.cov0, self.cov1))
         )
         if cov0.shape != cov1.shape:
@@ -260,12 +262,8 @@ class RqdaModel:
             if not (cov == cov.T).all():  # LAPACK reads one triangle; the other must match it
                 raise ValueError(f"class {r} covariance is not symmetric")
         D, const = _discriminant_terms((inv0, inv1), (log_det0, log_det1), (p0, p1))
-        derived = dict(ridge=ridge, cov0=cov0, cov1=cov1, inv0=inv0, inv1=inv1, log_det0=log_det0,
-                       log_det1=log_det1, D=D, const=float(const))
-        for name, value in derived.items():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            object.__setattr__(self, name, value)  # frozen: the one write, at construction
+        freeze(self, prior0=p0, prior1=p1, ridge=ridge, cov0=cov0, cov1=cov1, inv0=inv0, inv1=inv1,
+               log_det0=log_det0, log_det1=log_det1, D=D, const=float(const))
 
     @property
     def dim(self) -> int:
@@ -294,8 +292,9 @@ def fit_rqda(Z, labels, ridge: float | None = None) -> RqdaModel:
     Raises
     ------
     ValueError
-        On labels that are not a 1-d 0/1 array, a row count that differs
-        from the number of labels, or a negative or non-finite ridge.
+        On complex scores, labels that are not a 1-d 0/1 array, a row
+        count that differs from the number of labels, or a ridge that is
+        not a finite number >= 0.
     TrainingError
         On single-class labels.
     SingularMatrixError
@@ -306,6 +305,8 @@ def fit_rqda(Z, labels, ridge: float | None = None) -> RqdaModel:
     rows.
     """
     Z, rows = _split_scores(Z, labels)
+    if ridge is not None:
+        ridge = checked_number(ridge, "ridge", 0.0)
     model = _fit(Z, rows, _priors(rows), ridge)
     _warn_small_classes(rows, Z.shape[1])
     return model
@@ -385,9 +386,9 @@ def discriminant(s, model: RqdaModel):
     """Quadratic discriminant score; >= 0 means class 1.
 
     Accepts a single d-vector (returns a float) or an (m, d) matrix of
-    rows (returns an m-vector).
+    rows (returns an m-vector); complex scores are rejected.
     """
-    s = np.asarray(s, dtype=float)
+    s = real_array(s, "scores must be real, not complex")
     single = s.ndim == 1
     S = s[None, :] if single else s
     if S.ndim != 2 or S.shape[1] != model.dim:

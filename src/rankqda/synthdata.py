@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import qda
-from .errors import checked_int, real_array
+from .errors import checked_int, checked_number, freeze, real_array
 
 
 def piecewise_linear_map(breakpoints) -> Callable[[np.ndarray], np.ndarray]:
@@ -35,9 +35,10 @@ def piecewise_linear_map(breakpoints) -> Callable[[np.ndarray], np.ndarray]:
     strictly increasing coordinates on both axes; the map interpolates
     linearly between knots and extrapolates with the end-segment slopes,
     which must be finite too (an infinite knot or slope would make the
-    map constant or infinite).
+    map constant or infinite). Complex breakpoints or map inputs are
+    rejected.
     """
-    pts = np.asarray(breakpoints, dtype=float)
+    pts = real_array(breakpoints, "breakpoints must be real, not complex")
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise ValueError("breakpoints must be a sequence of at least two (x, y) pairs")
     if not np.isfinite(pts).all():
@@ -52,7 +53,7 @@ def piecewise_linear_map(breakpoints) -> Callable[[np.ndarray], np.ndarray]:
     xs, ys = pts[:, 0], pts[:, 1]
 
     def apply(s):
-        s = np.asarray(s, dtype=float)
+        s = real_array(s, "map input must be real, not complex")
         out = np.array(np.interp(s, xs, ys))
         # each end line only where it applies: elsewhere it can overflow
         below, above = s < xs[0], s > xs[-1]
@@ -64,9 +65,9 @@ def piecewise_linear_map(breakpoints) -> Callable[[np.ndarray], np.ndarray]:
 
 
 MARGINAL_MAPS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "identity": lambda s: np.asarray(s, dtype=float),
+    "identity": lambda s: real_array(s, "map input must be real, not complex"),
     "exp": np.exp,
-    "cube": lambda s: np.asarray(s, dtype=float) ** 3,
+    "cube": lambda s: real_array(s, "map input must be real, not complex") ** 3,
 }
 
 
@@ -124,7 +125,8 @@ class ScenarioSpec:
     oracle and the classification pipeline require an interior prior.
 
     Construction checks ``p`` (an integer >= 1; numpy's is stored as
-    int, bool is rejected), ``prior1``, both correlation matrices (each
+    int, bool is rejected), ``prior1`` (a finite number in [0, 1]; a
+    numpy scalar is stored as a float), both correlation matrices (each
     real, not complex, then as ``_check_correlation_matrix`` says) and
     the maps, keeps read-only copies of ``cov0`` and ``cov1`` (a later
     write to the caller's matrix changes nothing here), and derives from
@@ -144,20 +146,13 @@ class ScenarioSpec:
     maps: tuple[Callable[[np.ndarray], np.ndarray], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        # frozen: each field is written here once, at construction
-        object.__setattr__(self, "p", checked_int(self.p, "p", 1))
-        if not 0.0 <= self.prior1 <= 1.0:
-            raise ValueError(f"prior1 must lie in [0, 1], got {self.prior1}")
+        freeze(self, p=checked_int(self.p, "p", 1), prior1=checked_number(self.prior1, "prior1", 0.0, 1.0))
         for r in (0, 1):
-            message = f"cov{r} must be real, not complex"
-            cov = np.array(real_array(getattr(self, f"cov{r}"), message), dtype=float)
-            factor = _check_correlation_matrix(cov, self.p, f"cov{r}")
-            for name, value in ((f"cov{r}", cov), (f"factor{r}", factor)):
-                value.setflags(write=False)
-                object.__setattr__(self, name, value)
+            cov = real_array(getattr(self, f"cov{r}"), f"cov{r} must be real, not complex", copy=True)
+            freeze(self, **{f"cov{r}": cov, f"factor{r}": _check_correlation_matrix(cov, self.p, f"cov{r}")})
         if not (isinstance(self.marginal_maps, str) or callable(self.marginal_maps)):
-            object.__setattr__(self, "marginal_maps", tuple(self.marginal_maps))
-        object.__setattr__(self, "maps", tuple(_resolve_maps(self.marginal_maps, self.p)))
+            freeze(self, marginal_maps=tuple(self.marginal_maps))
+        freeze(self, maps=tuple(_resolve_maps(self.marginal_maps, self.p)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,6 +39,7 @@ from rankqda.model_io import model_to_dict
 from rankqda.projections import Projection
 from rankqda.qda import fit_rqda
 from rankqda.rng import substream
+from rankqda.synthdata import MARGINAL_MAPS, piecewise_linear_map
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "toy8_model.json"
 
@@ -594,3 +595,29 @@ def test_complex_features_are_rejected_at_every_entry_point(entry):
     }
     with pytest.raises(DataError, match="^complex feature values are not supported; features must be real$"):
         calls[entry]()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda c: project(sample_projection(3, 2, "haar", substream(1)), np.ones((4, 3)) + c), "scores"),
+        (lambda c: qda.discriminant(np.ones(2) + c, model_from_parameters(0.5, np.eye(2), np.eye(2))), "scores"),
+        (lambda c: rqda_classify(np.ones((3, 2)) + c, model_from_parameters(0.5, np.eye(2), np.eye(2))), "scores"),
+        (lambda c: fit_rqda(np.arange(8.0).reshape(4, 2) + c, [0, 1, 0, 1], 0.1), "scores"),
+        (lambda c: qda.estimate_projected_covariance(np.arange(8.0).reshape(4, 2) + c, [0, 1, 0, 1], 0), "scores"),
+        (lambda c: select_alpha(np.full(4, 0.5) + c, [0, 1, 0, 1], 2), "votes"),
+        (lambda c: qda.inverse_spd(np.eye(2) + c), "matrix"),
+        (lambda c: qda.log_det_spd(np.eye(2) + c), "matrix"),
+        (lambda c: piecewise_linear_map([(0.0, 0.0), (1.0, 1.0 + c)]), "breakpoints"),
+        (lambda c: piecewise_linear_map([(0.0, 0.0), (1.0, 1.0)])(np.zeros(2) + c), "map input"),
+        (lambda c: MARGINAL_MAPS["cube"](np.zeros(2) + c), "map input"),
+    ],
+    ids=["project", "discriminant", "rqda_classify", "fit_rqda", "estimate_projected_covariance",
+         "select_alpha", "inverse_spd", "log_det_spd", "piecewise_linear_map", "piecewise_map_input",
+         "cube_map_input"],
+)
+@pytest.mark.parametrize("imaginary", [0.5j, 0j], ids=["complex", "zero_imaginary_part"])
+def test_complex_arrays_are_rejected_at_every_numeric_entry(call, message, imaginary):
+    # a cast to float would keep only the real part, with only a ComplexWarning
+    with pytest.raises(ValueError, match=f"^{message} must be real, not complex$"):
+        call(imaginary)

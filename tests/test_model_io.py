@@ -14,6 +14,7 @@ from rankqda import (
     cli,
     load_model,
     model_io,
+    qda,
     save_model,
     train_ensemble,
     vote_fractions,
@@ -315,6 +316,18 @@ def test_numpy_integer_block_metadata_saves_as_plain_ints(tmp_path):
     save_model(model, tmp_path / "plain.json")
     save_model(numpy_model, tmp_path / "numpy.json")
     assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+def test_hand_built_model_with_float32_priors_saves_and_reloads_to_an_equal_model(tmp_path):
+    model = load_model(DATA_DIR / "toy8_model.json")
+    block = model.blocks[0]
+    priors = np.float32(0.5), np.float32(0.5)
+    numpy_block = dataclasses.replace(
+        block, model=qda.RqdaModel(*priors, block.model.cov0, block.model.cov1, block.model.ridge)
+    )
+    numpy_model = dataclasses.replace(model, blocks=[numpy_block])
+    save_model(numpy_model, tmp_path / "model.json")
+    assert model_to_dict(load_model(tmp_path / "model.json")) == model_to_dict(numpy_model)
 
 
 def test_file_whose_alpha_is_the_top_threshold_loads():

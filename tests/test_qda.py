@@ -251,6 +251,7 @@ class TestFitRqda:
         ([[0, 1], [1, 0]], 2, None, ValueError, "labels must be a non-empty 1-d array"),
         ([0, 1, 0, 1], 5, None, ValueError, "scores and labels disagree: (5, 2) rows vs 4 labels"),
         ([0, 1, 0, 1, 0, 1], 6, -1.0, ValueError, "ridge must be >= 0, got -1.0"),
+        ([0, 1, 0, 1, 0, 1], 6, "0.1", ValueError, "ridge must be a finite number, got '0.1'"),
         ([1, 1, 1, 1], 4, None, TrainingError, "degenerate class distribution: all 4 labels are 1"),
     ],
 )
@@ -279,6 +280,21 @@ def test_fit_rqda_rank_warning_points_at_its_caller():
 def test_model_constructor_rejects_a_bad_ridge(ridge, message):
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         RqdaModel(0.5, 0.5, np.eye(2), np.eye(2), ridge)
+
+
+@pytest.mark.parametrize(
+    "prior0, prior1, message",
+    [
+        ("0.5", 0.5, "prior0 must be a finite number, got '0.5'"),
+        (0.5 + 0j, 0.5, "prior0 must be a finite number, got (0.5+0j)"),
+        (0.5, "0.5", "prior1 must be a finite number, got '0.5'"),
+        (0.7, 0.5, "priors must lie in (0, 1) and sum to 1, got prior0=0.7, prior1=0.5"),
+    ],
+    ids=["string_prior0", "complex_prior0", "string_prior1", "not_summing_to_one"],
+)
+def test_model_constructor_rejects_a_bad_prior_with_one_value_error(prior0, prior1, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        RqdaModel(prior0, prior1, np.eye(2), np.eye(2), 0.0)
 
 
 class TestRqdaClassify:

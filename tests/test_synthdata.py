@@ -132,12 +132,16 @@ class TestScenarioSpecValidation:
         "kwargs, message",
         [
             (dict(cov0=np.eye(3) + 0j), "cov0 must be real, not complex"),
+            (dict(prior1="0.5"), "prior1 must be a finite number, got '0.5'"),
+            (dict(prior1=0.5 + 0j), "prior1 must be a finite number, got (0.5+0j)"),
+            (dict(prior1=1.5), "prior1 must lie in [0, 1], got 1.5"),
             (dict(cov1=np.eye(2)), "cov1 must have shape (3, 3), got (2, 2)"),
             (dict(cov1=[[1.0, 0.5, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 1.0]]), "cov1 must be symmetric"),
             (dict(maps=["exp", "cube"]), "expected 3 per-feature marginal maps, got 2"),
             (dict(maps=["exp", 3, "cube"]), "marginal map must be a name or callable, got 3"),
         ],
-        ids=["complex_cov0", "cov1_shape", "asymmetric_cov1", "maps_length", "map_of_no_kind"],
+        ids=["complex_cov0", "string_prior1", "complex_prior1", "prior1_above_one", "cov1_shape",
+             "asymmetric_cov1", "maps_length", "map_of_no_kind"],
     )
     def test_malformed_spec_rejected_naming_the_problem(self, kwargs, message):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
