@@ -317,11 +317,9 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
     labels = np.asarray(labels)
     rows = qda._class_rows(labels)
     priors = qda._priors(rows)  # fails fast on one class or one row
-    X = np.asarray(X)  # cast (and complex rejected) in fit_transform
-    if X.ndim == 2 and X.shape[0] != labels.size:
-        raise ValueError(f"X has {X.shape[0]} rows but there are {labels.size} labels")
-
     marginal_model, scores = marginals.fit_transform(X)
+    if scores.shape[0] != labels.size:  # still before any candidate fit
+        raise ValueError(f"X has {scores.shape[0]} rows but there are {labels.size} labels")
     p = marginal_model.n_features
     moments = np.stack([qda._second_moment(scores[r], 0.0) for r in rows])
 

@@ -86,31 +86,34 @@ def norm_cdf(z):
 
     Accepts a scalar or an ndarray; returns the same shape. Exact to
     double precision over the whole real line.
+
+    Raises
+    ------
+    ValueError
+        If the argument is complex.
     """
-    z_arr = np.asarray(z, dtype=float)
-    out = ndtr(z_arr)
-    if z_arr.ndim == 0:
-        return float(out)
-    return out
+    z = real_array(z, "cdf argument must be real, not complex")
+    out = ndtr(z)
+    return float(out) if z.ndim == 0 else out
 
 
 def _acklam(u):
-    """Rational approximation on the lower half (0, 0.5]; callers mirror."""
-    z = np.empty_like(u)
+    """Rational approximation on the lower half (0, 0.5]; callers mirror.
 
-    lo = u < _P_LOW
-    mid = ~lo
-
-    if np.any(lo):
-        q = np.sqrt(-2.0 * np.log(u[lo]))
-        z[lo] = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-                ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    if np.any(mid):
-        q = u[mid] - 0.5
-        r = q * q
-        z[mid] = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
-                 (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-    return z
+    Both regions, the tail below ``_P_LOW`` and the central one, are
+    evaluated on the whole array, and one ``np.where`` picks each entry's
+    region. An entry's value is its region's formula alone, whichever
+    other entries share the array. Over (0, 0.5] neither formula
+    overflows or takes the log of 0, so the unused one raises no warning.
+    """
+    q = np.sqrt(-2.0 * np.log(u))
+    tail = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
+           ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
+    q = u - 0.5
+    r = q * q
+    central = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
+              (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
+    return np.where(u < _P_LOW, tail, central)
 
 
 def inv_norm_cdf(u):
@@ -119,24 +122,25 @@ def inv_norm_cdf(u):
     Rational initial guess refined by one Halley step against
     :func:`norm_cdf`; the result satisfies
     ``|norm_cdf(inv_norm_cdf(u)) - u| <= 1e-12`` for u away from the
-    representable extremes. Accepts a scalar or an ndarray.
+    representable extremes. Accepts a scalar or an ndarray; returns a
+    float for a scalar or a 0-d array, else an array of the same shape.
 
     Raises
     ------
     ValueError
-        If any element is outside the open interval (0, 1).
+        If the argument is complex or any element is outside the open
+        interval (0, 1).
     """
-    u_arr = np.asarray(u, dtype=float)
-    if u_arr.size and not np.all((u_arr > 0.0) & (u_arr < 1.0)):
+    u = real_array(u, "quantile argument must be real, not complex")
+    if u.size and not np.all((u > 0.0) & (u < 1.0)):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
 
     # Work in the lower half and mirror: the residual norm_cdf(z) - q is
     # then a difference of same-scale small numbers, so the Halley step
     # keeps full relative precision even for u near 1 (where computing
     # norm_cdf(z) - u directly would cancel against the 1).
-    flat_u = np.atleast_1d(u_arr).astype(float)
-    upper = flat_u > 0.5
-    q = np.where(upper, 1.0 - flat_u, flat_u)
+    upper = u > 0.5
+    q = np.where(upper, 1.0 - u, u)
 
     z = _acklam(q)
     pdf = np.exp(-0.5 * z * z) / _SQRT_2PI
@@ -145,10 +149,7 @@ def inv_norm_cdf(u):
     r = np.where(safe, resid / np.where(safe, pdf, 1.0), 0.0)
     z = z - r / (1.0 + 0.5 * z * r)
     z = np.where(upper, -z, z)
-
-    if u_arr.ndim == 0:
-        return float(z[0])
-    return z.reshape(u_arr.shape)
+    return float(z) if z.ndim == 0 else z
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,10 +30,6 @@ FORMAT_NAME = "rankqda-ensemble"
 FORMAT_VERSION = 1
 
 
-def _matrix(a) -> list:
-    return np.asarray(a, dtype=float).tolist()
-
-
 def _get(obj, key: str, where: str = "model file"):
     """``obj[key]``, or one ValueError if ``obj`` is no JSON object or lacks ``key``."""
     if not isinstance(obj, dict):
@@ -78,7 +74,7 @@ def model_to_dict(model: ensemble.EnsembleModel) -> dict:
         "marginals": {
             "n": model.marginal_model.n_samples,
             # one sorted array per feature
-            "columns": _matrix(model.marginal_model.sorted_columns.T),
+            "columns": model.marginal_model.sorted_columns.T.tolist(),
         },
         "blocks": [
             {
@@ -87,11 +83,11 @@ def model_to_dict(model: ensemble.EnsembleModel) -> dict:
                 "stream": [int(v) for v in block.projection.stream]
                 if block.projection.stream is not None
                 else None,
-                "matrix": _matrix(block.projection.matrix),
+                "matrix": block.projection.matrix.tolist(),
                 "prior0": block.model.prior0,
                 "prior1": block.model.prior1,
-                "cov0": _matrix(block.model.cov0),
-                "cov1": _matrix(block.model.cov1),
+                "cov0": block.model.cov0.tolist(),
+                "cov1": block.model.cov1.tolist(),
                 "ridge": block.model.ridge,
                 # float(): a hand-built train_error may be a numpy float such as float32
                 "train_error": float(block.train_error),

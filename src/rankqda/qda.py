@@ -272,6 +272,7 @@ class RqdaModel:
 
 def model_from_parameters(prior1: float, cov0, cov1, ridge: float = 0.0) -> RqdaModel:
     """Build a model from known (prior1, cov0, cov1), e.g. a generative oracle."""
+    prior1 = checked_number(prior1, "prior1")  # before 1.0 - prior1 can fail or name prior0
     return RqdaModel(1.0 - prior1, prior1, cov0, cov1, ridge)
 
 

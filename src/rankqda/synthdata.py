@@ -66,7 +66,7 @@ def piecewise_linear_map(breakpoints) -> Callable[[np.ndarray], np.ndarray]:
 
 MARGINAL_MAPS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "identity": lambda s: real_array(s, "map input must be real, not complex"),
-    "exp": np.exp,
+    "exp": lambda s: np.exp(real_array(s, "map input must be real, not complex")),
     "cube": lambda s: real_array(s, "map input must be real, not complex") ** 3,
 }
 
@@ -123,6 +123,9 @@ class ScenarioSpec:
     tuple so a later edit of the caller's list changes nothing here.
     ``prior1`` may sit on the boundary for sampling-only use; the Bayes
     oracle and the classification pipeline require an interior prior.
+    ``seed`` is a provenance label that sampling never reads: the draws
+    come only from the generator passed to :func:`sample_meta_gaussian`
+    or :func:`monte_carlo_bayes_risk`.
 
     Construction checks ``p`` (an integer >= 1; numpy's is stored as
     int, bool is rejected), ``prior1`` (a finite number in [0, 1]; a

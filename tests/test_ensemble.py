@@ -19,8 +19,10 @@ from rankqda import (
     TrainingError,
     classify,
     fit_transform,
+    inv_norm_cdf,
     load_model,
     model_from_parameters,
+    norm_cdf,
     predict,
     project,
     rqda_classify,
@@ -611,10 +613,13 @@ def test_complex_features_are_rejected_at_every_entry_point(entry):
         (lambda c: piecewise_linear_map([(0.0, 0.0), (1.0, 1.0 + c)]), "breakpoints"),
         (lambda c: piecewise_linear_map([(0.0, 0.0), (1.0, 1.0)])(np.zeros(2) + c), "map input"),
         (lambda c: MARGINAL_MAPS["cube"](np.zeros(2) + c), "map input"),
+        (lambda c: MARGINAL_MAPS["exp"](np.zeros(2) + c), "map input"),
+        (lambda c: norm_cdf(np.zeros(2) + c), "cdf argument"),
+        (lambda c: inv_norm_cdf(np.full(2, 0.5) + c), "quantile argument"),
     ],
     ids=["project", "discriminant", "rqda_classify", "fit_rqda", "estimate_projected_covariance",
          "select_alpha", "inverse_spd", "log_det_spd", "piecewise_linear_map", "piecewise_map_input",
-         "cube_map_input"],
+         "cube_map_input", "exp_map_input", "norm_cdf", "inv_norm_cdf"],
 )
 @pytest.mark.parametrize("imaginary", [0.5j, 0j], ids=["complex", "zero_imaginary_part"])
 def test_complex_arrays_are_rejected_at_every_numeric_entry(call, message, imaginary):

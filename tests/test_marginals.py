@@ -71,6 +71,18 @@ class TestInvNormCdf:
             inv_norm_cdf(0.5 + u), -inv_norm_cdf(0.5 - u), rtol=0, atol=1e-12
         )
 
+    def test_scalar_and_array_shapes(self):
+        u = np.random.default_rng(0).random((3, 4, 5))
+        z = inv_norm_cdf(u)
+        assert z.shape == (3, 4, 5)
+        np.testing.assert_array_equal(inv_norm_cdf(u[0, :2, :3]), z[0, :2, :3])  # strided (2, 3)
+        for scalar in (float(u[1, 2, 3]), np.array(u[1, 2, 3])):  # a Python float, a 0-d array
+            out = inv_norm_cdf(scalar)
+            assert type(out) is float
+            assert np.float64(out).tobytes() == z[1, 2, 3].tobytes()
+        assert inv_norm_cdf(np.empty((0, 3))).shape == (0, 3)
+        assert inv_norm_cdf([]).shape == (0,)
+
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.1])
     def test_domain_error(self, bad):
         with pytest.raises(ValueError):

@@ -297,6 +297,13 @@ def test_model_constructor_rejects_a_bad_prior_with_one_value_error(prior0, prio
         RqdaModel(prior0, prior1, np.eye(2), np.eye(2), 0.0)
 
 
+@pytest.mark.parametrize("prior1, shown", [("0.5", "'0.5'"), (math.nan, "nan")], ids=["string", "nan"])
+def test_model_from_parameters_checks_prior1_before_deriving_prior0(prior1, shown):
+    # 1.0 - prior1 would raise a TypeError for a string and name prior0 for a NaN
+    with pytest.raises(ValueError, match="^" + re.escape(f"prior1 must be a finite number, got {shown}") + "$"):
+        model_from_parameters(prior1, np.eye(2), np.eye(2))
+
+
 class TestRqdaClassify:
     def test_boundary_tie_is_class_one(self):
         model = model_from_parameters(0.5, np.eye(2), np.eye(2))

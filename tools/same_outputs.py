@@ -7,7 +7,15 @@ two checkouts and compares the lines:
     PYTHONPATH=src python3 tools/same_outputs.py > head.txt
     diff base.txt head.txt
 
-The scenario lines come first. For each of five scenarios (the desk one,
+The first line hashes the probit pair itself: ``inv_norm_cdf`` over every
+score-table grid ``arange(1, n + 1) / (n + 1)`` for n = 1..2000, 5000,
+20000 and 100000, then over edge values (the smallest subnormal, 0.02425
+where the quantile changes region and both its float neighbours, 0.5 and
+its neighbours, their mirrors near 1), each as an array and as a Python
+scalar, then ``norm_cdf`` on a fixed grid. Every score a model holds is an
+entry of such a table.
+
+The scenario lines come next. For each of five scenarios (the desk one,
 the desk one at prior1=0.3, ``large``, a ``random_correlation_matrix``
 pair at p=6 and a ``piecewise_linear_map`` scenario at p=3), one line
 hashes the bytes of the features, labels and latent scores that
@@ -75,6 +83,21 @@ def scenarios():
         marginal_maps=rq.piecewise_linear_map([(-1.0, -2.0), (0.0, 0.0), (1.0, 3.0)]), seed=5)
 
 
+QUANTILE_EDGES = [5e-324, 2.0**-1022, 1e-300, 1e-16, np.nextafter(0.02425, 0.0), 0.02425,
+                  np.nextafter(0.02425, 1.0), np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0),
+                  np.nextafter(0.97575, 0.0), 0.97575, np.nextafter(0.97575, 1.0), 1.0 - 2.0**-53]
+
+
+def quantile_line() -> str:
+    digest = hashlib.sha256()
+    for n in [*range(1, 2001), 5000, 20000, 100000]:
+        digest.update(rq.inv_norm_cdf(np.arange(1, n + 1) / (n + 1.0)).tobytes())
+    digest.update(rq.inv_norm_cdf(np.array(QUANTILE_EDGES)).tobytes())
+    digest.update(np.array([rq.inv_norm_cdf(float(u)) for u in QUANTILE_EDGES]).tobytes())
+    digest.update(rq.norm_cdf(np.linspace(-40.0, 40.0, 8001)).tobytes())
+    return f"quantile {digest.hexdigest()}"
+
+
 def scenario_lines():
     for name, spec in scenarios():
         for mode, fixed_counts in (("sample", False), ("fixed-counts", True)):
@@ -126,6 +149,7 @@ def configurations():
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        print(quantile_line(), flush=True)
         for line in scenario_lines():
             print(line, flush=True)
         path = os.path.join(tmp, "model.json")
