@@ -8,7 +8,13 @@ votes into a fraction ``nu`` and thresholds it at ``alpha`` (``nu >=
 alpha`` means class 1). The whole pipeline is a pure function of (data,
 config): substreams are keyed by (seed, block, candidate), so the fit is
 reproducible regardless of execution order and could be parallelized
-across the block/candidate grid without changing results.
+across the block/candidate grid without changing results. A fit builds
+no generator per key: :func:`rng._keyed_states` computes the PCG64 state
+of every key in one vectorized pass, and each block's
+:class:`rng._KeyedStreams` sets them in turn on one reused generator, so
+the draws are bit for bit ``substream(seed, block, candidate)``'s. Only a
+``haar`` re-draw, a probability-zero event, builds that key's
+``substream`` again.
 
 A block chooses its candidate in one batch, from moments transported
 through the projections: each class's p x p second moment ``M_r`` of the
@@ -53,6 +59,7 @@ per fit, not once per candidate, about each class too small for a
 full-rank covariance.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -61,7 +68,7 @@ import numpy as np
 
 from . import marginals, projections, qda
 from .errors import SingularMatrixError, TrainingError, checked_int, checked_number, freeze, real_array
-from .rng import substream
+from .rng import _keyed_states, _KeyedStreams, substream
 
 
 @dataclass(frozen=True)
@@ -296,8 +303,10 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
     """Fit the full pipeline: marginals once, then b1 selected blocks.
 
     Each of the b1 x b2 candidates draws its projection from the
-    substream keyed by (seed, block, candidate); a candidate whose
-    covariance is singular at the configured ridge is discarded. Each
+    substream keyed by (seed, block, candidate), whose state comes from
+    one vectorized pass over every key of the fit and is set on one
+    reused generator; a candidate whose covariance is singular at the
+    configured ridge is discarded. Each
     block keeps the candidate with the lowest training error, the lowest
     index on ties. A block where every candidate fails aborts training (a
     silently smaller ensemble would corrupt the vote fractions). Once
@@ -323,10 +332,12 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
     p = marginal_model.n_features
     moments = np.stack([qda._second_moment(scores[r], 0.0) for r in rows])
 
+    states = _keyed_states(config.seed, config.b1, config.b2)
+    generator = np.random.Generator(np.random.PCG64())
     blocks: list[Block] = []
     for b in range(config.b1):
-        rngs = [substream(config.seed, b, c) for c in range(config.b2)]
-        matrices = projections._sample_matrices(p, config.d, config.flavor, rngs)
+        streams = _KeyedStreams(generator, states[b], functools.partial(substream, config.seed, b))
+        matrices = projections._sample_matrices(p, config.d, config.flavor, streams)
         try:
             lower = _lower_bounds(matrices, moments, scores, labels, priors, config.ridge)
         except np.linalg.LinAlgError:

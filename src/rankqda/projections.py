@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import freeze, real_array
+from .rng import _KeyedStreams
 
 FLAVORS = ("gaussian", "haar", "axis")
 
@@ -70,14 +71,17 @@ def sample_projection(
 
 
 def _sample_matrices(p: int, d: int, flavor: str, rngs) -> np.ndarray:
-    """One (d, p) matrix per generator, stacked into a (len(rngs), d, p) array.
+    """One (d, p) matrix per stream, stacked into a (len(rngs), d, p) array.
 
     The one sampling recipe behind :func:`sample_projection` and the
-    ensemble's blocks: matrix k depends only on ``rngs[k]``, and equals
-    what :func:`sample_projection` draws from that generator, because the
-    stacked ``np.linalg.qr`` factors each matrix with the same LAPACK
-    calls as a single one. A ``haar`` draw with a rank-deficient factor
-    is re-drawn from its own generator.
+    ensemble's blocks. ``rngs`` is a sequence of generators, or an
+    :class:`rng._KeyedStreams`, whose streams take turns on one generator.
+    Matrix k depends only on stream k, and equals what
+    :func:`sample_projection` draws from a generator at that stream's
+    start, because the stacked ``np.linalg.qr`` factors each matrix with
+    the same LAPACK calls as a single one. A ``haar`` draw with a
+    rank-deficient factor is re-drawn from its own stream: a generator
+    continues, and a keyed stream restarts and replays its first draw.
     """
     if not 1 <= d <= p:
         raise ValueError(f"projection needs 1 <= d <= p, got d={d}, p={p}")
@@ -95,8 +99,11 @@ def _sample_matrices(p: int, d: int, flavor: str, rngs) -> np.ndarray:
     Q, R = np.linalg.qr(G.transpose(0, 2, 1))
     diag = np.diagonal(R, axis1=1, axis2=2)  # a view, so it follows each re-draw
     for k in np.flatnonzero(~(np.abs(diag) > 1e-12).all(axis=1)):
+        rng = rngs[k]
+        if isinstance(rngs, _KeyedStreams):
+            rng.standard_normal((d, p))  # the rejected draw
         while not (np.abs(diag[k]) > 1e-12).all():
-            Q[k], R[k] = np.linalg.qr(rngs[k].standard_normal((d, p)).T)
+            Q[k], R[k] = np.linalg.qr(rng.standard_normal((d, p)).T)
     return (Q * np.sign(diag)[:, None, :]).transpose(0, 2, 1)
 
 

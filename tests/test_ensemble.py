@@ -36,6 +36,7 @@ from rankqda import (
     vote_fraction,
     vote_fractions,
 )
+from rankqda import ensemble, projections
 from rankqda.ensemble import Block, EnsembleModel
 from rankqda.model_io import model_to_dict
 from rankqda.projections import Projection
@@ -479,7 +480,7 @@ def selection_problems(draw):
         b2=draw(st.integers(1, 8)),
         flavor=draw(st.sampled_from(FLAVORS)),
         ridge=draw(st.sampled_from([None, 0.0, 0.1])),
-        seed=draw(st.integers(0, 1000)),
+        seed=draw(st.integers(0, 1000) | st.sampled_from([2**32 - 1, 2**32, 2**64 + 5])),
     )
     return X, labels, config
 
@@ -549,6 +550,38 @@ def test_a_singular_exact_refit_widens_the_refits_to_the_next_best(monkeypatch):
     chosen = _per_candidate_blocks(X, labels, config, singular=set(enumerate(winners)))
     assert [block.candidate for block in model.blocks] != winners
     _assert_blocks_match(model, chosen)
+
+
+def test_a_forced_haar_redraw_restarts_its_keyed_stream(monkeypatch):
+    # the QR of candidate (1, 2)'s first draw gets a zero diagonal entry, so
+    # training must re-draw it from a restarted stream (seed, 1, 2), as the
+    # per-candidate path re-draws it from substream(seed, 1, 2)
+    X, labels = _two_cluster_data(seed=3)
+    config = EnsembleConfig(d=2, b1=3, b2=4, seed=2**64 + 5)
+    target = substream(config.seed, 1, 2).standard_normal((2, 4)).T
+    qr, hits = np.linalg.qr, []
+
+    def zeroing(a):
+        Q, R = qr(a)
+        for k in np.ndindex(a.shape[:-2]):
+            if np.array_equal(a[k], target):
+                hits.append(k)
+                R[k][0, 0] = 0.0
+        return Q, R
+
+    drawn, sample, restarts, keyed = [], projections._sample_matrices, [], ensemble.substream
+    monkeypatch.setattr(np.linalg, "qr", zeroing)
+    monkeypatch.setattr(projections, "_sample_matrices", lambda *args: drawn.append(sample(*args)) or drawn[-1])
+    monkeypatch.setattr(ensemble, "substream", lambda *key: restarts.append(key) or keyed(*key))
+    model = train_ensemble(X, labels, config)
+    assert (hits, restarts, len(drawn)) == ([(2,)], [(config.seed, 1, 2)], config.b1)
+    np.testing.assert_allclose(drawn[1][2] @ drawn[1][2].T, np.eye(2), atol=1e-12)
+    for b, matrices in enumerate(drawn[:config.b1]):
+        for c, matrix in enumerate(matrices):
+            expected = sample_projection(4, 2, "haar", substream(config.seed, b, c)).matrix
+            assert matrix.tobytes() == expected.tobytes()
+    assert hits == [(2,), (0,)]  # the per-candidate path re-drew the same candidate
+    _assert_blocks_match(model, _per_candidate_blocks(X, labels, config))
 
 
 def _desk_draw():

@@ -33,7 +33,10 @@ d=5, b1=b2=20). Three lines reach the corners of candidate selection: one
 axis coordinate per candidate on the desk draw (repeated coordinates give
 exactly tied errors), a 9-row set at ridge 0 whose class-0 scores are zero
 in column 0 (so the candidates on that column are singular and the others
-are not), and d = p on the desk draw. It uses only the public API, so it
+are not), and d = p on the desk draw. Six small fits (d=3, b1=10, b2=5) on
+the desk draw, one per flavor at seeds 2**32 and 2**64 + 5, reach the
+stream keys whose seed is two and three 32-bit entropy words (a key of
+five words takes ``SeedSequence``'s extra mixing loop). It uses only the public API, so it
 runs against older checkouts too. Library warnings are silenced; they are
 not outputs.
 """
@@ -136,6 +139,10 @@ def configurations():
     X, y, T = drawn(desk_scenario(), 1, 500, 2000)
     yield "desk-axis-d1-ties", X, y, T, rq.EnsembleConfig(d=1, b1=100, b2=20, flavor="axis", seed=1)
     yield "desk-d-equals-p", X, y, T, rq.EnsembleConfig(d=10, b1=20, b2=10, seed=1)
+    for seed in (2**32, 2**64 + 5):
+        for flavor in ("haar", "gaussian", "axis"):
+            yield (f"desk-{flavor}-seed{seed}", X, y, T,
+                   rq.EnsembleConfig(d=3, b1=10, b2=5, flavor=flavor, seed=seed))
     rng = np.random.default_rng(5)
     X, T = rng.standard_normal((9, 5)), rng.standard_normal((50, 5))
     X[:, 0] = [1.0, 2.0, 5.0, 5.0, 5.0, 6.0, 7.0, 8.0, 9.0]  # class 0 ties at the middle rank
