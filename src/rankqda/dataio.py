@@ -12,6 +12,10 @@ yields it, into one flat float buffer, so the first problem in file
 order is the one reported, whether it is a bad cell, a row the CSV
 parser rejects (named by its row, e.g. a field over the parser's size
 limit) or an undecodable byte.
+
+Both writers go through one private CSV write (UTF-8, the csv module's
+default dialect, a header row then the rows), each passing its own row
+generator; floats are written with ``repr``, so they read back exactly.
 """
 
 import csv
@@ -77,26 +81,29 @@ def read_data_csv(path, label_col: str | None = None):
     return np.delete(table, label_idx, axis=1), table[:, label_idx].astype(int)
 
 
+def _write_csv(path, header, rows) -> None:
+    """The one CSV write: UTF-8, the csv module's default dialect, ``header`` then ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_data_csv(path, X, labels, latent=None) -> None:
     """Write features plus a ``label`` column; latent columns are optional."""
     X = np.asarray(X)
     header = [f"x{j}" for j in range(X.shape[1])] + ["label"]
     if latent is not None:
         header += [f"s{j}" for j in range(X.shape[1])]
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for i in range(X.shape[0]):
-            row = [repr(v) for v in X[i].tolist()] + [int(labels[i])]
-            if latent is not None:
-                row += [repr(v) for v in latent[i].tolist()]
-            writer.writerow(row)
+
+    def row(i):
+        values = [repr(v) for v in X[i].tolist()] + [int(labels[i])]
+        return values if latent is None else values + [repr(v) for v in latent[i].tolist()]
+
+    _write_csv(path, header, map(row, range(X.shape[0])))
 
 
 def write_predictions_csv(path, preds, votes) -> None:
     """Write one (pred, vote) row per input row."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["pred", "vote"])
-        for pred, vote in zip(preds, votes):
-            writer.writerow([int(pred), repr(float(vote))])
+    rows = ([int(pred), repr(float(vote))] for pred, vote in zip(preds, votes))
+    _write_csv(path, ["pred", "vote"], rows)

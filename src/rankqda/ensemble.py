@@ -91,8 +91,7 @@ class EnsembleConfig:
     def __post_init__(self):
         for name, minimum in (("d", 1), ("b1", 1), ("b2", 1), ("seed", 0)):
             freeze(self, **{name: checked_int(getattr(self, name), name, minimum)})
-        if self.flavor not in projections.FLAVORS:
-            raise ValueError(f"flavor must be one of {projections.FLAVORS}, got {self.flavor!r}")
+        projections._check_flavor(self.flavor)
         for name, high in (("ridge", math.inf), ("alpha", 1.0)):
             if getattr(self, name) is not None:
                 freeze(self, **{name: checked_number(getattr(self, name), name, 0.0, high)})
@@ -202,8 +201,7 @@ class EnsembleModel:
         shape = (d, p)
         for k, block in enumerate(blocks):
             flavor, stream = block.projection.flavor, block.projection.stream
-            if flavor not in projections.FLAVORS:
-                raise ValueError(f"block {k} flavor must be one of {projections.FLAVORS}, got {flavor!r}")
+            projections._check_flavor(flavor, f"block {k} flavor")
             matrix = block.projection.matrix
             if np.shape(matrix) != shape:
                 raise ValueError(f"block {k} matrix has shape {np.shape(matrix)}, expected {shape}")

@@ -132,7 +132,7 @@ def inv_norm_cdf(u):
         interval (0, 1).
     """
     u = real_array(u, "quantile argument must be real, not complex")
-    if u.size and not np.all((u > 0.0) & (u < 1.0)):
+    if not np.all((u > 0.0) & (u < 1.0)):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
 
     # Work in the lower half and mirror: the residual norm_cdf(z) - q is
@@ -144,9 +144,7 @@ def inv_norm_cdf(u):
 
     z = _acklam(q)
     pdf = np.exp(-0.5 * z * z) / _SQRT_2PI
-    safe = pdf > 0.0
-    resid = ndtr(z) - q
-    r = np.where(safe, resid / np.where(safe, pdf, 1.0), 0.0)
+    r = (ndtr(z) - q) / pdf  # pdf > 0: q >= 5e-324 gives z >= -38.47, where pdf >= 1.8e-322
     z = z - r / (1.0 + 0.5 * z * r)
     z = np.where(upper, -z, z)
     return float(z) if z.ndim == 0 else z

@@ -1,20 +1,22 @@
 """Versioned JSON persistence for fitted ensembles.
 
 Matrices are stored row-major as nested lists; floats round-trip exactly
-through JSON's shortest-repr serialization. A block's priors are read as
-stored and :class:`qda.RqdaModel` derives the inverses and
-log-determinants from its covariances exactly as at fit, so a reloaded
-model holds the saved one's values (its :func:`model_to_dict` is equal)
-and predicts bit-identically; ``==`` on model objects is identity, as
-for every array-holding type of the package. The vote kernel's stacked
-arrays and the marginal score table are never stored.
+through JSON's shortest-repr serialization. A block's priors go to
+:class:`qda.RqdaModel` as stored; it checks them and derives the
+inverses and log-determinants from its covariances exactly as at fit,
+so a reloaded model holds the saved one's values (its
+:func:`model_to_dict` is equal) and predicts bit-identically; ``==`` on
+model objects is identity, as for every array-holding type of the
+package. The vote kernel's stacked arrays and the marginal score table
+are never stored.
 
 Loading checks what only a file gets wrong: keys, JSON types, and the
 shapes of the marginal and covariance arrays. Every value rule has one
 owner, the type built, so fitted, hand-built and loaded objects pass the
 same checks: config values (errors prefixed ``config.``), sorted finite
 marginal columns, block priors, ridge and covariances (finite, positive
-definite, symmetric; prefixed with the block), and the block count,
+definite, symmetric; :class:`qda.RqdaModel`'s text prefixed ``block k: ``),
+and the block count, flavors (through :mod:`projections`' flavor rule),
 covariance size, projection matrices and ``alpha``
 (:class:`ensemble.EnsembleModel`).
 """
@@ -24,7 +26,7 @@ import json
 import numpy as np
 
 from . import ensemble, marginals, projections, qda
-from .errors import checked_int, checked_number
+from .errors import checked_int
 
 FORMAT_NAME = "rankqda-ensemble"
 FORMAT_VERSION = 1
@@ -137,17 +139,14 @@ def model_from_dict(doc: dict) -> ensemble.EnsembleModel:
             flavor=_get(raw, "flavor", where),
             stream=None if stream is None else tuple(_list(stream, f"block {k} stream")),
         )
-        values = {
-            key: float(checked_number(_get(raw, key, where), f"block {k} {key}"))
-            for key in ("prior0", "prior1")
-        }
+        prior0, prior1 = (_get(raw, key, where) for key in ("prior0", "prior1"))
         cov0, cov1 = (
             _numbers(_get(raw, key, where), f"block {k} {key}", (d, d))
             for key in ("cov0", "cov1")
         )
         ridge = _get(raw, "ridge", where)
         try:
-            model = qda.RqdaModel(values["prior0"], values["prior1"], cov0, cov1, ridge)
+            model = qda.RqdaModel(prior0, prior1, cov0, cov1, ridge)
         except ValueError as exc:
             raise type(exc)(f"block {k}: {exc}") from None
         candidate = _get(raw, "candidate", where)

@@ -2,7 +2,9 @@
 
 Three flavors are provided: ``gaussian`` (i.i.d. N(0, 1/d) entries),
 ``haar`` (orthonormalized Gaussian rows, uniformly distributed over the
-Stiefel manifold), and ``axis`` (d distinct coordinates). When a
+Stiefel manifold), and ``axis`` (d distinct coordinates). This module
+owns the flavor rule: configs, model blocks and sampling all check a
+flavor through :func:`_check_flavor`, with one text. When a
 projection ``A`` is applied to scores with class covariance ``C``, the
 projected covariance is ``A C A'``.
 
@@ -24,6 +26,12 @@ from .errors import freeze, real_array
 from .rng import _KeyedStreams
 
 FLAVORS = ("gaussian", "haar", "axis")
+
+
+def _check_flavor(flavor, what: str = "flavor") -> None:
+    """Raise ``ValueError``, naming ``what``, unless ``flavor`` is one of :data:`FLAVORS`."""
+    if flavor not in FLAVORS:
+        raise ValueError(f"{what} must be one of {FLAVORS}, got {flavor!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,8 +93,7 @@ def _sample_matrices(p: int, d: int, flavor: str, rngs) -> np.ndarray:
     """
     if not 1 <= d <= p:
         raise ValueError(f"projection needs 1 <= d <= p, got d={d}, p={p}")
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown projection flavor {flavor!r}; choose from {FLAVORS}")
+    _check_flavor(flavor)
 
     if flavor == "axis":
         matrices = np.zeros((len(rngs), d, p))
@@ -110,8 +117,11 @@ def _sample_matrices(p: int, d: int, flavor: str, rngs) -> np.ndarray:
 def project(A: Projection, S) -> np.ndarray:
     """Apply the projection to score rows: row i of the output is A @ S_i.
 
-    Raises ``ValueError`` if ``S`` is complex or its last axis is not p long.
+    Raises ``ValueError`` if the matrix is not 2-d, or if ``S`` is complex
+    or its last axis is not p long.
     """
+    if A.matrix.ndim != 2:
+        raise ValueError(f"projection matrix must be 2-d, got shape {A.matrix.shape}")
     S = real_array(S, "scores must be real, not complex")
     if S.shape[-1] != A.n_features:
         raise ValueError(

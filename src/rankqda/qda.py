@@ -387,7 +387,8 @@ def discriminant(s, model: RqdaModel):
     """Quadratic discriminant score; >= 0 means class 1.
 
     Accepts a single d-vector (returns a float) or an (m, d) matrix of
-    rows (returns an m-vector); complex scores are rejected.
+    rows (returns an m-vector); complex or non-finite scores are rejected,
+    so no NaN or infinity is turned into a class.
     """
     s = real_array(s, "scores must be real, not complex")
     single = s.ndim == 1
@@ -396,6 +397,8 @@ def discriminant(s, model: RqdaModel):
         raise ValueError(
             f"score dimension mismatch: model expects d={model.dim}, got shape {s.shape}"
         )
+    if not np.isfinite(S).all():
+        raise ValueError("scores have a non-finite value")
     delta = stacked_discriminant(S[:, None, :], model.D[None], np.array([model.const]))[:, 0]
     return float(delta[0]) if single else delta
 

@@ -77,6 +77,12 @@ class TestTrainingError:
         Z = np.zeros((4, 2))
         assert training_error(model, Z, np.array([1, 1, 1, 0])) == 0.25
 
+    def test_non_finite_scores_are_rejected(self):
+        Z = np.zeros((4, 2))
+        Z[2, 1] = np.nan
+        with pytest.raises(ValueError, match="^scores have a non-finite value$"):
+            training_error(self._constant_one_model(), Z, np.array([1, 1, 1, 0]))
+
 
 class TestSelectAlpha:
     def test_grid_midpoint_between_votes(self):

@@ -56,6 +56,10 @@ def _infinite_prior(doc):
     doc["blocks"][0]["prior1"] = float("inf")
 
 
+def _string_prior(doc):
+    doc["blocks"][0]["prior0"] = "0.5"
+
+
 def _reversed_marginal_column(doc):
     doc["marginals"]["columns"][1].reverse()
 
@@ -181,7 +185,8 @@ CASES = {
     "blocks_disagree_on_d": (_second_block_other_d, "block 1 matrix has shape (1, 3)"),
     "covariance_shape": (_cov_wrong_shape, "block 0 cov1 has shape (3, 3), expected (2, 2)"),
     "non_finite_matrix": (_nan_in_matrix, "block 0 matrix has a non-finite value"),
-    "non_finite_prior": (_infinite_prior, "block 0 prior1 must be a finite number"),
+    "non_finite_prior": (_infinite_prior, "block 0: prior1 must be a finite number, got inf"),
+    "string_prior": (_string_prior, "block 0: prior0 must be a finite number, got '0.5'"),
     "unsorted_marginal_column": (_reversed_marginal_column, "marginal column 1 is not sorted"),
     "marginal_column_length": (
         _short_marginal_column, "marginal column 2 has 7 values, expected n=8"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,17 @@ def test_a_rank_deficient_haar_draw_is_redrawn_from_its_own_generator():
     for k, expected in enumerate([substream(60), rng, substream(62)]):
         np.testing.assert_array_equal(matrices[k], sample_projection(p, d, "haar", expected).matrix)
     np.testing.assert_allclose(matrices[1] @ matrices[1].T, np.eye(d), atol=1e-12)
+
+
+def test_unknown_flavor_is_named_with_the_shared_flavor_text():
+    message = "flavor must be one of ('gaussian', 'haar', 'axis'), got 'fourier'"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        sample_projection(3, 1, "fourier", substream(0))
+
+
+def test_project_rejects_a_matrix_that_is_not_2d():
+    with pytest.raises(ValueError, match=r"^projection matrix must be 2-d, got shape \(3,\)$"):
+        project(Projection(np.ones(3), "haar"), np.ones((2, 3)))
 
 
 def test_complex_matrix_is_rejected_not_truncated():

@@ -324,6 +324,14 @@ class TestRqdaClassify:
         out = rqda_classify(np.zeros((5, 2)), model)
         np.testing.assert_array_equal(out, np.ones(5, dtype=int))
 
+    @pytest.mark.parametrize(
+        "s", [[np.nan, 1.0], [[np.inf, 1.0], [0.0, 0.0]]], ids=["nan-row", "infinite-entry"]
+    )
+    def test_non_finite_scores_are_rejected_not_classified(self, s):
+        model = model_from_parameters(0.5, np.eye(2), 2.0 * np.eye(2))
+        with pytest.raises(ValueError, match="^scores have a non-finite value$"):
+            rqda_classify(np.array(s), model)
+
 
 @pytest.mark.parametrize(
     "build, message",

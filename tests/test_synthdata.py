@@ -281,6 +281,10 @@ class TestBayesOracle:
         with pytest.raises(ValueError, match="strictly inside"):
             bayes_oracle_classify(np.zeros(3), _spec(prior1=1.0))
 
+    def test_non_finite_scores_are_rejected_not_classified(self):
+        with pytest.raises(ValueError, match="^scores have a non-finite value$"):
+            bayes_oracle_classify(np.array([np.nan, 0.0]), _spec(p=2))
+
 
 class TestMonteCarloBayesRisk:
     def test_identical_classes_risk_half(self):

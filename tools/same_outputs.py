@@ -36,9 +36,18 @@ in column 0 (so the candidates on that column are singular and the others
 are not), and d = p on the desk draw. Six small fits (d=3, b1=10, b2=5) on
 the desk draw, one per flavor at seeds 2**32 and 2**64 + 5, reach the
 stream keys whose seed is two and three 32-bit entropy words (a key of
-five words takes ``SeedSequence``'s extra mixing loop). It uses only the public API, so it
-runs against older checkouts too. Library warnings are silenced; they are
-not outputs.
+five words takes ``SeedSequence``'s extra mixing loop).
+
+The last line hashes the bytes the two CSV writers produce:
+``dataio.write_data_csv`` on the desk draw with its latent columns, then
+``dataio.write_predictions_csv`` on the first configuration's held-out
+predictions.
+
+It uses only the public API, so it runs against older checkouts too. The
+library's ``UserWarning`` (a class too small for a full-rank covariance)
+is silenced, since it is not an output; any other warning is left to the
+interpreter's filters, so ``PYTHONWARNINGS=error::RuntimeWarning`` turns
+an overflow or an invalid value into a failure.
 """
 
 import hashlib
@@ -50,6 +59,7 @@ import warnings
 import numpy as np
 
 import rankqda as rq
+from rankqda import dataio
 from rankqda.rng import substream
 
 
@@ -153,13 +163,25 @@ def configurations():
     yield "large", X, y, T, rq.EnsembleConfig(d=5, b1=20, b2=20, seed=42)
 
 
+def writers_line(tmp: str, model, T) -> str:
+    data = rq.sample_meta_gaussian(2000, desk_scenario(), substream(11, 3))
+    data_path, preds_path = os.path.join(tmp, "data.csv"), os.path.join(tmp, "preds.csv")
+    dataio.write_data_csv(data_path, data.features, data.labels, latent=data.latent)
+    dataio.write_predictions_csv(preds_path, *rq.predict(model, T))
+    digest = hashlib.sha256()
+    for path in (data_path, preds_path):
+        with open(path, "rb") as f:
+            digest.update(f.read())
+    return f"writers {digest.hexdigest()}"
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         print(quantile_line(), flush=True)
         for line in scenario_lines():
             print(line, flush=True)
-        path = os.path.join(tmp, "model.json")
+        path, first = os.path.join(tmp, "model.json"), None
         for name, X, y, T, config in configurations():
             model = rq.train_ensemble(X, y, config)
             rq.save_model(model, path)
@@ -168,6 +190,8 @@ def main() -> int:
             digest.update(rq.vote_fractions(model, T).tobytes())
             digest.update(np.array([rq.vote_fraction(model, t) for t in T[:200]]).tobytes())
             print(f"{name} {digest.hexdigest()}", flush=True)
+            first = first or (model, T)
+        print(writers_line(tmp, *first), flush=True)
     return 0
 
 
