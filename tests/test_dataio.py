@@ -3,12 +3,14 @@
 import csv
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankqda import dataio
 from rankqda.dataio import read_data_csv, write_data_csv, write_predictions_csv
 from rankqda.errors import DataError
 
@@ -248,3 +250,130 @@ def test_write_predictions_csv_reads_back_exactly(tmp_path_factory, rows):
     assert header == ["pred", "vote"]
     assert [int(pred) for pred, _ in body] == preds.tolist()
     np.testing.assert_array_equal(_bits([float(vote) for _, vote in body]), _bits(votes))
+
+
+def test_a_duplicated_label_column_is_an_error_not_a_feature(tmp_path):
+    path = _csv(tmp_path, "x0,label,label\n1.5,0,7\n2.5,1,9\n")
+    message = f"label column 'label' appears 2 times in {path}"
+    with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
+        read_data_csv(path, "label")
+
+
+def _outcome(read, path, label_col):
+    """What a reader returns, as bits, or the type and text of what it raises."""
+    try:
+        X, y = read(path, label_col)
+    except ValueError as exc:  # DataError and UnicodeDecodeError included
+        return type(exc), str(exc)
+    return X.shape, _bits(X).tobytes(), None if y is None else (y.dtype, y.tolist())
+
+
+_PLAIN_EDGE_CELLS = ["-0", "5.", "+.5e-3", "1E5", "5e-324", "-2.2250738585072014e-308",
+                     "1.7976931348623157e308", "-1.7976931348623157e308"]
+_plain_cells = st.one_of(
+    st.sampled_from(_PLAIN_EDGE_CELLS), st.floats(allow_nan=False, allow_infinity=False).map(repr)
+)
+_labels = st.sampled_from(["0", "1", "-0", "1.0", "+1e0"])
+_accepted_cells = st.sampled_from(['"1.5"', " 2.5", "3.5\t", "\u00a04.5", " -0 "])
+_rejected_cells = st.sampled_from(["nan", "1_000", "１２", "", "1" * 131073])
+_plain_rejected_cells = st.sampled_from(["1e999", "-1e400", "1.2.3", "1e", "-", "1,"])
+_PROBLEMS = st.sampled_from(["accepted cell", "rejected cell", "short row", "blank line", "duplicate label",
+                             "xff byte"])
+_PLAIN_PROBLEMS = st.sampled_from(["plain rejected cell", "bad label"])  # the bulk route's own checks
+
+
+@st.composite
+def _any_files(draw):
+    """Bytes of a plain data file with up to two of the loop's cases put in at any row."""
+    p = draw(st.integers(1, 3))
+    label_at = draw(st.integers(0, p))
+    header = [f"x{j}" for j in range(p)]
+    header.insert(label_at, "label")
+    rows = [[draw(_labels if j == label_at else _plain_cells) for j in range(p + 1)]
+            for _ in range(draw(st.integers(0, 10)))]
+    blanks, xff = [], None
+    for problem in draw(st.lists(st.one_of(_PROBLEMS, _PLAIN_PROBLEMS), max_size=2)):
+        if problem == "duplicate label":
+            header.append("label")
+            rows = [row + ["7"] for row in rows]
+        elif problem == "xff byte":
+            xff = draw(st.floats(0, 1))
+        elif problem == "blank line":
+            blanks.append((draw(st.integers(0, len(rows) + 1)), draw(st.sampled_from(["", " ", " \t "]))))
+        elif rows:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            if problem == "short row":
+                row.pop()
+            elif problem == "bad label":
+                row[label_at] = draw(st.sampled_from(["2", "0.5", "-1", "1e999"]))
+            else:
+                cells = {"accepted cell": _accepted_cells, "rejected cell": _rejected_cells,
+                         "plain rejected cell": _plain_rejected_cells}[problem]
+                row[draw(st.integers(0, len(row) - 1))] = draw(cells)
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    for at, line in sorted(blanks, reverse=True):
+        lines.insert(at, line)
+    data = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines).encode("utf-8")
+    if xff is not None:
+        at = int(xff * len(data))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=_any_files(), label_col=st.sampled_from(["label", None]), block=st.integers(1, 4))
+def test_bulk_blocks_read_like_the_per_cell_loop(tmp_path_factory, data, label_col, block):
+    path = tmp_path_factory.mktemp("differential") / "data.csv"
+    path.write_bytes(data)
+    with mock.patch.object(dataio, "_BLOCK", block):
+        assert _outcome(read_data_csv, path, label_col) == _outcome(dataio._read_loop, path, label_col)
+
+
+def _rows(n, bad_row=None, bad_cell=None, bad_col=0):
+    rows = [[f"{i}.5", str(i % 2)] for i in range(n)]
+    if bad_row is not None:
+        rows[bad_row][bad_col] = bad_cell
+    return "x0,label\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize(
+    "cell, col, message",
+    [
+        ("1e999", 0, "non-finite value '1e999' at row 9, column 'x0'"),
+        ("1.2.3", 0, "non-numeric value '1.2.3' at row 9, column 'x0'"),
+        ("2", 1, "labels must be 0/1; row 9 has 'label'=2"),
+    ],
+    ids=["non_finite", "non_numeric", "bad_label"],
+)
+def test_a_bad_cell_in_a_later_block_names_its_file_row(tmp_path, monkeypatch, cell, col, message):
+    monkeypatch.setattr(dataio, "_BLOCK", 4)
+    path = _csv(tmp_path, _rows(12, bad_row=9, bad_cell=cell, bad_col=col))
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        read_data_csv(path, "label")
+
+
+def test_a_bad_cell_in_block_0_wins_over_an_undecodable_byte_in_block_1(tmp_path, monkeypatch):
+    # the undecodable byte lies past the first 8 KiB decode chunk, as in the loop's own test
+    monkeypatch.setattr(dataio, "_BLOCK", 4)
+    data = _rows(4, bad_row=1, bad_cell="1e999").encode() + b"1.5,0\n" * 2000 + b"\xff,1\n"
+    path = _csv_bytes(tmp_path, data)
+    message = "non-finite value '1e999' at row 1, column 'x0'"
+    with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
+        read_data_csv(path, "label")
+
+
+def test_a_plain_file_with_a_padded_last_line_reads_like_the_loop(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataio, "_BLOCK", 4)
+    path = _csv(tmp_path, _rows(10) + " 10.5 , 1 \n")
+    X, y = read_data_csv(path, "label")
+    np.testing.assert_array_equal(X[:, 0], np.arange(11) + 0.5)
+    assert y.tolist() == [i % 2 for i in range(10)] + [1]
+    assert _outcome(read_data_csv, path, "label") == _outcome(dataio._read_loop, path, "label")
+
+
+def test_a_plain_file_never_reaches_the_loop(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataio, "_BLOCK", 4)
+    monkeypatch.setattr(dataio, "_read_loop", None)  # calling it would raise TypeError
+    X, y = read_data_csv(_csv_bytes(tmp_path, _rows(10).replace("\n", "\r\n").encode()), "label")
+    np.testing.assert_array_equal(X[:, 0], np.arange(10) + 0.5)
+    assert y.tolist() == [i % 2 for i in range(10)]

@@ -38,10 +38,16 @@ the desk draw, one per flavor at seeds 2**32 and 2**64 + 5, reach the
 stream keys whose seed is two and three 32-bit entropy words (a key of
 five words takes ``SeedSequence``'s extra mixing loop).
 
-The last line hashes the bytes the two CSV writers produce:
+The ``writers`` line hashes the bytes the two CSV writers produce:
 ``dataio.write_data_csv`` on the desk draw with its latent columns, then
 ``dataio.write_predictions_csv`` on the first configuration's held-out
 predictions.
+
+The last line, ``reader``, hashes what ``dataio.read_data_csv`` returns: the
+bytes of ``(X, y)`` for a 20000-row desk draw with latent columns as
+``dataio.write_data_csv`` writes it (several read blocks), then for the
+same file with its cells quoted or padded, then the type and text of
+each error a few bad files raise, with the temporary directory removed.
 
 It uses only the public API, so it runs against older checkouts too. The
 library's ``UserWarning`` (a class too small for a full-rank covariance)
@@ -175,6 +181,48 @@ def writers_line(tmp: str, model, T) -> str:
     return f"writers {digest.hexdigest()}"
 
 
+BAD_FILES = [
+    ("late-non-finite", b"x0,label\n" + b"1.5,0\n" * 15000 + b"1e999,1\n"),
+    ("late-bad-label", b"x0,label\n" + b"1.5,0\n" * 15000 + b"1.5,2\n"),
+    ("short-row", b"x0,x1,label\n1.5,2.5,0\n1.5,1\n"),
+    ("missing-value", b"x0,label\n1.5,0\n ,1\n"),
+    ("no-label", b"x0,x1\n1.5,2.5\n"),
+    ("header-only", b"x0,label\n"),
+    ("empty", b"\n\n"),
+    ("over-field-limit", b"x0,label\n1.5,0\n" + b"1" * 131073 + b",1\n"),
+    ("undecodable", b"x0,label\n1.5,0\n\xff,1\n"),
+]
+
+
+def reader_line(tmp: str) -> str:
+    data = rq.sample_meta_gaussian(20000, desk_scenario(), substream(11, 6))
+    plain, padded = os.path.join(tmp, "plain.csv"), os.path.join(tmp, "padded.csv")
+    dataio.write_data_csv(plain, data.features, data.labels, latent=data.latent)
+    with open(plain, encoding="utf-8", newline="") as f:
+        header, *rows = f.read().splitlines(keepends=True)
+    with open(padded, "w", encoding="utf-8", newline="") as f:
+        f.write(header)
+        for row in rows:  # odd columns quoted, even ones padded
+            cells = row.rstrip("\r\n").split(",")
+            f.write(",".join(f'"{c}"' if j % 2 else f" {c}\t" for j, c in enumerate(cells)) + "\r\n")
+    digest = hashlib.sha256()
+    for path in (plain, padded):
+        X, y = dataio.read_data_csv(path, "label")
+        digest.update(X.tobytes())
+        digest.update(y.astype(np.int64).tobytes())
+    for name, data in BAD_FILES:
+        path = os.path.join(tmp, f"{name}.csv")
+        with open(path, "wb") as f:
+            f.write(data)
+        try:
+            dataio.read_data_csv(path, "label")
+            outcome = "read"
+        except ValueError as exc:  # DataError and UnicodeDecodeError included
+            outcome = f"{type(exc).__name__}: {str(exc).replace(tmp, '')}"
+        digest.update(outcome.encode())
+    return f"reader {digest.hexdigest()}"
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -192,6 +240,7 @@ def main() -> int:
             print(f"{name} {digest.hexdigest()}", flush=True)
             first = first or (model, T)
         print(writers_line(tmp, *first), flush=True)
+        print(reader_line(tmp), flush=True)
     return 0
 
 
