@@ -8,19 +8,20 @@ imputed). Blank lines are skipped anywhere in the file, as ``np.loadtxt``
 does, and row numbers in messages count data rows only; a line holding
 only spaces is a row with one field, not a blank line.
 
-A file is read by one of two routes into one flat float buffer, with
-the same values either way. A plain file, whose data lines hold only
-digits, ``eE+-.`` and commas and whose label column appears once, is
-parsed ``_BLOCK`` lines at a time by ``np.loadtxt``. Any other file is
-read by the per-cell loop, which checks and parses each row as the CSV
-parser yields it, so the first problem in file order is the one
-reported, whether it is a bad cell, a row the CSV parser rejects (named
-by its row, e.g. a field over the parser's size limit) or an
-undecodable byte. The loop is the one owner of the number grammar and
-of every message: a block that is not plain, or that fails to parse or
-check, sends the whole file back to the loop from its first line. A
-file that turns non-plain late so pays for the bulk pass up to that
-block before the loop reads it.
+A file is read in one pass into one flat float buffer. It is opened
+once, with bytes UTF-8 cannot decode kept as U+DC80-U+DCFF
+(``errors="surrogateescape"``), so decoding never fails ahead of the CSV
+parser and such a byte is reported where the reader reaches it. Data
+lines are taken ``_BLOCK`` at a time. A plain block, whose lines hold
+only digits, ``eE+-.`` and commas, is parsed by ``np.loadtxt`` and
+checked for width, finiteness and 0/1 labels. At the first block that is
+not plain or fails a check, the per-cell loop takes over: it reads that
+block's lines and the rest of the file, checks and parses each row as
+the CSV parser yields it, and numbers rows on from those already read.
+The loop is the one owner of the number grammar and of every message,
+so the first problem in file order is the one reported, whether it is a
+bad cell, an undecodable byte, or a row the CSV parser rejects (named by
+its row, e.g. a field over the parser's size limit).
 
 Both writers go through one private CSV write (UTF-8, the csv module's
 default dialect, a header row then the rows), each passing its own row
@@ -31,7 +32,7 @@ import csv
 import math
 import re
 from array import array
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .errors import DataError
 
 _BLOCK = 8192  # data lines per bulk block
 _PLAIN_LINE = re.compile(r"[0-9eE+\-.,]+\r?\n?")
+_UNDECODABLE = re.compile("[\udc80-\udcff]")  # a byte UTF-8 cannot decode, under surrogateescape
 
 
 def read_data_csv(path, label_col: str | None = None):
@@ -48,105 +50,104 @@ def read_data_csv(path, label_col: str | None = None):
     Returns ``(X, y)``: ``X`` holds the other columns in file order, ``y``
     the 0/1 labels as ints, or None when ``label_col`` is None.
     """
-    return _read_bulk(path, label_col) or _read_loop(path, label_col)
-
-
-def _split(values, n_cols: int, label_idx):
-    """``(X, y)`` from a flat row-major buffer of ``n_cols`` columns."""
-    table = np.frombuffer(values).reshape(-1, n_cols)
+    values = array("d")
+    with open(path, "r", newline="", encoding="utf-8", errors="surrogateescape") as f:
+        try:
+            header = next(filter(None, csv.reader(f)), None)  # a blank line is a record with no fields
+        except csv.Error as exc:
+            raise DataError(f"header of {path}: {exc}") from None
+        if header is None:
+            raise DataError(f"empty data file: {path}")
+        header = [h.strip() for h in header]
+        if byte := _undecodable("".join(header)):
+            raise DataError(f"{byte} in the header of {path}")
+        while lines := list(islice(f, _BLOCK)):
+            block = _plain_block(lines, path, header, label_col)
+            if block is None:
+                _read_loop(chain(lines, f), path, header, label_col, values)
+                break
+            values.frombytes(memoryview(block).cast("B"))
+            del lines, block  # so the next block's lines and floats do not coexist with these
+    if not values:
+        raise DataError(f"no data rows in {path}")
+    table = np.frombuffer(values).reshape(-1, len(header))
+    label_idx = _label_index(header, label_col, path)
     if label_idx is None:
         return table, None
     return np.delete(table, label_idx, axis=1), table[:, label_idx].astype(int)
 
 
-def _read_bulk(path, label_col):
-    """``(X, y)`` of a plain file, parsed ``_BLOCK`` lines at a time; None for any other file.
+def _undecodable(text):
+    """``'undecodable byte 0xNN'`` for the first such byte in ``text``, or None."""
+    bad = _UNDECODABLE.search(text)
+    return bad and f"undecodable byte {ord(bad[0]) - 0xDC00:#04x}"
 
-    Every data line must match ``_PLAIN_LINE`` and be no longer than the
-    CSV field limit, and every block must parse to the header's width with
-    finite values and 0/1 labels. Anything else, including an undecodable
-    byte or a header the CSV parser rejects, returns None, leaving the file
-    and its messages to ``_read_loop``.
+
+def _label_index(header, label_col, path):
+    """The index of ``label_col`` in ``header``; None when ``label_col`` is None.
+
+    Called at the first data row, so a header-only file reports no data rows.
     """
-    values = array("d")
-    limit = csv.field_size_limit()
-    try:  # ValueError: loadtxt's parse error, or an undecodable byte
-        with open(path, "r", newline="", encoding="utf-8") as f:
-            header = next(filter(None, csv.reader(f)), None)
-            if header is None:
-                return None
-            header = [h.strip() for h in header]
-            if label_col is not None and header.count(label_col) != 1:
-                return None
-            label_idx = None if label_col is None else header.index(label_col)
-            label_cols = [] if label_idx is None else [label_idx]
-            while lines := list(islice(f, _BLOCK)):
-                if max(map(len, lines)) > limit or not all(map(_PLAIN_LINE.fullmatch, lines)):
-                    return None
-                block = np.loadtxt(lines, delimiter=",", dtype=float, comments=None, ndmin=2)
-                if (block.shape[1] != len(header) or not np.isfinite(block).all()
-                        or not np.isin(block[:, label_cols], (0.0, 1.0)).all()):
-                    return None
-                values.frombytes(memoryview(block).cast("B"))
-                del lines, block  # so the next block's lines and floats do not coexist with these
-    except (ValueError, csv.Error):
+    if label_col is None:
         return None
-    if not values:  # no data rows: the loop owns that message
-        return None
-    return _split(values, len(header), label_idx)
+    count = header.count(label_col)
+    if count == 0:
+        raise ValueError(f"label column {label_col!r} not found in {path}")
+    if count > 1:
+        raise DataError(f"label column {label_col!r} appears {count} times in {path}")
+    return header.index(label_col)
 
 
-def _read_loop(path, label_col):
-    """``(X, y)`` read row by row, each cell checked as the CSV parser yields it.
+def _plain_block(lines, path, header, label_col):
+    """The rows of ``lines`` as floats, or None to leave them to ``_read_loop``.
 
-    It reads any file, and raises at the first problem in file order.
+    Every line must match ``_PLAIN_LINE`` and be no longer than the CSV
+    field limit, and the block must parse to the header's width with finite
+    values and 0/1 labels.
     """
-    values = array("d")
-    header, i = None, -1  # i: the last data row read
-    with open(path, "r", newline="", encoding="utf-8") as f:
-        records = filter(None, csv.reader(f))  # a blank line is a record with no fields
-        try:
-            header = next(records, None)
-            if header is None:
-                raise DataError(f"empty data file: {path}")
-            header = [h.strip() for h in header]
-            label_idx = None  # looked up at the first data row: a header-only file has no data rows
-            for i, row in enumerate(records):
-                if i == 0 and label_col is not None:
-                    count = header.count(label_col)
-                    if count == 0:
-                        raise ValueError(f"label column {label_col!r} not found in {path}")
-                    if count > 1:
-                        raise DataError(f"label column {label_col!r} appears {count} times in {path}")
-                    label_idx = header.index(label_col)
-                if len(row) != len(header):
-                    raise DataError(
-                        f"row {i} of {path} has {len(row)} fields, expected {len(header)}"
-                    )
-                for j, cell in enumerate(row):
-                    cell = cell.strip()
-                    if cell == "":
-                        raise DataError(f"missing value at row {i}, column {header[j]!r}")
-                    try:
-                        value = float(cell)
-                        if "_" in cell or not cell.isascii():  # float() also reads 1_000 and "１２"
-                            raise ValueError(cell)
-                    except ValueError:
-                        raise DataError(
-                            f"non-numeric value {cell!r} at row {i}, column {header[j]!r}"
-                        ) from None
-                    if not math.isfinite(value):
-                        raise DataError(f"non-finite value {cell!r} at row {i}, column {header[j]!r}")
-                    if j == label_idx and value not in (0.0, 1.0):
-                        raise ValueError(f"labels must be 0/1; row {i} has {header[j]!r}={cell}")
-                    values.append(value)
-        except csv.Error as exc:
-            where = "header" if header is None else f"row {i + 1}"
-            raise DataError(f"{where} of {path}: {exc}") from None
+    if max(map(len, lines)) > csv.field_size_limit() or not all(map(_PLAIN_LINE.fullmatch, lines)):
+        return None
+    label_idx = _label_index(header, label_col, path)  # a plain line is a data row the loop would yield
+    try:
+        block = np.loadtxt(lines, delimiter=",", dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    plain = (block.shape[1] == len(header) and np.isfinite(block).all()
+             and (label_idx is None or np.isin(block[:, label_idx], (0.0, 1.0)).all()))
+    return block if plain else None
 
-    if i < 0:
-        raise DataError(f"no data rows in {path}")
-    return _split(values, len(header), label_idx)
+
+def _read_loop(lines, path, header, label_col, values):
+    """Append the rows of ``lines`` to ``values``, each cell checked as the CSV parser yields it.
+
+    Rows are numbered on from those already in ``values``. It reads any
+    text, and raises at the first problem in file order.
+    """
+    start = len(values) // len(header)
+    try:
+        for i, row in enumerate(filter(None, csv.reader(lines)), start):
+            if i == start:
+                label_idx = _label_index(header, label_col, path)
+            if len(row) != len(header):
+                raise DataError(f"row {i} of {path} has {len(row)} fields, expected {len(header)}")
+            for j, cell in enumerate(row):
+                cell = cell.strip()
+                if cell == "":
+                    raise DataError(f"missing value at row {i}, column {header[j]!r}")
+                try:
+                    value = float(cell)
+                    if "_" in cell or not cell.isascii():  # float() also reads 1_000 and "１２"
+                        raise ValueError(cell)
+                except ValueError:
+                    what = _undecodable(cell) or f"non-numeric value {cell!r}"
+                    raise DataError(f"{what} at row {i}, column {header[j]!r}") from None
+                if not math.isfinite(value):
+                    raise DataError(f"non-finite value {cell!r} at row {i}, column {header[j]!r}")
+                if j == label_idx and value not in (0.0, 1.0):
+                    raise ValueError(f"labels must be 0/1; row {i} has {header[j]!r}={cell}")
+                values.append(value)
+    except csv.Error as exc:  # raised reading a row, so every row before it is in values
+        raise DataError(f"row {len(values) // len(header)} of {path}: {exc}") from None
 
 
 def _write_csv(path, header, rows) -> None:

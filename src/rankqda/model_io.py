@@ -48,9 +48,12 @@ def _list(value, what: str) -> list:
 
 
 def _numbers(value, what: str, shape: tuple | None = None) -> np.ndarray:
+    """``value`` as a float array if it is a regular nested list of JSON numbers (not bools)."""
     try:
         a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+        if not all(type(entry) in (int, float) for entry in np.asarray(value, dtype=object).flat):
+            raise TypeError  # asarray(dtype=float) also takes "0.5", true and null
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int too large for a float
         raise ValueError(f"{what} is not a numeric array") from None
     if shape is not None and a.shape != shape:
         raise ValueError(f"{what} has shape {a.shape}, expected {shape}")

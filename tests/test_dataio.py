@@ -263,9 +263,15 @@ def _outcome(read, path, label_col):
     """What a reader returns, as bits, or the type and text of what it raises."""
     try:
         X, y = read(path, label_col)
-    except ValueError as exc:  # DataError and UnicodeDecodeError included
+    except ValueError as exc:  # DataError included
         return type(exc), str(exc)
     return X.shape, _bits(X).tobytes(), None if y is None else (y.dtype, y.tolist())
+
+
+def _read_by_the_loop(path, label_col):
+    """``read_data_csv`` with no line plain, so the per-cell loop reads every row."""
+    with mock.patch.object(dataio, "_PLAIN_LINE", re.compile("(?!)")):
+        return read_data_csv(path, label_col)
 
 
 _PLAIN_EDGE_CELLS = ["-0", "5.", "+.5e-3", "1E5", "5e-324", "-2.2250738585072014e-308",
@@ -305,7 +311,8 @@ def _any_files(draw):
             if problem == "short row":
                 row.pop()
             elif problem == "bad label":
-                row[label_at] = draw(st.sampled_from(["2", "0.5", "-1", "1e999"]))
+                if label_at < len(row):  # a short row may have lost its label cell
+                    row[label_at] = draw(st.sampled_from(["2", "0.5", "-1", "1e999"]))
             else:
                 cells = {"accepted cell": _accepted_cells, "rejected cell": _rejected_cells,
                          "plain rejected cell": _plain_rejected_cells}[problem]
@@ -326,7 +333,7 @@ def test_bulk_blocks_read_like_the_per_cell_loop(tmp_path_factory, data, label_c
     path = tmp_path_factory.mktemp("differential") / "data.csv"
     path.write_bytes(data)
     with mock.patch.object(dataio, "_BLOCK", block):
-        assert _outcome(read_data_csv, path, label_col) == _outcome(dataio._read_loop, path, label_col)
+        assert _outcome(read_data_csv, path, label_col) == _outcome(_read_by_the_loop, path, label_col)
 
 
 def _rows(n, bad_row=None, bad_cell=None, bad_col=0):
@@ -368,7 +375,7 @@ def test_a_plain_file_with_a_padded_last_line_reads_like_the_loop(tmp_path, monk
     X, y = read_data_csv(path, "label")
     np.testing.assert_array_equal(X[:, 0], np.arange(11) + 0.5)
     assert y.tolist() == [i % 2 for i in range(10)] + [1]
-    assert _outcome(read_data_csv, path, "label") == _outcome(dataio._read_loop, path, "label")
+    assert _outcome(read_data_csv, path, "label") == _outcome(_read_by_the_loop, path, "label")
 
 
 def test_a_plain_file_never_reaches_the_loop(tmp_path, monkeypatch):
@@ -377,3 +384,44 @@ def test_a_plain_file_never_reaches_the_loop(tmp_path, monkeypatch):
     X, y = read_data_csv(_csv_bytes(tmp_path, _rows(10).replace("\n", "\r\n").encode()), "label")
     np.testing.assert_array_equal(X[:, 0], np.arange(10) + 0.5)
     assert y.tolist() == [i % 2 for i in range(10)]
+
+
+def test_a_bad_cell_before_an_undecodable_byte_in_the_same_decode_chunk_wins(tmp_path):
+    path = _csv_bytes(tmp_path, b"x0,label\n1e999,0\n\xff,1\n")
+    message = "non-finite value '1e999' at row 0, column 'x0'"
+    with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
+        read_data_csv(path, "label")
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"x0,label\n1.5,0\n2\xff.5,1\n", "undecodable byte 0xff at row 1, column 'x0'"),
+        (b"x0,label\n1.5,0\n2.5,\xc3\n", "undecodable byte 0xc3 at row 1, column 'label'"),
+        (b"x0,label\n\n\"\x80\",0\n", "undecodable byte 0x80 at row 0, column 'x0'"),
+        (b"x0,la\xe9bel\n1.5,0\n", "undecodable byte 0xe9 in the header of {path}"),
+    ],
+    ids=["row", "truncated_sequence", "quoted", "header"],
+)
+def test_an_undecodable_byte_names_its_place(tmp_path, data, message):
+    path = _csv_bytes(tmp_path, data)
+    with pytest.raises(DataError, match="^" + re.escape(message.format(path=path)) + "$"):
+        read_data_csv(path, "label")
+
+
+def test_a_block_that_turns_non_plain_hands_the_loop_only_its_own_rows_on(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataio, "_BLOCK", 4)
+    rows = _rows(12).splitlines(keepends=True)  # the header, then rows 0-11
+    rows[10] = " 9.5 , 1 \n"  # row 9, in block 2
+    path = _csv(tmp_path, "".join(rows))
+    seen, read_loop = [], dataio._read_loop
+
+    def spy(lines, *args):
+        seen.extend(lines)
+        return read_loop(iter(seen), *args)
+
+    monkeypatch.setattr(dataio, "_read_loop", spy)
+    outcome = _outcome(read_data_csv, path, "label")
+    assert seen == rows[9:]
+    monkeypatch.setattr(dataio, "_read_loop", read_loop)
+    assert outcome == _outcome(_read_by_the_loop, path, "label")

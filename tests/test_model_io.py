@@ -172,6 +172,22 @@ def _string_matrix(doc):
     doc["blocks"][0]["matrix"] = [["a", "b", "c"], ["d", "e", "f"]]
 
 
+def _string_in_matrix(doc):
+    doc["blocks"][0]["matrix"][0][1] = "0.5"
+
+
+def _string_in_marginal_column(doc):
+    doc["marginals"]["columns"][1][0] = str(doc["marginals"]["columns"][1][0])
+
+
+def _boolean_in_cov0(doc):
+    doc["blocks"][0]["cov0"][0][0] = True
+
+
+def _huge_integer_in_cov1(doc):
+    doc["blocks"][0]["cov1"][1][1] = 10**400
+
+
 def _string_stream(doc):
     doc["blocks"][0]["stream"] = "ab"
 
@@ -237,6 +253,10 @@ CASES = {
     "blocks_object": (_blocks_object, "blocks must be a JSON list, got dict"),
     "string_matrix": (_string_matrix, "block 0 matrix is not a numeric array"),
     "string_stream": (_string_stream, "block 0 stream must be a JSON list, got str"),
+    "string_in_matrix": (_string_in_matrix, "block 0 matrix is not a numeric array"),
+    "string_in_marginal_column": (_string_in_marginal_column, "marginal columns is not a numeric array"),
+    "boolean_in_cov0": (_boolean_in_cov0, "block 0 cov0 is not a numeric array"),
+    "huge_integer_in_cov1": (_huge_integer_in_cov1, "block 0 cov1 is not a numeric array"),
 }
 
 

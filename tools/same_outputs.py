@@ -191,6 +191,7 @@ BAD_FILES = [
     ("empty", b"\n\n"),
     ("over-field-limit", b"x0,label\n1.5,0\n" + b"1" * 131073 + b",1\n"),
     ("undecodable", b"x0,label\n1.5,0\n\xff,1\n"),
+    ("non-finite-before-undecodable", b"x0,label\n1e999,0\n\xff,1\n"),
 ]
 
 
