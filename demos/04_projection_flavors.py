@@ -4,8 +4,10 @@ Haar projections have orthonormal rows, gaussian projections have
 i.i.d. N(0, 1/d) entries, and axis projections pick d raw coordinates.
 For the same seed, a haar matrix is an invertible d x d map of the same
 gaussian draw G (the sign-corrected R'^{-1} G from the QR of G'), and
-the centred QDA is invariant under such a map up to the ridge, so the
-gaussian and haar rows below coincide. Axis candidates can only see
+the centred QDA is invariant under such a map up to rounding and the
+ridge. So the two flavors usually select the same candidates, and the
+gaussian and haar rows below coincide here, but a row near some block's
+boundary can get a different vote fraction. Axis candidates can only see
 correlations between the coordinates they happen to select, so on a
 problem whose signal is spread across many coordinate pairs they need
 luckier draws.
@@ -39,8 +41,9 @@ for flavor in rq.FLAVORS:
     error = np.mean(preds != test.labels)
     print(f"{flavor:<10} {error:>10.4f} {error - oracle.risk:>+8.4f}")
 print()
-print("gaussian and haar agree: for one seed, haar is an invertible map of the")
-print("gaussian draw, and the centred QDA is invariant under it up to the ridge.")
+print("gaussian and haar agree here: for one seed, haar is an invertible map of")
+print("the gaussian draw, and the centred QDA is invariant under it up to rounding")
+print("and the ridge (a row near a block's boundary can still vote differently).")
 print("per-block candidate selection already filters bad draws, so axis")
 print("stays close to the other two; more candidates per block (b2) narrow")
 print("the difference further.")

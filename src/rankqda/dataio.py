@@ -1,15 +1,17 @@
 """CSV reading and writing for the batch pipeline.
 
 Data files carry a header row; every column except the named label
-column is a numeric feature. UTF-8; every cell is a finite '.'-decimal
-number in ASCII digits (``nan``, ``inf``, ``1_000`` and ``１２`` are
-rejected); no missing values (an empty field is a hard error, never
-imputed). Blank lines are skipped anywhere in the file, as ``np.loadtxt``
-does, and row numbers in messages count data rows only; a line holding
-only spaces is a row with one field, not a blank line.
+column is a numeric feature. UTF-8, with or without a leading
+byte-order mark (as spreadsheet programs write it); every cell is a
+finite '.'-decimal number in ASCII digits (``nan``, ``inf``, ``1_000``
+and ``１２`` are rejected); no missing values (an empty field is a hard
+error, never imputed). Blank lines are skipped anywhere in the file, as
+``np.loadtxt`` does, and row numbers in messages count data rows only; a
+line holding only spaces is a row with one field, not a blank line.
 
 A file is read in one pass into one flat float buffer. It is opened
-once, with bytes UTF-8 cannot decode kept as U+DC80-U+DCFF
+once, as ``utf-8-sig`` so a leading byte-order mark is dropped, with
+bytes UTF-8 cannot decode kept as U+DC80-U+DCFF
 (``errors="surrogateescape"``), so decoding never fails ahead of the CSV
 parser and such a byte is reported where the reader reaches it. Data
 lines are taken ``_BLOCK`` at a time. A plain block, whose lines hold
@@ -51,7 +53,7 @@ def read_data_csv(path, label_col: str | None = None):
     the 0/1 labels as ints, or None when ``label_col`` is None.
     """
     values = array("d")
-    with open(path, "r", newline="", encoding="utf-8", errors="surrogateescape") as f:
+    with open(path, "r", newline="", encoding="utf-8-sig", errors="surrogateescape") as f:
         try:
             header = next(filter(None, csv.reader(f)), None)  # a blank line is a record with no fields
         except csv.Error as exc:

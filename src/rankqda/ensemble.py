@@ -10,11 +10,11 @@ config): substreams are keyed by (seed, block, candidate), so the fit is
 reproducible regardless of execution order and could be parallelized
 across the block/candidate grid without changing results. A fit builds
 no generator per key: :func:`rng._keyed_states` computes the PCG64 state
-of every key in one vectorized pass, and each block's
-:class:`rng._KeyedStreams` sets them in turn on one reused generator, so
-the draws are bit for bit ``substream(seed, block, candidate)``'s. Only a
-``haar`` re-draw, a probability-zero event, builds that key's
-``substream`` again.
+of every key in one vectorized pass, and :func:`rng._keyed_streams` sets
+a block's states in turn on one reused generator, so the draws are bit
+for bit ``substream(seed, block, candidate)``'s. Each candidate draws its
+projection once (a ``haar`` draw is never re-drawn), so no stream is
+visited twice.
 
 A block chooses its candidate in one batch, from moments transported
 through the projections: each class's p x p second moment ``M_r`` of the
@@ -59,7 +59,6 @@ per fit, not once per candidate, about each class too small for a
 full-rank covariance.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -68,7 +67,8 @@ import numpy as np
 
 from . import marginals, projections, qda
 from .errors import SingularMatrixError, TrainingError, checked_int, checked_number, freeze, real_array
-from .rng import _keyed_states, _KeyedStreams, substream
+# substream goes unused here; bench/workloads.py traces the rng layer as ensemble.substream
+from .rng import _keyed_states, _keyed_streams, substream
 
 
 @dataclass(frozen=True)
@@ -334,8 +334,7 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
     generator = np.random.Generator(np.random.PCG64())
     blocks: list[Block] = []
     for b in range(config.b1):
-        streams = _KeyedStreams(generator, states[b], functools.partial(substream, config.seed, b))
-        matrices = projections._sample_matrices(p, config.d, config.flavor, streams)
+        matrices = projections._sample_matrices(p, config.d, config.flavor, _keyed_streams(generator, states[b]))
         try:
             lower = _lower_bounds(matrices, moments, scores, labels, priors, config.ridge)
         except np.linalg.LinAlgError:

@@ -11,11 +11,13 @@ a ``PCG64`` and a ``Generator`` per key is the largest single cost of a
 small fit. So :func:`_keyed_states` computes the PCG64 ``(state, inc)`` of
 every key ``(seed, b, c)`` of a fit at once: ``SeedSequence``'s entropy
 mixing and state generation in one vectorized ``uint32`` pass, then
-PCG64's seeding step in Python integers. :class:`_KeyedStreams` sets those
-states in turn on one reused generator. Each state is bit for bit the one
-:func:`substream` starts from, so the draws are too. NEP 19 fixes the
-``SeedSequence`` and ``PCG64`` algorithms across numpy versions, which is
-what makes computing their states outside numpy stable.
+PCG64's seeding step in Python integers. :func:`_keyed_streams` sets a
+block's states in turn on one reused generator, in one pass: training
+draws each candidate's projection once and never comes back to a stream.
+Each state is bit for bit the one :func:`substream` starts from, so the
+draws are too. NEP 19 fixes the ``SeedSequence`` and ``PCG64`` algorithms
+across numpy versions, which is what makes computing their states outside
+numpy stable.
 """
 
 import numpy as np
@@ -116,33 +118,19 @@ def _keyed_states(seed: int, blocks: int, count: int) -> list[list[tuple[int, in
     return [pairs[start:start + count] for start in range(0, len(pairs), count)]
 
 
-class _KeyedStreams:
-    """A block's candidate streams, set in turn on one reused generator.
+def _keyed_streams(generator: np.random.Generator, states):
+    """Yield ``generator``, a PCG64 ``Generator``, set to each stream's start in turn.
 
     ``states`` lists each stream's PCG64 ``(state, inc)``, a row of
-    :func:`_keyed_states`. Iterating yields ``generator``, a PCG64
-    ``Generator``, set to the start of each stream in turn, so draw from
-    each before taking the next. ``streams[c]`` is instead a new generator
-    at the start of stream c, from ``restart(c)``, for draws that must
-    come back to a stream after the pass.
+    :func:`_keyed_states`. Every stream is visited once, in order, so draw
+    from each before taking the next.
     """
-
-    def __init__(self, generator: np.random.Generator, states, restart):
-        self.generator, self.states, self.restart = generator, states, restart
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __iter__(self):
-        bit_generator = self.generator.bit_generator
-        for state, inc in self.states:
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield self.generator
-
-    def __getitem__(self, c: int) -> np.random.Generator:
-        return self.restart(c)
+    bit_generator = generator.bit_generator
+    for state, inc in states:
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield generator

@@ -400,12 +400,25 @@ def test_a_bad_cell_before_an_undecodable_byte_in_the_same_decode_chunk_wins(tmp
         (b"x0,label\n1.5,0\n2.5,\xc3\n", "undecodable byte 0xc3 at row 1, column 'label'"),
         (b"x0,label\n\n\"\x80\",0\n", "undecodable byte 0x80 at row 0, column 'x0'"),
         (b"x0,la\xe9bel\n1.5,0\n", "undecodable byte 0xe9 in the header of {path}"),
+        (b"\xef\xbbx0,label\n1.5,0\n", "undecodable byte 0xef in the header of {path}"),
     ],
-    ids=["row", "truncated_sequence", "quoted", "header"],
+    ids=["row", "truncated_sequence", "quoted", "header", "partial_byte_order_mark"],
 )
 def test_an_undecodable_byte_names_its_place(tmp_path, data, message):
     path = _csv_bytes(tmp_path, data)
     with pytest.raises(DataError, match="^" + re.escape(message.format(path=path)) + "$"):
+        read_data_csv(path, "label")
+
+
+def test_a_byte_order_mark_before_the_label_column_is_dropped(tmp_path):
+    X, y = read_data_csv(_csv_bytes(tmp_path, b"\xef\xbb\xbflabel,x0\n0,1.5\n1,2.5\n"), "label")
+    np.testing.assert_array_equal(X, [[1.5], [2.5]])
+    assert y.tolist() == [0, 1]
+
+
+def test_a_byte_order_mark_before_a_feature_column_is_dropped(tmp_path):
+    path = _csv_bytes(tmp_path, b"\xef\xbb\xbfx0,label\n1.5,0\nabc,1\n")
+    with pytest.raises(DataError, match="^" + re.escape("non-numeric value 'abc' at row 1, column 'x0'") + "$"):
         read_data_csv(path, "label")
 
 

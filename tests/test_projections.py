@@ -138,15 +138,16 @@ class _FirstDrawRankDeficient:
         return G
 
 
-def test_a_rank_deficient_haar_draw_is_redrawn_from_its_own_generator():
+def test_a_rank_deficient_haar_draw_keeps_orthonormal_rows_without_a_second_draw():
+    # Householder QR gives orthonormal columns whatever the rank of G, and a
+    # zero R_jj (probability zero for a Gaussian draw) takes the sign +1
     p, d = 5, 3
     stub = _FirstDrawRankDeficient(substream(61))
     matrices = _sample_matrices(p, d, "haar", [substream(60), stub, substream(62)])
-    assert stub.draws == 2
-    rng = substream(61)
-    rng.standard_normal((d, p))  # the rejected draw
-    for k, expected in enumerate([substream(60), rng, substream(62)]):
-        np.testing.assert_array_equal(matrices[k], sample_projection(p, d, "haar", expected).matrix)
+    assert stub.draws == 1
+    for k in (0, 2):
+        expected = sample_projection(p, d, "haar", substream(60 + k)).matrix
+        np.testing.assert_array_equal(matrices[k], expected)
     np.testing.assert_allclose(matrices[1] @ matrices[1].T, np.eye(d), atol=1e-12)
 
 
