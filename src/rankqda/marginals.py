@@ -18,20 +18,26 @@ quantile function runs n times per model rather than once per entry.
 
 The model also owns the layout of its sorted values: it holds them
 column-contiguous (Fortran order), so each feature's sorted values are
-adjacent in memory, which is what the per-feature binary search of the
-transforms reads. A fitted, hand-built or loaded model therefore holds
-the same arrays in the same layout. Its arrays are read-only; a
-hand-built table that is already a column-contiguous float array is kept
-without a copy, so the caller's array becomes read-only.
+adjacent in memory, which is what the per-feature binary search of
+:func:`transform_new` reads. A fitted, hand-built or loaded model
+therefore holds the same arrays in the same layout. Its arrays are
+read-only; a hand-built table that is already a column-contiguous float
+array is kept without a copy, so the caller's array becomes read-only.
 
-Counts are found by one of two searches, chosen by the number of rows.
-Above ``_FENCE_ROWS`` rows, one ``np.searchsorted`` per feature runs over
-that column. For fewer rows, the per-call overhead of that loop would be
-most of the cost, so the model also derives a fence index at
-construction (never persisted): the sorted values at positions
-``W, 2W, ...`` of each column (``W = _FENCE_WIDTH``), stored as one
-ascending complex key ``j + 1j*fence`` (numpy orders complex numbers by
-real part, then imaginary part). One search of that key finds, for every
+:func:`fit_transform` counts the training rows without a search. One
+argsort per column places each value in the sorted column, and its count
+is one past the last position of its tie run there, so the count does not
+depend on how the argsort orders ties (``-0.0`` and ``0.0`` form one run).
+The table itself comes from a plain sort of each column.
+
+:func:`transform_new` counts new points by one of two searches, chosen
+by the number of rows. Above ``_FENCE_ROWS`` rows, one ``np.searchsorted``
+per feature runs over that column. For fewer rows, the per-call overhead
+of that loop would be most of the cost, so the model also derives a
+fence index at construction (never persisted): the sorted values at
+positions ``W, 2W, ...`` of each column (``W = _FENCE_WIDTH``), stored as
+one ascending complex key ``j + 1j*fence`` (numpy orders complex numbers
+by real part, then imaginary part). One search of that key finds, for every
 entry at once, the number f of column j's fences ``<= x``; the count is
 then ``f*W`` plus the number of values ``<= x`` among the W values from
 position ``f*W`` (a window moved back to end at the column's end when it
@@ -206,7 +212,11 @@ def _check_finite_matrix(X: np.ndarray) -> None:
 
 
 def _scores(model: MarginalModel, X: np.ndarray) -> np.ndarray:
-    """Table scores of the counts of training values <= X, clamped to [1, n]."""
+    """Table scores of the counts of training values <= X, clamped to [1, n].
+
+    The count search of :func:`transform_new`; :func:`fit_transform` takes
+    its training counts from its argsort instead.
+    """
     n, p = model.sorted_columns.shape
     if X.shape[0] <= _FENCE_ROWS:
         j = np.arange(p)
@@ -221,7 +231,7 @@ def _scores(model: MarginalModel, X: np.ndarray) -> np.ndarray:
         counts = np.empty(X.shape, dtype=np.intp)
         for j in range(p):
             counts[:, j] = np.searchsorted(model.sorted_columns[:, j], X[:, j], side="right")
-    # side="right" counts never exceed n; training rows count themselves (>= 1).
+    # side="right" counts never exceed n; a point below the minimum counts 0 and scores as 1.
     np.maximum(counts, 1, out=counts)
     return model.score_table[counts - 1]
 
@@ -242,6 +252,12 @@ def fit_transform(X) -> tuple[MarginalModel, np.ndarray]:
         ``inv_norm_cdf(count / (n + 1))`` where ``count`` is the number
         of training values <= the entry within its column. All scores
         lie in ``[inv_norm_cdf(1/(n+1)), inv_norm_cdf(n/(n+1))]``.
+
+    Each column is sorted once for the table and argsorted once for the
+    counts: an entry's count is one past the last position of its tie run
+    in the sorted column, so no search runs over the training rows. The
+    counts, and so the scores, equal those :func:`transform_new` gives the
+    same rows.
     """
     X = real_array(X, _COMPLEX_FEATURES, DataError)
     if X.ndim != 2:
@@ -252,9 +268,22 @@ def fit_transform(X) -> tuple[MarginalModel, np.ndarray]:
     _check_finite_matrix(X)
 
     by_feature = X.T.copy()  # (p, n), one feature per contiguous row: the model's layout
+    order = np.argsort(by_feature, axis=1)  # numpy's default kind; ties may land in any order
     by_feature.sort(axis=1)
     model = MarginalModel(by_feature.T)
-    return model, _scores(model, X)
+    # A value's count is one past the last position of its tie run in the
+    # sorted row, whichever order the argsort gave the ties; != treats -0.0
+    # and 0.0 as one run, as searchsorted does.
+    run_ends = np.ones((p, n), dtype=bool)
+    np.not_equal(by_feature[:, 1:], by_feature[:, :-1], out=run_ends[:, :-1])
+    last = np.where(run_ends, np.arange(n), n)
+    del run_ends
+    # each position -> its run's end, in place so the pass holds no third (p, n) int array
+    np.minimum.accumulate(last[:, ::-1], axis=1, out=last[:, ::-1])
+    counts = np.empty((n, p), dtype=np.intp)  # C order, the layout the moment matmuls read
+    np.put_along_axis(counts.T, order, last, axis=1)  # count - 1, the score table's index
+    del order, last
+    return model, model.score_table[counts]
 
 
 def transform_new(model: MarginalModel, x) -> np.ndarray:

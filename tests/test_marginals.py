@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from rankqda import DataError, fit_transform, inv_norm_cdf, norm_cdf, transform_
 from rankqda.marginals import _FENCE_ROWS, _FENCE_WIDTH, MarginalModel
 from rankqda.rng import substream
 
-from oracles import bisection_inv_norm_cdf
+from oracles import bisection_inv_norm_cdf, direct_probit_scores
 
 
 class TestNormCdf:
@@ -253,21 +254,35 @@ _EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308,
 
 
 @st.composite
+def tied_matrices(draw):
+    """An (n, p) matrix, rows unsorted, with many ties, edge values and constant columns.
+
+    Values come from a half-step grid plus _EDGE_VALUES; each column is
+    constant with probability 1/4.
+    """
+    n = draw(st.one_of(st.sampled_from([1, _FENCE_WIDTH, _FENCE_WIDTH + 1, 2 * _FENCE_WIDTH,
+                                        2 * _FENCE_WIDTH + 1]), st.integers(1, 80)))
+    p = draw(st.integers(1, 4))
+    rng = substream(draw(st.integers(0, 2**32 - 1)))
+    grid = np.round(rng.standard_normal(n * p) * 2.0) / 2.0  # many ties
+    X = rng.choice(np.concatenate([grid, _EDGE_VALUES]), (n, p))
+    constant = rng.random(p) < 0.25
+    X[:, constant] = X[:1, constant]
+    return X
+
+
+@st.composite
 def tables_and_queries(draw):
     """A sorted table with ties and edge values, and 1 to _FENCE_ROWS + 1 query rows.
 
     Queries mix table values (every fence among them), values just off them,
     edge values and points below the minimum and above the maximum.
     """
-    n = draw(st.one_of(st.sampled_from([1, _FENCE_WIDTH, _FENCE_WIDTH + 1, 2 * _FENCE_WIDTH,
-                                        2 * _FENCE_WIDTH + 1]), st.integers(1, 80)))
-    p = draw(st.integers(1, 4))
+    table = np.sort(draw(tied_matrices()), axis=0)
+    p = table.shape[1]
     m = draw(st.one_of(st.sampled_from([1, _FENCE_ROWS, _FENCE_ROWS + 1]),
                        st.integers(1, _FENCE_ROWS + 1)))
     rng = substream(draw(st.integers(0, 2**32 - 1)))
-    grid = np.round(rng.standard_normal(n * p) * 2.0) / 2.0  # many ties
-    X = rng.choice(np.concatenate([grid, _EDGE_VALUES]), (n, p))
-    table = np.sort(X, axis=0)
     low, high = table.min() - 1.0, table.max() + 1.0  # rounds back onto an edge value at +-1.7e308
     with np.errstate(over="ignore"):  # next to the largest finite value is inf, dropped below
         pool = np.concatenate([table.ravel(), np.nextafter(table.ravel(), np.inf),
@@ -287,6 +302,37 @@ def test_fence_search_counts_equal_the_per_column_loop(case):
     bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
     np.testing.assert_array_equal(bits(transform_new(model, Q)), bits(loop))
     np.testing.assert_array_equal(bits(transform_new(model, Q[0])), bits(loop[0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(X=tied_matrices())
+def test_training_counts_equal_a_search_of_the_table(X):
+    model, scores = fit_transform(X)
+    n = X.shape[0]
+    bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
+    np.testing.assert_array_equal(bits(scores), bits(direct_probit_scores(model.sorted_columns, X)))
+    fence = np.vstack([transform_new(model, X[i:i + _FENCE_ROWS]) for i in range(0, n, _FENCE_ROWS)])
+    loop = transform_new(model, np.vstack([X, np.repeat(X[:1], _FENCE_ROWS + 1, axis=0)]))[:n]
+    np.testing.assert_array_equal(bits(scores), bits(fence))
+    np.testing.assert_array_equal(bits(scores), bits(loop))
+    assert scores.flags.c_contiguous
+    table = X.T.copy()
+    table.sort(axis=1)  # the table as a plain sort builds it, signed zeros in its order
+    np.testing.assert_array_equal(bits(model.sorted_columns), bits(table.T))
+
+
+def test_fit_transform_peak_memory_stays_within_a_few_copies_of_the_input():
+    # the peak is about 4.15x: the sorted copy, the argsort, the run ends and
+    # the counts at once; a counts pass that accumulates out of place reaches
+    # about 5x
+    X = substream(9).standard_normal((20000, 50))
+    tracemalloc.start()
+    try:
+        fit_transform(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * X.nbytes
 
 
 def test_fence_key_holds_every_fence_of_each_column_in_order():

@@ -15,6 +15,14 @@ its neighbours, their mirrors near 1), each as an array and as a Python
 scalar, then ``norm_cdf`` on a fixed grid. Every score a model holds is an
 entry of such a table.
 
+The ``marginals-ties`` line hashes the scores and the sorted-table bytes
+``fit_transform`` returns for three fixed matrices of tied values: 2000 x 8
+on a half-step grid mixed with both signed zeros, the smallest subnormal
+and +-1.7e308, with one constant column; a 17-row one (one row past a
+fence-index window); and a 1-row one. The scenario and training lines fit
+continuous data only, so without it a change in how training counts ties
+would not show.
+
 The scenario lines come next. For each of five scenarios (the desk one,
 the desk one at prior1=0.3, ``large``, a ``random_correlation_matrix``
 pair at p=6 and a ``piecewise_linear_map`` scenario at p=3), one line
@@ -115,6 +123,23 @@ def quantile_line() -> str:
     digest.update(np.array([rq.inv_norm_cdf(float(u)) for u in QUANTILE_EDGES]).tobytes())
     digest.update(rq.norm_cdf(np.linspace(-40.0, 40.0, 8001)).tobytes())
     return f"quantile {digest.hexdigest()}"
+
+
+TIE_EDGES = [0.0, -0.0, 5e-324, 1.7e308, -1.7e308]
+
+
+def marginals_ties_line() -> str:
+    rng = substream(11, 7)
+    X = np.round(rng.standard_normal((2000, 8)) * 2.0) / 2.0
+    mask = rng.random(X.shape) < 0.2
+    X[mask] = rng.choice(TIE_EDGES, mask.sum())
+    X[:, 3] = -0.0  # a constant column
+    digest = hashlib.sha256()
+    for M in (X, X[:17], X[:1]):
+        model, scores = rq.fit_transform(M)
+        digest.update(scores.tobytes())
+        digest.update(model.sorted_columns.tobytes())
+    return f"marginals-ties {digest.hexdigest()}"
 
 
 def scenario_lines():
@@ -228,6 +253,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         print(quantile_line(), flush=True)
+        print(marginals_ties_line(), flush=True)
         for line in scenario_lines():
             print(line, flush=True)
         path, first = os.path.join(tmp, "model.json"), None
