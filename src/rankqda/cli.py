@@ -47,7 +47,7 @@ def _parse_cov(value: str, p: int, seed: int, tag: int, cov0=None):
     if value == "same":
         if cov0 is None:
             raise ValueError("'same' is only valid for --cov1")
-        return cov0.copy()
+        return cov0
     if value.startswith("block:"):
         try:
             _, size, rho = value.split(":")

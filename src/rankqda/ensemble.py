@@ -35,7 +35,7 @@ fit of each candidate on its own.
 
 Prediction has one kernel, :func:`vote_fractions`. At construction a
 model stacks its ``b1`` projections into one (p, b1*d) matrix and its
-blocks' ``inv1 - inv0`` matrices and constants into arrays (never
+blocks' ``D = inv1 - inv0`` matrices and constants into arrays (never
 persisted), so a fitted, hand-built and loaded model hold the same arrays.
 Scoring then takes one marginal transform, and per chunk of rows one
 matmul into every block's space plus one

@@ -3,22 +3,23 @@
 Matrices are stored row-major as nested lists; floats round-trip exactly
 through JSON's shortest-repr serialization. A block's priors go to
 :class:`qda.RqdaModel` as stored; it checks them and derives the
-inverses and log-determinants from its covariances exactly as at fit,
+``D`` and constant it votes with from its covariances exactly as at fit,
 so a reloaded model holds the saved one's values (its
 :func:`model_to_dict` is equal) and predicts bit-identically; ``==`` on
 model objects is identity, as for every array-holding type of the
 package. The vote kernel's stacked arrays and the marginal score table
 are never stored.
 
-Loading checks what only a file gets wrong: keys, JSON types, and the
-shapes of the marginal and covariance arrays. Every value rule has one
-owner, the type built, so fitted, hand-built and loaded objects pass the
-same checks: config values (errors prefixed ``config.``), sorted finite
-marginal columns, block priors, ridge and covariances (finite, positive
-definite, symmetric; :class:`qda.RqdaModel`'s text prefixed ``block k: ``),
-and the block count, flavors (through :mod:`projections`' flavor rule),
-covariance size, projection matrices and ``alpha``
-(:class:`ensemble.EnsembleModel`).
+Loading checks what only a file gets wrong: its text (a file that is
+not UTF-8 JSON raises a ``ValueError`` naming its path), keys, JSON
+types, and the shapes of the marginal and covariance arrays. Every value
+rule has one owner, the type built, so fitted, hand-built and loaded
+objects pass the same checks: config values (errors prefixed
+``config.``), sorted finite marginal columns, block priors, ridge and
+covariances (finite, positive definite, symmetric; :class:`qda.RqdaModel`'s
+text prefixed ``block k: ``), and the block count, flavors (through
+:mod:`projections`' flavor rule), covariance size, projection matrices
+and ``alpha`` (:class:`ensemble.EnsembleModel`).
 """
 
 import json
@@ -166,6 +167,9 @@ def save_model(model: ensemble.EnsembleModel, path) -> None:
 
 
 def load_model(path) -> ensemble.EnsembleModel:
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            doc = json.load(f)
+    except ValueError as exc:  # JSON syntax and text decoding errors alike
+        raise ValueError(f"model file {path}: {exc}") from None
     return model_from_dict(doc)

@@ -5,15 +5,16 @@ the marginal location at zero, so no mean vector is estimated). A model
 holds the class priors and the per-class second-moment matrices of the
 projected scores. :class:`RqdaModel` is the one constructor for fitted,
 oracle and loaded models alike: it keeps read-only copies of the
-covariances it is given, derives each covariance's inverse and
-log-determinant from one Cholesky factor, and from them the terms of the
-quadratic decision function
+covariances it is given, factors each one once, and keeps of those
+factors only what it votes with, the two terms of the quadratic decision
+function
 
     log(prior1/prior0) - 0.5*log(det1/det0) - 0.5*s'(inv1 - inv0)s
 
-which is a constant ``const`` plus a quadratic form in
-``D = inv1 - inv0``. :func:`stacked_discriminant` evaluates it for many
-blocks at once from stacked ``D`` matrices and constants; the
+a constant ``const`` and a quadratic form in ``D = inv1 - inv0``. The
+inverses and log-determinants themselves are not kept.
+:func:`stacked_discriminant` evaluates it for many blocks at once from
+stacked ``D`` matrices and constants; the
 ensemble's prediction kernel calls it once per row chunk, and
 :func:`discriminant` is its one-block case.
 
@@ -223,11 +224,12 @@ class RqdaModel:
     ridge (a finite number >= 0, stored as a float) and the covariances
     (real, square, same-shape, finite, positive definite and exactly
     symmetric), then derives, from one Cholesky factor per
-    covariance, the inverses, log-determinants, ``D = inv1 - inv0`` and
-    ``const`` (never persisted). It holds its own read-only copies of the
-    covariances and read-only derived arrays, so no caller can write what
-    it votes with or saves. Immutable and safe to share across concurrent
-    readers.
+    covariance, the two terms it votes with, ``D = inv1 - inv0`` and
+    ``const`` (never persisted); the inverses and log-determinants are
+    locals of that step. Its fields are the five it is built from and
+    those two. It holds its own read-only copies of the covariances and a
+    read-only ``D``, so no caller can write what it votes with or saves.
+    Immutable and safe to share across concurrent readers.
     """
 
     prior0: float
@@ -235,10 +237,6 @@ class RqdaModel:
     cov0: np.ndarray
     cov1: np.ndarray
     ridge: float
-    inv0: np.ndarray = field(init=False, repr=False)
-    inv1: np.ndarray = field(init=False, repr=False)
-    log_det0: float = field(init=False, repr=False)
-    log_det1: float = field(init=False, repr=False)
     D: np.ndarray = field(init=False, repr=False)
     const: float = field(init=False, repr=False)
 
@@ -262,8 +260,7 @@ class RqdaModel:
             if not (cov == cov.T).all():  # LAPACK reads one triangle; the other must match it
                 raise ValueError(f"class {r} covariance is not symmetric")
         D, const = _discriminant_terms((inv0, inv1), (log_det0, log_det1), (p0, p1))
-        freeze(self, prior0=p0, prior1=p1, ridge=ridge, cov0=cov0, cov1=cov1, inv0=inv0, inv1=inv1,
-               log_det0=log_det0, log_det1=log_det1, D=D, const=float(const))
+        freeze(self, prior0=p0, prior1=p1, ridge=ridge, cov0=cov0, cov1=cov1, D=D, const=float(const))
 
     @property
     def dim(self) -> int:

@@ -14,9 +14,10 @@ matrices and derives, once, at construction, their Cholesky factors and
 the resolved per-feature maps; sampling reads those and factors nothing.
 The private ``_check_correlation_matrix`` is the module's one
 factorization: it checks a correlation matrix and returns its factor,
-for the spec, for :func:`block_correlation_matrix` and for each draw of
-:func:`random_correlation_matrix`. The oracle model factors its
-covariances through :mod:`qda`'s own SPD gate.
+for the spec and for :func:`block_correlation_matrix`, whose ``rho``
+comes from the caller. :func:`random_correlation_matrix` draws once and
+checks nothing: the spec that uses its matrix checks and factors it. The
+oracle model factors its covariances through :mod:`qda`'s own SPD gate.
 """
 
 from dataclasses import dataclass, field
@@ -98,7 +99,9 @@ def _check_correlation_matrix(C: np.ndarray, p: int, name: str) -> np.ndarray:
 
     Raises ``ValueError`` naming ``name`` unless ``C`` has shape (p, p),
     finite entries, a unit diagonal, exact symmetry and a factor, checked
-    in that order. The module's one factorization.
+    in that order. The module's one factorization, run by
+    :class:`ScenarioSpec` on each of its matrices and by
+    :func:`block_correlation_matrix` on the matrix it builds.
     """
     if C.shape != (p, p):
         raise ValueError(f"{name} must have shape ({p}, {p}), got {C.shape}")
@@ -196,25 +199,20 @@ def block_correlation_matrix(p: int, block_size: int, rho: float) -> np.ndarray:
 
 
 def random_correlation_matrix(p: int, rng: np.random.Generator) -> np.ndarray:
-    """Random unit-diagonal positive definite matrix.
+    """Random unit-diagonal symmetric matrix, almost surely positive definite.
 
     Normalizes the Gram matrix of p Gaussian vectors of dimension p+2,
-    which is almost surely positive definite; the measure-zero failure is
-    guarded by a re-draw.
+    drawn as one (p, p+2) standard-normal block, and is checked and
+    factored where it is used, by :class:`ScenarioSpec`.
     """
     p = checked_int(p, "p", 1)
-    while True:
-        G = rng.standard_normal((p, p + 2))
-        M = G @ G.T
-        scale = np.sqrt(np.diag(M))
-        C = M / np.outer(scale, scale)
-        C = (C + C.T) / 2.0
-        np.fill_diagonal(C, 1.0)
-        try:
-            _check_correlation_matrix(C, p, "random correlation matrix")
-        except ValueError:  # the measure-zero draw without a factor
-            continue
-        return C
+    G = rng.standard_normal((p, p + 2))
+    M = G @ G.T
+    scale = np.sqrt(np.diag(M))
+    C = M / np.outer(scale, scale)
+    C = (C + C.T) / 2.0
+    np.fill_diagonal(C, 1.0)
+    return C
 
 
 def _sample_latent(

@@ -12,6 +12,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from rankqda.marginals import inv_norm_cdf
+from rankqda.qda import inverse_spd, log_det_spd
 
 
 def bisection_inv_norm_cdf(u, iterations=90):
@@ -94,15 +95,19 @@ def per_block_vote_fractions(model, X):
 
     Each block projects the scores with ``S @ A'`` and evaluates
     ``log(p1/p0) - 0.5*(logdet1 - logdet0) - 0.5*s'(inv1 - inv0)s``
-    with a three-operand einsum.
+    with a three-operand einsum. The inverses and log-determinants are
+    :func:`rankqda.qda.inverse_spd`'s and :func:`rankqda.qda.log_det_spd`'s
+    of the block's covariances, the same factors the model derives its
+    ``D`` and constant from, so the votes keep their bits.
     """
     scores = direct_probit_scores(model.marginal_model.sorted_columns, np.atleast_2d(X))
     counts = np.zeros(scores.shape[0], dtype=int)
     for block in model.blocks:
         m = block.model
         Z = scores @ block.projection.matrix.T
-        quad = np.einsum("ij,jk,ik->i", Z, m.inv1 - m.inv0, Z)
-        delta = np.log(m.prior1 / m.prior0) - 0.5 * (m.log_det1 - m.log_det0) - 0.5 * quad
+        quad = np.einsum("ij,jk,ik->i", Z, inverse_spd(m.cov1) - inverse_spd(m.cov0), Z)
+        log_det1, log_det0 = log_det_spd(m.cov1), log_det_spd(m.cov0)
+        delta = np.log(m.prior1 / m.prior0) - 0.5 * (log_det1 - log_det0) - 0.5 * quad
         counts += (delta >= 0.0).astype(int)
     return counts / len(model.blocks)
 

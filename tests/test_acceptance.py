@@ -250,3 +250,49 @@ def test_criterion_8_degenerate_ensemble_equivalence():
           and pointwise == [int(direct[i]) for i in range(0, 1000, 40)])
     _report(8, ok, "b1=b2=1 ensemble equals transform->project->quadratic rule "
                    f"on 1000 points exactly: {ok}")
+
+
+def _test_error(train, test, config) -> float:
+    preds, _ = rq.predict(rq.train_ensemble(train.features, train.labels, config), test.features)
+    return float(np.mean(preds != test.labels))
+
+
+def test_criterion_9_monte_carlo_error_shrinks_with_b1():
+    # Cannings & Samworth bound the finite-b1 ensemble's excess error over
+    # its b1 -> inf limit by O(1/b1); so, on fixed data and seeds fixed up
+    # front, ten times the blocks must lower every error and shrink the
+    # spread across seeds (about 1/sqrt(10) is expected; half is asserted).
+    spec = _desk_scenario()
+    train = rq.sample_meta_gaussian(500, spec, substream(DESK_SEED, 3))
+    test = rq.sample_meta_gaussian(20000, spec, substream(DESK_SEED, 4))
+    errors = {b1: [_test_error(train, test, rq.EnsembleConfig(d=3, b1=b1, b2=20, seed=seed))
+                   for seed in range(5)]
+              for b1 in (10, 100)}
+    sd = {b1: float(np.std(e, ddof=1)) for b1, e in errors.items()}
+    ok = max(errors[100]) < min(errors[10]) and sd[100] <= 0.5 * sd[10]
+    _report(9, ok,
+            f"desk, 5 seeds: b1=10 errors {min(errors[10]):.4f}..{max(errors[10]):.4f} "
+            f"(sd {sd[10]:.4f}), b1=100 {min(errors[100]):.4f}..{max(errors[100]):.4f} "
+            f"(sd {sd[100]:.4f}); b1=100 all lower and sd <= half")
+
+
+@pytest.mark.filterwarnings("ignore:class [01] has only:UserWarning")
+def test_criterion_10_projection_beats_full_dimension_baseline_at_p50_n100():
+    # The regime where the paper says projection helps: the bench's
+    # ``large`` scenario with only 100 training rows, where a d=p
+    # copula QDA (one axis block of all features) has too few rows per
+    # class for its 50-dimensional covariances and warns so.
+    spec = rq.ScenarioSpec(p=50, prior1=0.5, cov0=np.eye(50),
+                           cov1=rq.block_correlation_matrix(50, 10, 0.5),
+                           marginal_maps=["exp", "cube"] * 25, seed=7)
+    ensemble = rq.EnsembleConfig(d=5, b1=100, b2=20, seed=42)
+    baseline = rq.EnsembleConfig(d=50, b1=1, b2=1, flavor="axis", seed=42)
+    pairs = []
+    for k in range(3):
+        train = rq.sample_meta_gaussian(100, spec, substream(7, 3, k))
+        test = rq.sample_meta_gaussian(20000, spec, substream(7, 4, k))
+        pairs.append([_test_error(train, test, config) for config in (ensemble, baseline)])
+    ok = all(e < b for e, b in pairs)
+    _report(10, ok,
+            "p=50, n=100, 3 draws: ensemble d=5 vs d=p baseline test error "
+            + ", ".join(f"{e:.4f} vs {b:.4f}" for e, b in pairs) + " (ensemble lower on each)")

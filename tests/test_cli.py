@@ -205,6 +205,21 @@ def test_model_version_mismatch_rejected(tmp_path, capsys):
     assert "unsupported model format version" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [(b'{"format": ', "Expecting value"), (b'{"format": "\xff"}', "can't decode byte 0xff")],
+    ids=["truncated", "undecodable"],
+)
+def test_broken_model_file_error_names_the_file(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    rc = run("predict", "--model", bad, "--data", TOY, "--out", tmp_path / "o.csv")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and err.startswith(f"error: model file {bad}: ") and message in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_model_round_trip_preserves_predictions(tmp_path):
     model = load_model(DATA_DIR / "toy8_model.json")
     path = tmp_path / "again.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -201,13 +202,18 @@ class TestFitRqda:
         Z = rng.standard_normal((25, 2))
         labels = rng.permutation([0] * 12 + [1] * 13)
         model = fit_rqda(Z, labels, ridge=1e-3)
-        for cov, inv, log_det in (
-            (model.cov0, model.inv0, model.log_det0),
-            (model.cov1, model.inv1, model.log_det1),
-        ):
-            assert abs(log_det - log_det_spd(cov)) <= 1e-10
-            assert np.max(np.abs(cov @ inv - np.eye(2))) <= 1e-8
-            np.testing.assert_allclose(inv, inverse_spd(cov), rtol=0, atol=1e-12)
+        inv = [inverse_spd(cov) for cov in (model.cov0, model.cov1)]
+        log_det = [log_det_spd(cov) for cov in (model.cov0, model.cov1)]
+        # the model votes with exactly these two terms, bit for bit
+        np.testing.assert_array_equal(model.D, inv[1] - inv[0])
+        assert model.const == np.log(model.prior1 / model.prior0) - 0.5 * (log_det[1] - log_det[0])
+        for cov, inv_r, log_det_r in zip((model.cov0, model.cov1), inv, log_det):
+            assert abs(log_det_r - np.linalg.slogdet(cov)[1]) <= 1e-10
+            assert np.max(np.abs(cov @ inv_r - np.eye(2))) <= 1e-8
+        # what it saves and what it votes with, nothing else
+        assert [f.name for f in dataclasses.fields(model)] == [
+            "prior0", "prior1", "cov0", "cov1", "ridge", "D", "const"
+        ]
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_four_point_toy_against_scratch_oracle(self):
@@ -215,18 +221,19 @@ class TestFitRqda:
         labels = np.array([0, 1, 0, 1])
         model = fit_rqda(Z, labels, ridge=0.05)
 
-        for r, (cov, inv, log_det) in enumerate(
-            [
-                (model.cov0, model.inv0, model.log_det0),
-                (model.cov1, model.inv1, model.log_det1),
-            ]
-        ):
+        oracle_inv, oracle_log_det = [], []
+        for r, cov in enumerate((model.cov0, model.cov1)):
             rows = Z[labels == r]
             expected = sum(np.outer(z, z) for z in rows) / len(rows) + 0.05 * np.eye(2)
+            oracle_inv.append(adjugate_inverse(expected))
+            oracle_log_det.append(math.log(cofactor_det(expected)))
             np.testing.assert_allclose(cov, expected, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(inv, adjugate_inverse(expected), rtol=1e-12, atol=1e-12)
-            assert log_det == pytest.approx(math.log(cofactor_det(expected)), abs=1e-12)
+            np.testing.assert_allclose(inverse_spd(cov), oracle_inv[r], rtol=1e-12, atol=1e-12)
+            assert log_det_spd(cov) == pytest.approx(oracle_log_det[r], abs=1e-12)
         assert (model.prior0, model.prior1) == (0.5, 0.5)
+        np.testing.assert_allclose(model.D, oracle_inv[1] - oracle_inv[0], rtol=1e-12, atol=1e-12)
+        # equal priors: the constant is the log-determinant term alone
+        assert model.const == pytest.approx(-0.5 * (oracle_log_det[1] - oracle_log_det[0]), abs=1e-12)
 
     def test_auto_ridge_recorded_and_positive(self):
         rng = np.random.default_rng(10)

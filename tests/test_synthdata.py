@@ -44,6 +44,17 @@ class TestRandomCorrelationMatrix:
         np.linalg.cholesky(C)  # must not raise
         assert np.abs(C[~np.eye(p, dtype=bool)]).max() < 1.0
 
+    @pytest.mark.parametrize("p", [1, 2, 6, 12])
+    def test_draws_one_block(self, p):
+        rng = substream(31, p)
+        C = random_correlation_matrix(p, rng)
+        fresh = substream(31, p)
+        G = fresh.standard_normal((p, p + 2))
+        assert rng.random() == fresh.random()  # the stream moved by one (p, p + 2) block
+        M = G @ G.T  # and the matrix is that block's normalized Gram matrix
+        scale = np.sqrt(np.diag(M))
+        np.testing.assert_allclose(C, M / np.outer(scale, scale), rtol=0, atol=1e-15)
+
 
 class TestBlockCorrelationMatrix:
     def test_structure(self):
