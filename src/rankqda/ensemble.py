@@ -22,8 +22,12 @@ probit scores is formed once per fit, and :mod:`qda` turns them into
 every candidate's covariances ``A M_r A'``, ridge and discriminant terms
 by the same rules as an exact fit, with one stacked Cholesky factor
 (this module does no covariance arithmetic). The training rows are
-scored for all ``b2`` candidates at once, through the vote kernel's
-chunk loop (:meth:`StackedBlocks.chunks`). Transported covariances round
+scored for all ``b2`` candidates at once in the eigenbasis of each
+candidate's symmetric ``D = V diag(lam) V'``: with ``u = V'A s``, the
+quadratic form is ``z'Dz = sum_j lam_j u_j^2`` and ``|z|^2 = |u|^2``, so
+per class and chunk of rows one matmul, one square and one small matmul
+decide every candidate's sure errors (:func:`_lower_bounds`); the bounds
+do not run through the vote kernel's loop. Transported covariances round
 differently from the ``Z_r'Z_r / n_r`` a model stores, so the batch only
 bounds each candidate's error from below: it counts the misclassified
 rows far enough from the boundary to trust their batched sign. One rule
@@ -114,12 +118,10 @@ _CHUNK_ELEMENTS = 2**15
 
 @dataclass(frozen=True, eq=False)
 class StackedBlocks:
-    """``b`` discriminants side by side, scored by one chunked loop.
+    """An ensemble's ``b`` blocks side by side, scored by one chunked loop.
 
-    The ``b`` are an ensemble's blocks for the vote kernel, or one
-    block's candidates for selection. ``projection`` is (p, b*d): column
-    block k is discriminant k's ``A'``. ``D`` is (b, d, d) and ``const``
-    is (b,), the :class:`qda.RqdaModel` terms.
+    ``projection`` is (p, b*d): column block k is block k's ``A'``. ``D``
+    is (b, d, d) and ``const`` is (b,), the :class:`qda.RqdaModel` terms.
     Each is held as a read-only float copy in the given memory layout;
     complex arrays are rejected rather than cast to their real part.
     """
@@ -145,25 +147,20 @@ class StackedBlocks:
     def chunk_rows(self) -> int:
         return max(1, _CHUNK_ELEMENTS // self.projection.shape[1])
 
-    def chunks(self, scores: np.ndarray):
-        """Per chunk of rows of probit ``scores``: the row slice, ``Z`` and ``delta``.
+    def vote_counts(self, scores: np.ndarray) -> np.ndarray:
+        """Number of blocks voting class 1 for each row of probit ``scores``.
 
-        ``Z`` (rows, b, d) is the chunk in every stacked space and
-        ``delta`` (rows, b) its discriminants: the one loop that scores
-        rows through the stack, for votes and for candidate bounds alike.
+        Per chunk of rows, one matmul puts the chunk in every stacked
+        space and one :func:`qda.stacked_discriminant` call scores it, so
+        no (n, b, d) array is built.
         """
         b, d = self.D.shape[:2]
         step = self.chunk_rows
+        counts = np.empty(scores.shape[0], dtype=int)
         for start in range(0, scores.shape[0], step):
             rows = slice(start, start + step)
             Z = (scores[rows] @ self.projection).reshape(-1, b, d)
-            yield rows, Z, qda.stacked_discriminant(Z, self.D, self.const)
-
-    def vote_counts(self, scores: np.ndarray) -> np.ndarray:
-        """Number of blocks voting class 1 for each row of probit ``scores``."""
-        counts = np.empty(scores.shape[0], dtype=int)
-        for rows, _, delta in self.chunks(scores):
-            counts[rows] = (delta >= 0.0).sum(axis=1)
+            counts[rows] = (qda.stacked_discriminant(Z, self.D, self.const) >= 0.0).sum(axis=1)
         return counts
 
 
@@ -267,33 +264,69 @@ def select_alpha(votes, labels, b1: int) -> float:
 # when |delta| <= _UNSURE_MARGIN * (scale[0] + scale[1] * |z|^2), the
 # bound :func:`qda._stacked_terms` gives on how far ``delta`` moves when
 # each covariance moves by this fraction of its largest eigenvalue. On the
-# desk and ``large`` fits the batched and exact ``delta`` differ by at
-# most 2e-16 times that scale.
+# desk and ``large`` fits (draws 0-2, every block) the rotated ``delta``
+# of :func:`_lower_bounds` and :func:`qda.stacked_discriminant`'s differ
+# by at most 3.7e-17 times that scale, a slack of over 1e6.
 _UNSURE_MARGIN = 1e-10
 
 
-def _lower_bounds(matrices, moments, scores, labels, priors, ridge) -> np.ndarray:
+def _eigenbasis(matrices, D) -> tuple[np.ndarray, np.ndarray]:
+    """Every candidate's map into the eigenbasis of its ``D``: ``(W, lam)``.
+
+    ``matrices`` is a block's (b2, d, p) candidate projections ``A`` and
+    ``D`` their (b2, d, d) symmetric discriminant matrices, and
+    ``np.linalg.eigh`` gives ``D = V diag(lam) V'`` with ``lam`` (b2, d).
+    Column block c of the (p, b2*d) ``W`` is candidate c's ``(V'A)'``, so
+    a row ``s`` of scores has ``u = V'A s`` with ``z'Dz = sum_j lam_j u_j^2``
+    and, ``V`` being orthogonal, ``|z|^2 = |u|^2`` for ``z = A s``.
+    """
+    lam, V = np.linalg.eigh(D)
+    b2, d, p = matrices.shape
+    return (V.swapaxes(1, 2) @ matrices).transpose(2, 0, 1).reshape(p, b2 * d), lam
+
+
+def _lower_bounds(matrices, moments, scores, rows, priors, ridge) -> np.ndarray:
     """A lower bound on each candidate's exact training error.
 
-    ``matrices`` is a block's (b2, d, p) candidate projections and
+    ``matrices`` is a block's (b2, d, p) candidate projections,
     ``moments`` the (2, p, p) class second moments of the probit
-    ``scores``, from which :func:`qda._stacked_terms` gives every
-    candidate's discriminant terms. A candidate's bound counts the rows
-    whose batched discriminant misclassifies them and is sure of its
-    sign. The rows are scored through :meth:`StackedBlocks.chunks`, so no
-    (n, b2, d) array is built. Raises ``np.linalg.LinAlgError`` if any
-    covariance has no Cholesky factor.
+    ``scores`` and ``rows`` the row indices of each class, from which
+    :func:`qda._stacked_terms` gives every candidate's discriminant terms.
+    A candidate's bound counts the rows whose batched discriminant
+    misclassifies them and is sure of its sign: for a class-r row with
+    sign ``s`` (-1 for class 0, +1 for class 1), ``s*delta + tol < 0``.
+    In the eigenbasis of :func:`_eigenbasis` both ``delta`` and ``tol``
+    are linear in the squares ``u_j^2``, so per class and chunk of rows
+    the test is one matmul into every candidate's eigenbasis, one square
+    and one matmul with a (b2*d, b2) block-diagonal weight matrix; no
+    (n, b2, d) array is built, and the bounds do not run through the vote
+    kernel's loop. A candidate whose ``D``, eigenpairs or terms are not
+    all finite counts no row, as a NaN ``delta`` is unsure. Raises
+    ``np.linalg.LinAlgError`` if any covariance has no Cholesky factor or
+    an eigensolve does not converge.
     """
     b2, d, p = matrices.shape
     D, const, scale = qda._stacked_terms(matrices, moments, priors, ridge)
+    finite = np.isfinite(D).all(axis=(1, 2))  # eigh may fail a whole stack on one NaN
+    W, lam = _eigenbasis(matrices, np.where(finite[:, None, None], D, 0.0))
+    sign = np.array([-1.0, 1.0])[:, None]
+    weights = -0.5 * sign[..., None] * lam + _UNSURE_MARGIN * scale[1][:, None]  # (2, b2, d)
+    offset = sign * const + _UNSURE_MARGIN * scale[0]  # (2, b2)
+    ok = (finite & np.isfinite(W).reshape(p, b2, d).all(axis=(0, 2))
+          & np.isfinite(weights).all(axis=(0, 2)) & np.isfinite(offset).all(axis=0))
+    # a candidate that is not ok scores 0 < -inf on every row; zeros keep its NaNs out of the others
+    W = np.where(np.repeat(ok, d), W, 0.0)
+    # column c of class r's weight matrix holds weights[r, c] in rows c*d .. c*d + d - 1
+    weights = (np.where(ok[:, None], weights, 0.0)[..., None] * np.eye(b2)[:, None, :]).reshape(2, b2 * d, b2)
+    threshold = np.where(ok, -offset, -np.inf)
 
-    # column block c of the stacked map is candidate c's A'
-    stacked = StackedBlocks(projection=matrices.transpose(2, 0, 1).reshape(p, b2 * d), D=D, const=const)
     wrong = np.zeros(b2, dtype=int)
-    for rows, Z, delta in stacked.chunks(scores):
-        tol = _UNSURE_MARGIN * (scale[0] + scale[1] * np.einsum("mkj,mkj->mk", Z, Z))
-        sure = np.abs(delta) > tol  # a NaN delta is unsure
-        wrong += (sure & ((delta >= 0.0) != labels[rows, None])).sum(axis=0)
+    step = max(1, _CHUNK_ELEMENTS // (b2 * d))
+    for idx, weights_r, threshold_r in zip(rows, weights, threshold):
+        for start in range(0, idx.size, step):
+            U = scores[idx[start:start + step]] @ W
+            U *= U
+            wrong += (U @ weights_r < threshold_r).sum(axis=0)
     return wrong / scores.shape[0]
 
 
@@ -336,7 +369,7 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
     for b in range(config.b1):
         matrices = projections._sample_matrices(p, config.d, config.flavor, _keyed_streams(generator, states[b]))
         try:
-            lower = _lower_bounds(matrices, moments, scores, labels, priors, config.ridge)
+            lower = _lower_bounds(matrices, moments, scores, rows, priors, config.ridge)
         except np.linalg.LinAlgError:
             lower = np.full(config.b2, -np.inf)
         best = None

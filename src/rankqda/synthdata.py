@@ -265,7 +265,10 @@ def bayes_oracle_classify(s, spec: ScenarioSpec):
     """Optimal decision for latent scores under the true parameters.
 
     Accepts a single p-vector or an (m, p) matrix; class 1 iff the true
-    discriminant is >= 0.
+    discriminant is >= 0. Each call builds :func:`oracle_model` anew,
+    checking and factoring both covariances (about 0.1 ms at p=10 and
+    5 ms at p=50). A caller that scores rows one at a time should build
+    ``oracle_model(spec)`` once and call :func:`qda.rqda_classify` with it.
     """
     return qda.rqda_classify(s, oracle_model(spec))
 

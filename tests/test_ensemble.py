@@ -15,6 +15,7 @@ from rankqda import (
     EnsembleConfig,
     ScenarioSpec,
     SingularMatrixError,
+    block_correlation_matrix,
     qda,
     TrainingError,
     classify,
@@ -436,6 +437,10 @@ def test_config_rejects_a_ridge_too_large_for_a_float():
         EnsembleConfig(d=1, b1=1, b2=1, seed=0, ridge=10**400)
 
 
+def _candidate_projections(p, config, b):
+    return [sample_projection(p, config.d, config.flavor, substream(config.seed, b, c)) for c in range(config.b2)]
+
+
 def _per_candidate_blocks(X, labels, config, singular=()):
     """Each block's (candidate, train_error, model) from one fit_rqda per candidate.
 
@@ -446,8 +451,7 @@ def _per_candidate_blocks(X, labels, config, singular=()):
     chosen = []
     for b in range(config.b1):
         best = None
-        for c in range(config.b2):
-            proj = sample_projection(X.shape[1], config.d, config.flavor, substream(config.seed, b, c))
+        for c, proj in enumerate(_candidate_projections(X.shape[1], config, b)):
             Z = project(proj, scores)
             try:
                 if (b, c) in singular:
@@ -636,6 +640,105 @@ def test_selection_refits_about_one_candidate_per_block(monkeypatch):
     monkeypatch.setattr(qda, "_fit", counting)
     train_ensemble(X, labels, EnsembleConfig(d=3, b1=100, b2=20, seed=1))
     assert 100 <= len(calls) <= 110
+
+
+def _fit_inputs(X, labels):
+    """The probit scores, class rows, priors and class second moments a fit bounds its candidates with."""
+    _, scores = fit_transform(X)
+    rows = qda._class_rows(labels)
+    return scores, rows, qda._priors(rows), np.stack([qda._second_moment(scores[r], 0.0) for r in rows])
+
+
+def _block_bounds(matrices, inputs, ridge):
+    scores, rows, priors, moments = inputs
+    return ensemble._lower_bounds(matrices, moments, scores, rows, priors, ridge)
+
+
+@settings(max_examples=150, deadline=None)
+@given(selection_problems())
+def test_every_candidate_errs_at_least_its_lower_bound(problem):
+    # the ordered refit pass keeps the exact argmin only if no candidate's
+    # bound exceeds its exact error; the argmin test above sees only winners
+    X, labels, config = problem
+    inputs = _fit_inputs(X, labels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for b in range(config.b1):
+            candidates = _candidate_projections(X.shape[1], config, b)
+            try:
+                lower = _block_bounds(np.stack([proj.matrix for proj in candidates]), inputs, config.ridge)
+            except np.linalg.LinAlgError:
+                continue  # training refits every candidate of this block
+            for c, proj in enumerate(candidates):
+                Z = project(proj, inputs[0])
+                try:
+                    model = fit_rqda(Z, labels, config.ridge)
+                except SingularMatrixError:
+                    continue
+                assert lower[c] <= training_error(model, Z, labels)
+
+
+def _large_draw():
+    """The bench's ``large`` scenario: 20000 training rows at p=50."""
+    spec = ScenarioSpec(p=50, prior1=0.5, cov0=np.eye(50), cov1=block_correlation_matrix(50, 10, 0.5),
+                        marginal_maps=["exp", "cube"] * 25, seed=7)
+    data = sample_meta_gaussian(20000, spec, substream(20260810, 3))
+    return data.features, data.labels
+
+
+@pytest.mark.parametrize("draw, config", [
+    (_desk_draw, EnsembleConfig(d=3, b1=100, b2=20, seed=42)),
+    (_large_draw, EnsembleConfig(d=5, b1=3, b2=20, seed=42)),
+], ids=["desk", "large"])
+def test_rotated_discriminants_leave_the_unsure_margin_its_slack(draw, config):
+    # the bound trusts a sign beyond 1e-10 of the scale; the eigenbasis and
+    # qda.stacked_discriminant agree to 3.7e-17 of it on desk and large draws
+    X, labels = draw()
+    scores, rows, priors, moments = _fit_inputs(X, labels)
+    n, p = scores.shape
+    for b in range(config.b1):
+        matrices = np.stack([proj.matrix for proj in _candidate_projections(p, config, b)])
+        D, const, scale = qda._stacked_terms(matrices, moments, priors, config.ridge)
+        W, lam = ensemble._eigenbasis(matrices, D)
+        U = (scores @ W).reshape(n, config.b2, config.d)
+        rotated = const - 0.5 * np.einsum("mkj,kj->mk", U * U, lam)
+        Z = (scores @ matrices.transpose(2, 0, 1).reshape(p, -1)).reshape(n, config.b2, config.d)
+        tol = 1e-13 * (scale[0] + scale[1] * np.einsum("mkj,mkj->mk", Z, Z))
+        assert (np.abs(rotated - qda.stacked_discriminant(Z, D, const)) <= tol).all()
+
+
+@pytest.mark.parametrize("where", ["D", "eigenvalue", "eigenvector"])
+def test_a_candidate_with_a_non_finite_discriminant_counts_no_row(monkeypatch, where):
+    # eigh of a stack with one NaN entry in D may return a NaN eigenvalue or
+    # fail the whole stack; like a NaN delta, such a candidate is unsure of
+    # every row, and the other candidates' bounds do not move
+    X, labels = _desk_draw()
+    config = EnsembleConfig(d=3, b1=5, b2=20, seed=1)
+    inputs = _fit_inputs(X, labels)
+    matrices = np.stack([proj.matrix for proj in _candidate_projections(X.shape[1], config, 0)])
+    clean = _block_bounds(matrices, inputs, config.ridge)
+    target = int(np.argmax(clean))
+    stacked, eigh = qda._stacked_terms, np.linalg.eigh
+
+    def poisoned_terms(*args):
+        D, const, scale = stacked(*args)
+        D = D.copy()
+        D[target, 0, 0] = np.nan
+        return D, const, scale
+
+    def poisoned_eigh(D):
+        lam, V = eigh(D)
+        (lam if where == "eigenvalue" else V)[target, 0] = np.nan
+        return lam, V
+
+    if where == "D":
+        monkeypatch.setattr(qda, "_stacked_terms", poisoned_terms)
+    else:
+        monkeypatch.setattr(np.linalg, "eigh", poisoned_eigh)
+    lower = _block_bounds(matrices, inputs, config.ridge)
+    assert clean[target] > 0.0 and lower[target] == 0.0
+    np.testing.assert_array_equal(np.delete(lower, target), np.delete(clean, target))
+    _assert_blocks_match(train_ensemble(X, labels, config), _per_candidate_blocks(X, labels, config))
 
 
 @pytest.mark.parametrize("entry", ["classify", "vote_fraction", "predict", "vote_fractions", "train_ensemble"])
