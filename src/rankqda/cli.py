@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--model", required=True)
     predict.add_argument("--data", required=True)
     predict.add_argument("--label-col", default=None,
-                         help="label column to ignore, if the file has one")
+                         help="label column to drop, if the file has one; it must hold 0/1 labels")
     predict.add_argument("--out", required=True)
     predict.set_defaults(func=cmd_predict)
 

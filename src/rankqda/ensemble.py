@@ -13,8 +13,7 @@ no generator per key: :func:`rng._keyed_states` computes the PCG64 state
 of every key in one vectorized pass, and :func:`rng._keyed_streams` sets
 a block's states in turn on one reused generator, so the draws are bit
 for bit ``substream(seed, block, candidate)``'s. Each candidate draws its
-projection once (a ``haar`` draw is never re-drawn), so no stream is
-visited twice.
+projection once.
 
 A block chooses its candidate in one batch, from moments transported
 through the projections: each class's p x p second moment ``M_r`` of the
@@ -26,29 +25,31 @@ scored for all ``b2`` candidates at once in the eigenbasis of each
 candidate's symmetric ``D = V diag(lam) V'``: with ``u = V'A s``, the
 quadratic form is ``z'Dz = sum_j lam_j u_j^2`` and ``|z|^2 = |u|^2``, so
 per class and chunk of rows one matmul, one square and one small matmul
-decide every candidate's sure errors (:func:`_lower_bounds`); the bounds
-do not run through the vote kernel's loop. Transported covariances round
-differently from the ``Z_r'Z_r / n_r`` a model stores, so the batch only
-bounds each candidate's error from below: it counts the misclassified
-rows far enough from the boundary to trust their batched sign. One rule
-then picks the candidate: refit exactly in ascending bound order and
-stop at the first bound above the best exact error (about one refit per
-block on the desk scenario). Every stored number, and so every model
-file, comes from that exact refit, the same ``qda`` core and error as a
-fit of each candidate on its own.
+decide every candidate's sure errors (:func:`_lower_bounds`).
+Transported covariances round differently from the ``Z_r'Z_r / n_r`` a
+model stores, so the batch only bounds each candidate's error from
+below: it counts the misclassified rows far enough from the boundary to
+trust their batched sign. One rule then picks the candidate: refit
+exactly in ascending bound order and stop at the first bound above the
+best exact error (about one refit per block on the desk scenario). Every
+stored number, and so every model file, comes from that exact refit, the
+same ``qda`` core and error as a fit of each candidate on its own.
 
-Prediction has one kernel, :func:`vote_fractions`. At construction a
-model stacks its ``b1`` projections into one (p, b1*d) matrix and its
-blocks' ``D = inv1 - inv0`` matrices and constants into arrays (never
-persisted), so a fitted, hand-built and loaded model hold the same arrays.
-Scoring then takes one marginal transform, and per chunk of rows one
-matmul into every block's space plus one
+Prediction has one kernel, :func:`_vote_counts`, behind
+:func:`vote_fractions`. At construction a model derives, with
+:func:`_stack`, its own fields ``stacked_projection`` (its ``b1``
+projections as one (p, b1*d) matrix), ``stacked_D`` and
+``stacked_const`` (its blocks' ``D = inv1 - inv0`` matrices and
+constants), never persisted, so a fitted, hand-built and loaded model
+hold the same arrays. Scoring then takes one marginal transform, and per
+chunk of rows one matmul into every block's space plus one
 :func:`qda.stacked_discriminant` call, with no loop over blocks.
-Training counts the votes it selects ``alpha`` on with the same kernel,
-so a training row gets the same vote at fit as at prediction. A model
-stores its blocks as a tuple, and every array it holds (projection
-matrices, covariances, the marginal table and the stacked arrays) is
-read-only, so what it votes with in memory is what it saves.
+Training counts the votes it selects ``alpha`` on with the same kernel
+on the same stacked arrays, so a training row gets the same vote at fit
+as at prediction. A model stores its blocks as a tuple, and every array
+it holds (projection matrices, covariances, the marginal table and the
+stacked arrays) is read-only, so what it votes with in memory is what it
+saves.
 
 Each input rule has one owner: :class:`EnsembleConfig` checks the config
 values and :class:`EnsembleModel` ``d <= p``, its blocks (each projection
@@ -60,7 +61,8 @@ object is fitted, built by hand or loaded. The data are checked by
 and that X has one row per label once per fit; its refits call
 :mod:`qda`'s unchecked core on that one class split, and it warns once
 per fit, not once per candidate, about each class too small for a
-full-rank covariance.
+full-rank covariance. :func:`select_alpha`, public on its own, checks
+its votes and labels again.
 """
 
 import math
@@ -111,57 +113,45 @@ class Block:
     candidate: int
 
 
-# Rows per chunk keep the stacked (rows, b*d) buffers at
+# Rows per chunk keep the stacked (rows, width) buffers at
 # about this many elements, so memory stays flat in the number of rows.
 _CHUNK_ELEMENTS = 2**15
 
 
-@dataclass(frozen=True, eq=False)
-class StackedBlocks:
-    """An ensemble's ``b`` blocks side by side, scored by one chunked loop.
+def _chunk_rows(width: int) -> int:
+    """Rows per chunk of a (rows, ``width``) buffer."""
+    return max(1, _CHUNK_ELEMENTS // width)
 
-    ``projection`` is (p, b*d): column block k is block k's ``A'``. ``D``
+
+def _stack(blocks: Sequence[Block]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``b`` blocks side by side: the arguments of :func:`_vote_counts`.
+
+    The (p, b*d) projection's column block k is block k's ``A'``; ``D``
     is (b, d, d) and ``const`` is (b,), the :class:`qda.RqdaModel` terms.
-    Each is held as a read-only float copy in the given memory layout;
-    complex arrays are rejected rather than cast to their real part.
     """
+    return (
+        np.vstack([block.projection.matrix for block in blocks]).T,
+        np.stack([block.model.D for block in blocks]),
+        np.array([block.model.const for block in blocks]),
+    )
 
-    projection: np.ndarray
-    D: np.ndarray
-    const: np.ndarray
 
-    def __post_init__(self):
-        for name in ("projection", "D", "const"):
-            message = f"stacked {name} must be real, not complex"
-            freeze(self, **{name: real_array(getattr(self, name), message, copy=True)})
+def _vote_counts(scores: np.ndarray, projection, D, const) -> np.ndarray:
+    """Number of blocks voting class 1 for each row of probit ``scores``.
 
-    @classmethod
-    def from_blocks(cls, blocks: Sequence[Block]) -> "StackedBlocks":
-        return cls(
-            projection=np.vstack([block.projection.matrix for block in blocks]).T,
-            D=np.stack([block.model.D for block in blocks]),
-            const=np.array([block.model.const for block in blocks]),
-        )
-
-    @property
-    def chunk_rows(self) -> int:
-        return max(1, _CHUNK_ELEMENTS // self.projection.shape[1])
-
-    def vote_counts(self, scores: np.ndarray) -> np.ndarray:
-        """Number of blocks voting class 1 for each row of probit ``scores``.
-
-        Per chunk of rows, one matmul puts the chunk in every stacked
-        space and one :func:`qda.stacked_discriminant` call scores it, so
-        no (n, b, d) array is built.
-        """
-        b, d = self.D.shape[:2]
-        step = self.chunk_rows
-        counts = np.empty(scores.shape[0], dtype=int)
-        for start in range(0, scores.shape[0], step):
-            rows = slice(start, start + step)
-            Z = (scores[rows] @ self.projection).reshape(-1, b, d)
-            counts[rows] = (qda.stacked_discriminant(Z, self.D, self.const) >= 0.0).sum(axis=1)
-        return counts
+    The arrays are :func:`_stack`'s. Per chunk of rows, one matmul puts
+    the chunk in every stacked space and one
+    :func:`qda.stacked_discriminant` call scores it, so no (n, b, d)
+    array is built.
+    """
+    b, d = D.shape[:2]
+    step = _chunk_rows(b * d)
+    counts = np.empty(scores.shape[0], dtype=int)
+    for start in range(0, scores.shape[0], step):
+        rows = slice(start, start + step)
+        Z = (scores[rows] @ projection).reshape(-1, b, d)
+        counts[rows] = (qda.stacked_discriminant(Z, D, const) >= 0.0).sum(axis=1)
+    return counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,10 +163,12 @@ class EnsembleModel:
     ``(b1 + 1/2) / b1``, the constant class-0 rule. It owns each block's
     rules: a known flavor, a finite ``(d, n_features)`` matrix, ``(d, d)``
     covariances, a candidate in [0, b2), a stream of None or a tuple of
-    integers >= 0 and a train_error in [0, 1]. It then derives
-    ``stacked``, the blocks stacked for :func:`vote_fractions` (never
-    persisted). ``blocks`` is stored as a tuple, and every array the
-    model holds is read-only, so what it votes with is what it saves.
+    integers >= 0 and a train_error in [0, 1]. It then derives the
+    :func:`_stack` arrays :func:`vote_fractions` scores with (never
+    persisted): ``stacked_projection`` (p, b1*d), ``stacked_D``
+    (b1, d, d) and ``stacked_const`` (b1,). ``blocks`` is stored as a
+    tuple, and every array the model holds is read-only, so what it votes
+    with is what it saves.
     Immutable and safe for concurrent reads.
     """
 
@@ -184,7 +176,9 @@ class EnsembleModel:
     blocks: tuple[Block, ...]
     alpha: float
     config: EnsembleConfig
-    stacked: StackedBlocks = field(init=False, repr=False)
+    stacked_projection: np.ndarray = field(init=False, repr=False)
+    stacked_D: np.ndarray = field(init=False, repr=False)
+    stacked_const: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         blocks = tuple(self.blocks)
@@ -215,7 +209,8 @@ class EnsembleModel:
             for value in stream or ():
                 checked_int(value, f"block {k} stream entry", 0)
             checked_number(block.train_error, f"block {k} train_error", 0.0, 1.0)
-        freeze(self, blocks=blocks, alpha=alpha, stacked=StackedBlocks.from_blocks(blocks))
+        projection, D, const = _stack(blocks)
+        freeze(self, blocks=blocks, alpha=alpha, stacked_projection=projection, stacked_D=D, stacked_const=const)
 
     @property
     def n_features(self) -> int:
@@ -299,9 +294,8 @@ def _lower_bounds(matrices, moments, scores, rows, priors, ridge) -> np.ndarray:
     are linear in the squares ``u_j^2``, so per class and chunk of rows
     the test is one matmul into every candidate's eigenbasis, one square
     and one matmul with a (b2*d, b2) block-diagonal weight matrix; no
-    (n, b2, d) array is built, and the bounds do not run through the vote
-    kernel's loop. A candidate whose ``D``, eigenpairs or terms are not
-    all finite counts no row, as a NaN ``delta`` is unsure. Raises
+    (n, b2, d) array is built. A candidate whose ``D``, eigenpairs or
+    terms are not all finite counts no row, as a NaN ``delta`` is unsure. Raises
     ``np.linalg.LinAlgError`` if any covariance has no Cholesky factor or
     an eigensolve does not converge.
     """
@@ -321,7 +315,7 @@ def _lower_bounds(matrices, moments, scores, rows, priors, ridge) -> np.ndarray:
     threshold = np.where(ok, -offset, -np.inf)
 
     wrong = np.zeros(b2, dtype=int)
-    step = max(1, _CHUNK_ELEMENTS // (b2 * d))
+    step = _chunk_rows(b2 * d)
     for idx, weights_r, threshold_r in zip(rows, weights, threshold):
         for start in range(0, idx.size, step):
             U = scores[idx[start:start + step]] @ W
@@ -396,7 +390,7 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
     if config.alpha is not None:
         alpha = float(config.alpha)
     else:
-        votes = StackedBlocks.from_blocks(blocks).vote_counts(scores) / config.b1
+        votes = _vote_counts(scores, *_stack(blocks)) / config.b1
         alpha = select_alpha(votes, labels, config.b1)
 
     return EnsembleModel(
@@ -410,7 +404,7 @@ def vote_fractions(model: EnsembleModel, X) -> np.ndarray:
     Every value is an exact integer multiple of 1/b1.
     """
     scores = marginals.transform_new(model.marginal_model, np.atleast_2d(np.asarray(X)))
-    return model.stacked.vote_counts(scores) / model.b1
+    return _vote_counts(scores, model.stacked_projection, model.stacked_D, model.stacked_const) / model.b1
 
 
 def vote_fraction(model: EnsembleModel, x) -> float:

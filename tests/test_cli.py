@@ -94,6 +94,21 @@ def test_train_rejects_non_binary_labels(tmp_path, capsys):
     assert "labels must be 0/1" in capsys.readouterr().err
 
 
+def test_predict_label_column_is_dropped_but_must_hold_0_1_labels(tmp_path, capsys):
+    model = tmp_path / "m.json"
+    assert run("train", "--data", TOY, "--d", 2, "--b1", 1, "--b2", 1, "--seed", 7, "--model-out", model) == 0
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x0,x1,x2,label\n1.5,-0.2,3.1,0\n2.7,0.45,-1.2,2\n")
+    capsys.readouterr()
+    rc = run("predict", "--model", model, "--data", bad, "--label-col", "label", "--out", tmp_path / "p.csv")
+    assert rc == 1
+    assert capsys.readouterr().err == "error: labels must be 0/1; row 1 has 'label'=2\n"
+    assert not (tmp_path / "p.csv").exists()
+    with pytest.raises(SystemExit):
+        run("predict", "--help")
+    assert "it must hold 0/1 labels" in " ".join(capsys.readouterr().out.split())
+
+
 def test_train_rejects_single_class(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("x0,x1,label\n1.0,2.0,1\n2.0,1.0,1\n3.0,0.0,1\n")

@@ -741,6 +741,47 @@ def test_a_candidate_with_a_non_finite_discriminant_counts_no_row(monkeypatch, w
     _assert_blocks_match(train_ensemble(X, labels, config), _per_candidate_blocks(X, labels, config))
 
 
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_rows_on_a_candidates_boundary_are_never_sure_errors(flavor):
+    # rows where a candidate's batched discriminant is about 0, labelled by
+    # the exact model's sign, so the exact error on them is 0; the bound
+    # must count none of them. With _UNSURE_MARGIN at 0 it counted up to 587,
+    # 714 and 581 of a candidate's rows (haar, gaussian, axis) when this was
+    # written; at 1e-15 none
+    X, labels = _desk_draw()
+    config = EnsembleConfig(d=3, b1=1, b2=20, seed=42, flavor=flavor)
+    scores, rows, priors, moments = _fit_inputs(X, labels)
+    candidates = _candidate_projections(X.shape[1], config, 0)
+    matrices = np.stack([proj.matrix for proj in candidates])
+    D, const, _ = qda._stacked_terms(matrices, moments, priors, None)
+    for c in (0, 5, 10, 15):
+        v = substream(99, c).standard_normal((2000, X.shape[1]))
+        Av = v @ matrices[c].T
+        ratio = 2.0 * const[c] / np.einsum("mi,ij,mj->m", Av, D[c], Av)
+        rows_B = np.sqrt(ratio[ratio > 0.0])[:, None] * v[ratio > 0.0]
+        exact = qda._fit(project(candidates[c], scores), rows, priors, None)
+        labels_B = (qda.discriminant(project(candidates[c], rows_B), exact) >= 0.0).astype(int)
+        assert 0 < labels_B.sum() < labels_B.size
+        bound = ensemble._lower_bounds(
+            matrices[c:c + 1], moments, rows_B, qda._class_rows(labels_B), priors, None
+        )
+        assert bound[0] == 0.0
+
+
+@pytest.mark.parametrize("ridge", [None, 0.1])
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_a_fit_s_blocks_are_a_prefix_of_a_larger_b1_fit_s(flavor, ridge):
+    # block b draws from the keys (seed, b, c) and nothing in it depends on
+    # b1, so growing b1 appends blocks and leaves the first ones as they were
+    X, labels = _desk_draw()
+
+    def blocks(b1):
+        config = EnsembleConfig(d=3, b1=b1, b2=5, seed=42, flavor=flavor, ridge=ridge)
+        return model_to_dict(train_ensemble(X, labels, config))["blocks"]
+
+    assert json.dumps(blocks(10)) == json.dumps(blocks(40)[:10])
+
+
 @pytest.mark.parametrize("entry", ["classify", "vote_fraction", "predict", "vote_fractions", "train_ensemble"])
 def test_complex_features_are_rejected_at_every_entry_point(entry):
     # a cast to float would keep only the real part and answer for other features

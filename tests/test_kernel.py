@@ -10,6 +10,7 @@ import pytest
 
 from rankqda import (
     EnsembleConfig,
+    ensemble,
     estimate_priors,
     fit_transform,
     inv_norm_cdf,
@@ -41,7 +42,7 @@ class TestStackedVotesMatchPerBlockLoop:
     @pytest.mark.parametrize("rows", ["one", "chunk", "chunk_plus_one"])
     def test_row_counts_around_the_chunk_size(self, rows):
         model = _model("haar", b1=9, d=3)
-        chunk = model.stacked.chunk_rows
+        chunk = ensemble._chunk_rows(model.stacked_projection.shape[1])
         m = {"one": 1, "chunk": chunk, "chunk_plus_one": chunk + 1}[rows]
         X = substream(43).standard_normal((m, 5))
         votes = vote_fractions(model, X)
@@ -71,14 +72,14 @@ class TestStackedVotesMatchPerBlockLoop:
 
     def test_stacked_arrays_are_derived_once_in_block_order(self):
         model = _model("haar", b1=4, d=3)
-        stacked = model.stacked
-        assert model.stacked is stacked
-        assert stacked.projection.shape == (5, 12)
-        assert stacked.D.shape == (4, 3, 3)
-        assert stacked.const.shape == (4,)
-        np.testing.assert_array_equal(
-            stacked.projection[:, 3:6], model.blocks[1].projection.matrix.T
-        )
+        projection = model.stacked_projection
+        assert model.stacked_projection is projection
+        assert projection.shape == (5, 12)
+        assert model.stacked_D.shape == (4, 3, 3)
+        assert model.stacked_const.shape == (4,)
+        np.testing.assert_array_equal(projection[:, 3:6], model.blocks[1].projection.matrix.T)
+        assert model.stacked_D[1].tobytes() == model.blocks[1].model.D.tobytes()
+        assert model.stacked_const[1] == model.blocks[1].model.const
 
     def test_predict_thresholds_kernel_votes(self):
         model = _model("axis")

@@ -286,7 +286,7 @@ def test_valid_multi_block_document_loads(tmp_path):
     path.write_text(json.dumps(doc))
     model = load_model(path)
     assert model.b1 == 2
-    assert model.stacked.projection.shape == (3, 4)
+    assert model.stacked_projection.shape == (3, 4)
 
 
 def test_document_that_is_a_list_rejected_with_one_error_line(tmp_path, capsys):

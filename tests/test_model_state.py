@@ -18,7 +18,7 @@ from rankqda import (
     EnsembleConfig, ScenarioSpec, fit_transform, inv_norm_cdf, load_model, save_model, train_ensemble,
     vote_fractions,
 )
-from rankqda.ensemble import StackedBlocks
+from rankqda.ensemble import _stack
 from rankqda.marginals import MarginalModel, transform_new
 from rankqda.model_io import model_to_dict
 from rankqda.projections import Projection
@@ -73,16 +73,14 @@ def test_reloaded_table_equals_the_fitted_one_in_value_and_layout(tmp_path):
 
 def _assert_derived_at_construction(model):
     marginal = model.marginal_model
-    assert "score_table" in vars(marginal) and "stacked" in vars(model)
+    assert "score_table" in vars(marginal)
+    assert {"stacked_projection", "stacked_D", "stacked_const"} <= set(vars(model))
     n = marginal.n_samples
     np.testing.assert_array_equal(
         _bits(marginal.score_table), _bits(inv_norm_cdf(np.arange(1, n + 1) / (n + 1.0)))
     )
-    expected = StackedBlocks.from_blocks(model.blocks)
-    for name in ("projection", "D", "const"):
-        np.testing.assert_array_equal(
-            _bits(getattr(model.stacked, name)), _bits(getattr(expected, name))
-        )
+    for name, expected in zip(("projection", "D", "const"), _stack(model.blocks)):
+        np.testing.assert_array_equal(_bits(getattr(model, f"stacked_{name}")), _bits(expected))
 
 
 def test_score_table_and_stacked_are_set_at_construction(tmp_path):
@@ -122,7 +120,6 @@ def _equal_value_pair(kind, tmp_path):
     parts = {
         "EnsembleModel": lambda m: m,
         "MarginalModel": lambda m: m.marginal_model,
-        "StackedBlocks": lambda m: m.stacked,
         "Block": lambda m: m.blocks[0],
         "Projection": lambda m: m.blocks[0].projection,
         "RqdaModel": lambda m: m.blocks[0].model,
@@ -132,7 +129,7 @@ def _equal_value_pair(kind, tmp_path):
     return tuple(parts[kind](m) for m in pair)
 
 
-@pytest.mark.parametrize("kind", ["EnsembleModel", "MarginalModel", "StackedBlocks", "Block",
+@pytest.mark.parametrize("kind", ["EnsembleModel", "MarginalModel", "Block",
                                   "Projection", "RqdaModel", "ScenarioSpec", "Dataset"])
 def test_array_holding_types_compare_and_hash_by_identity(kind, tmp_path):
     a, b = _equal_value_pair(kind, tmp_path)
@@ -146,7 +143,7 @@ _WRITES = {
     "Projection": lambda m: np.copyto(m.blocks[0].projection.matrix, m.blocks[1].projection.matrix),
     "RqdaModel": lambda m: np.copyto(m.blocks[2].model.cov0, 3 * np.eye(2)),
     "MarginalModel": lambda m: np.copyto(m.marginal_model.sorted_columns[0], 0.0),
-    "StackedBlocks": lambda m: np.copyto(m.stacked.D[0], 0.0),
+    "EnsembleModel": lambda m: np.copyto(m.stacked_D[0], 0.0),
 }
 
 
@@ -166,13 +163,11 @@ def test_a_write_to_model_arrays_raises_and_reloaded_votes_equal_in_memory_votes
 
 
 def test_hand_built_types_copy_their_input_arrays_or_make_them_read_only():
-    cov, matrix, D = np.eye(2), np.eye(2, 3), np.zeros((1, 2, 2))
+    cov, matrix = np.eye(2), np.eye(2, 3)
     model = RqdaModel(0.5, 0.5, cov, cov, 0.0)
     projection = Projection(matrix, "axis")
-    stacked = StackedBlocks(matrix.T, D, np.zeros(1))
-    cov[0, 0] = matrix[0, 0] = D[0, 0, 0] = 9.0
-    assert model.cov0[0, 0] == model.cov1[0, 0] == projection.matrix[0, 0] == stacked.projection[0, 0] == 1.0
-    assert stacked.D[0, 0, 0] == 0.0
+    cov[0, 0] = matrix[0, 0] = 9.0
+    assert model.cov0[0, 0] == model.cov1[0, 0] == projection.matrix[0, 0] == 1.0
     column_major = np.asfortranarray([[0.0, 1.0], [2.0, 3.0]])
     assert MarginalModel(column_major).sorted_columns is column_major
     assert not column_major.flags.writeable
@@ -194,11 +189,3 @@ def test_fence_key_is_derived_read_only_and_never_persisted(tmp_path):
     doc = model_to_dict(fitted)
     assert doc == model_to_dict(loaded)
     assert set(doc["marginals"]) == {"n", "columns"}
-
-
-@pytest.mark.parametrize("name", ["projection", "D", "const"])
-def test_stacked_blocks_reject_a_complex_array_naming_it(name):
-    arrays = dict(projection=np.ones((3, 2)), D=np.zeros((1, 2, 2)), const=np.zeros(1))
-    arrays[name] = arrays[name] + 1j
-    with pytest.raises(ValueError, match=f"^stacked {name} must be real, not complex$"):
-        StackedBlocks(**arrays)

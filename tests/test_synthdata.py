@@ -258,6 +258,7 @@ class TestSampleMetaGaussian:
     def test_marginal_maps_applied_per_feature(self):
         spec = _spec(p=2, maps=["exp", "cube"])
         data = sample_meta_gaussian(30, spec, substream(6))
+        assert (data.n, data.p) == data.features.shape == (30, 2)
         np.testing.assert_array_equal(data.features[:, 0], np.exp(data.latent[:, 0]))
         np.testing.assert_array_equal(data.features[:, 1], data.latent[:, 1] ** 3)
 
