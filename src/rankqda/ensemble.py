@@ -17,15 +17,14 @@ projection once.
 
 A block chooses its candidate in one batch, from moments transported
 through the projections: each class's p x p second moment ``M_r`` of the
-probit scores is formed once per fit, and :mod:`qda` turns them into
-every candidate's covariances ``A M_r A'``, ridge and discriminant terms
-by the same rules as an exact fit, with one stacked Cholesky factor
-(this module does no covariance arithmetic). The training rows are
-scored for all ``b2`` candidates at once in the eigenbasis of each
-candidate's symmetric ``D = V diag(lam) V'``: with ``u = V'A s``, the
-quadratic form is ``z'Dz = sum_j lam_j u_j^2`` and ``|z|^2 = |u|^2``, so
-per class and chunk of rows one matmul, one square and one small matmul
-decide every candidate's sure errors (:func:`_lower_bounds`).
+probit scores is formed once per fit, and :func:`qda._sure_error_terms`
+turns them into every candidate's covariances ``A M_r A'``, ridge and
+discriminant terms by the same rules as an exact fit, and those into a
+test for sure errors in the eigenbasis of each candidate's ``D``. This
+module does no covariance or discriminant arithmetic: it draws, counts,
+refits and votes. :func:`_lower_bounds` applies the test to the training
+rows, per class and chunk of rows one matmul, one square and one small
+matmul for all ``b2`` candidates at once.
 Transported covariances round differently from the ``Z_r'Z_r / n_r`` a
 model stores, so the batch only bounds each candidate's error from
 below: it counts the misclassified rows far enough from the boundary to
@@ -255,67 +254,24 @@ def select_alpha(votes, labels, b1: int) -> float:
     return float(thresholds[np.argmin(errors)])
 
 
-# A training row's batched discriminant ``delta`` is unsure of its sign
-# when |delta| <= _UNSURE_MARGIN * (scale[0] + scale[1] * |z|^2), the
-# bound :func:`qda._stacked_terms` gives on how far ``delta`` moves when
-# each covariance moves by this fraction of its largest eigenvalue. On the
-# desk and ``large`` fits (draws 0-2, every block) the rotated ``delta``
-# of :func:`_lower_bounds` and :func:`qda.stacked_discriminant`'s differ
-# by at most 3.7e-17 times that scale, a slack of over 1e6.
-_UNSURE_MARGIN = 1e-10
-
-
-def _eigenbasis(matrices, D) -> tuple[np.ndarray, np.ndarray]:
-    """Every candidate's map into the eigenbasis of its ``D``: ``(W, lam)``.
-
-    ``matrices`` is a block's (b2, d, p) candidate projections ``A`` and
-    ``D`` their (b2, d, d) symmetric discriminant matrices, and
-    ``np.linalg.eigh`` gives ``D = V diag(lam) V'`` with ``lam`` (b2, d).
-    Column block c of the (p, b2*d) ``W`` is candidate c's ``(V'A)'``, so
-    a row ``s`` of scores has ``u = V'A s`` with ``z'Dz = sum_j lam_j u_j^2``
-    and, ``V`` being orthogonal, ``|z|^2 = |u|^2`` for ``z = A s``.
-    """
-    lam, V = np.linalg.eigh(D)
-    b2, d, p = matrices.shape
-    return (V.swapaxes(1, 2) @ matrices).transpose(2, 0, 1).reshape(p, b2 * d), lam
-
-
 def _lower_bounds(matrices, moments, scores, rows, priors, ridge) -> np.ndarray:
     """A lower bound on each candidate's exact training error.
 
     ``matrices`` is a block's (b2, d, p) candidate projections,
     ``moments`` the (2, p, p) class second moments of the probit
-    ``scores`` and ``rows`` the row indices of each class, from which
-    :func:`qda._stacked_terms` gives every candidate's discriminant terms.
-    A candidate's bound counts the rows whose batched discriminant
-    misclassifies them and is sure of its sign: for a class-r row with
-    sign ``s`` (-1 for class 0, +1 for class 1), ``s*delta + tol < 0``.
-    In the eigenbasis of :func:`_eigenbasis` both ``delta`` and ``tol``
-    are linear in the squares ``u_j^2``, so per class and chunk of rows
-    the test is one matmul into every candidate's eigenbasis, one square
-    and one matmul with a (b2*d, b2) block-diagonal weight matrix; no
-    (n, b2, d) array is built. A candidate whose ``D``, eigenpairs or
-    terms are not all finite counts no row, as a NaN ``delta`` is unsure. Raises
-    ``np.linalg.LinAlgError`` if any covariance has no Cholesky factor or
-    an eigensolve does not converge.
+    ``scores`` and ``rows`` the row indices of each class. A candidate's
+    bound counts the rows whose batched discriminant misclassifies them
+    and is sure of its sign, by :func:`qda._sure_error_terms`' test: per
+    class and chunk of rows, one matmul into every candidate's
+    eigenbasis, one square and one matmul with the class's
+    block-diagonal weight matrix, compared with its thresholds; no
+    (n, b2, d) array is built. A candidate whose terms are not all finite
+    counts no row. Raises ``np.linalg.LinAlgError`` if any covariance has
+    no Cholesky factor or an eigensolve does not converge.
     """
-    b2, d, p = matrices.shape
-    D, const, scale = qda._stacked_terms(matrices, moments, priors, ridge)
-    finite = np.isfinite(D).all(axis=(1, 2))  # eigh may fail a whole stack on one NaN
-    W, lam = _eigenbasis(matrices, np.where(finite[:, None, None], D, 0.0))
-    sign = np.array([-1.0, 1.0])[:, None]
-    weights = -0.5 * sign[..., None] * lam + _UNSURE_MARGIN * scale[1][:, None]  # (2, b2, d)
-    offset = sign * const + _UNSURE_MARGIN * scale[0]  # (2, b2)
-    ok = (finite & np.isfinite(W).reshape(p, b2, d).all(axis=(0, 2))
-          & np.isfinite(weights).all(axis=(0, 2)) & np.isfinite(offset).all(axis=0))
-    # a candidate that is not ok scores 0 < -inf on every row; zeros keep its NaNs out of the others
-    W = np.where(np.repeat(ok, d), W, 0.0)
-    # column c of class r's weight matrix holds weights[r, c] in rows c*d .. c*d + d - 1
-    weights = (np.where(ok[:, None], weights, 0.0)[..., None] * np.eye(b2)[:, None, :]).reshape(2, b2 * d, b2)
-    threshold = np.where(ok, -offset, -np.inf)
-
-    wrong = np.zeros(b2, dtype=int)
-    step = _chunk_rows(b2 * d)
+    W, weights, threshold = qda._sure_error_terms(matrices, moments, priors, ridge)
+    wrong = np.zeros(threshold.shape[1], dtype=int)
+    step = _chunk_rows(W.shape[1])
     for idx, weights_r, threshold_r in zip(rows, weights, threshold):
         for start in range(0, idx.size, step):
             U = scores[idx[start:start + step]] @ W

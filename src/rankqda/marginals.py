@@ -263,8 +263,6 @@ def fit_transform(X) -> tuple[MarginalModel, np.ndarray]:
     if X.ndim != 2:
         raise ValueError(f"expected a 2-d feature matrix, got ndim={X.ndim}")
     n, p = X.shape
-    if n < 1 or p < 1:
-        raise ValueError(f"feature matrix must be non-empty, got shape {X.shape}")
     _check_finite_matrix(X)
 
     by_feature = X.T.copy()  # (p, n), one feature per contiguous row: the model's layout

@@ -40,6 +40,16 @@ Cholesky factor per covariance, and a scale for how far each
 discriminant can move under rounding. Those terms only rank candidates
 and are never stored.
 
+The private ``_sure_error_terms`` turns them into the test behind the
+selection's lower bounds. It takes the eigenbasis ``D = V diag(lam) V'``
+of each candidate's ``D``, in which a row's quadratic form and squared
+norm are both linear in the squares of ``u = V'A s``. It builds the
+``-0.5*sign*lam`` weights and the ``sign*const`` thresholds of a sure
+error, each widened by the unsure-row margin ``_UNSURE_MARGIN`` times
+that scale. A row is counted only where its batched sign would survive
+the covariances moving by that fraction, and a candidate with a
+non-finite term counts no row.
+
 Every SPD matrix, whether an :class:`RqdaModel` covariance or the
 argument of :func:`inverse_spd` or :func:`log_det_spd`, passes one gate,
 the private ``_factor_spd``: it rejects a matrix that is not square and
@@ -366,6 +376,53 @@ def _stacked_terms(matrices, moments, priors, ridge) -> tuple[np.ndarray, np.nda
     tr_inv = np.trace(inv, axis1=2, axis2=3)
     kappa = np.trace(cov, axis1=2, axis2=3) * tr_inv
     return D, const, (np.abs(const) + cov.shape[-1] * kappa.sum(axis=0), (kappa * tr_inv).sum(axis=0))
+
+
+# A training row's batched discriminant ``delta`` is unsure of its sign
+# when |delta| <= _UNSURE_MARGIN * (scale[0] + scale[1] * |z|^2), the
+# bound :func:`_stacked_terms` gives on how far ``delta`` moves when
+# each covariance moves by this fraction of its largest eigenvalue. On the
+# desk and ``large`` fits (draws 0-2, every block) the rotated ``delta``
+# of :func:`_sure_error_terms` and :func:`stacked_discriminant`'s differ
+# by at most 3.7e-17 times that scale, a slack of over 1e6.
+_UNSURE_MARGIN = 1e-10
+
+
+def _sure_error_terms(matrices, moments, priors, ridge) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(W, weights, threshold)``: the test for the ``k`` candidates' sure errors.
+
+    The arguments are :func:`_stacked_covariances`'s. In the eigenbasis
+    ``D = V diag(lam) V'`` of a candidate's discriminant matrix, a row
+    ``s`` of scores has ``u = V'A s`` with ``z'Dz = sum_j lam_j u_j^2``
+    and, ``V`` being orthogonal, ``|z|^2 = |u|^2`` for ``z = A s``. So
+    both ``delta`` and its unsure margin are linear in the squares
+    ``u_j^2``, and a class-r row with sign ``s`` (-1 for class 0, +1 for
+    class 1) is a sure error of candidate c, ``s*delta + tol < 0``, iff
+    ``((S W)**2 @ weights[r])[c] < threshold[r, c]``. Column block c of
+    the (p, k*d) ``W`` is candidate c's ``(V'A)'``; column c of class r's
+    (k*d, k) block-diagonal ``weights[r]`` holds ``-0.5*s*lam`` plus the
+    margin's ``|u|^2`` term in rows c*d .. c*d + d - 1; ``threshold`` is
+    (2, k). A candidate whose ``D``, eigenpairs or terms are not all
+    finite gets zero columns and a threshold of -inf, so it counts no
+    row, as a NaN ``delta`` is unsure. Raises ``np.linalg.LinAlgError``
+    if any covariance has no Cholesky factor or an eigensolve does not
+    converge.
+    """
+    b2, d, p = matrices.shape
+    D, const, scale = _stacked_terms(matrices, moments, priors, ridge)
+    finite = np.isfinite(D).all(axis=(1, 2))  # eigh may fail a whole stack on one NaN
+    lam, V = np.linalg.eigh(np.where(finite[:, None, None], D, 0.0))
+    W = (V.swapaxes(1, 2) @ matrices).transpose(2, 0, 1).reshape(p, b2 * d)
+    sign = np.array([-1.0, 1.0])[:, None]
+    weights = -0.5 * sign[..., None] * lam + _UNSURE_MARGIN * scale[1][:, None]  # (2, b2, d)
+    offset = sign * const + _UNSURE_MARGIN * scale[0]  # (2, b2)
+    ok = (finite & np.isfinite(W).reshape(p, b2, d).all(axis=(0, 2))
+          & np.isfinite(weights).all(axis=(0, 2)) & np.isfinite(offset).all(axis=0))
+    # a candidate that is not ok scores 0 < -inf on every row; zeros keep its NaNs out of the others
+    W = np.where(np.repeat(ok, d), W, 0.0)
+    # column c of class r's weight matrix holds weights[r, c] in rows c*d .. c*d + d - 1
+    weights = (np.where(ok[:, None], weights, 0.0)[..., None] * np.eye(b2)[:, None, :]).reshape(2, b2 * d, b2)
+    return W, weights, np.where(ok, -offset, -np.inf)
 
 
 def stacked_discriminant(Z, D, const) -> np.ndarray:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -485,3 +488,33 @@ def test_predict_reproduces_the_pinned_toy8_predictions(tmp_path):
     assert run("predict", "--model", DATA_DIR / "toy8_model.json", "--data", TOY,
                "--label-col", "label", "--out", out) == 0
     assert out.read_bytes() == (DATA_DIR / "toy8_preds.csv").read_bytes()
+
+
+def test_eval_prints_the_pinned_toy8_summary(capsys):
+    assert run("eval", "--model", DATA_DIR / "toy8_model.json", "--data", TOY) == 0
+    assert capsys.readouterr().out == (
+        "n: 8\nalpha: 0.5\nerror: 0.375\nconfusion: tn=3 fp=1 fn=2 tp=2\n"
+    )
+
+
+def test_commands_print_what_they_wrote(tmp_path, capsys):
+    # train's per-block lines are left unpinned; only its last two lines are
+    preds, model = tmp_path / "preds.csv", tmp_path / "model.json"
+    assert run("predict", "--model", DATA_DIR / "toy8_model.json", "--data", TOY,
+               "--label-col", "label", "--out", preds) == 0
+    assert capsys.readouterr().out == f"wrote 8 predictions to {preds}\n"
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    assert run("synth", "--p", 3, "--n-train", 20, "--n-test", 5, "--seed", 7,
+               "--out-train", train, "--out-test", test) == 0
+    assert capsys.readouterr().out == f"wrote 20 rows to {train}\nwrote 5 rows to {test}\n"
+    assert run("train", "--data", TOY, "--d", 2, "--b1", 1, "--b2", 1, "--seed", 7, "--model-out", model) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["alpha: 0.5", f"wrote model to {model}"]
+
+
+def test_the_module_entry_point_runs_main():
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "rankqda.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: rankqda")

@@ -236,6 +236,13 @@ def test_write_data_csv_reads_back_bit_for_bit(tmp_path_factory, data, label_col
         assert y.dtype == int and y.tolist() == labels.tolist()
 
 
+def test_write_data_csv_writes_plain_lists_as_arrays(tmp_path):
+    X, labels = [[1.5, -0.0], [2.0, 1e-300]], [0, 1]
+    write_data_csv(tmp_path / "lists.csv", X, labels)
+    write_data_csv(tmp_path / "arrays.csv", np.array(X), np.array(labels))
+    assert (tmp_path / "lists.csv").read_bytes() == (tmp_path / "arrays.csv").read_bytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     rows=st.lists(st.tuples(st.integers(0, 1), _finite_floats), min_size=0, max_size=8),

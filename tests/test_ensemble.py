@@ -699,7 +699,8 @@ def test_rotated_discriminants_leave_the_unsure_margin_its_slack(draw, config):
     for b in range(config.b1):
         matrices = np.stack([proj.matrix for proj in _candidate_projections(p, config, b)])
         D, const, scale = qda._stacked_terms(matrices, moments, priors, config.ridge)
-        W, lam = ensemble._eigenbasis(matrices, D)
+        W = qda._sure_error_terms(matrices, moments, priors, config.ridge)[0]
+        lam = np.linalg.eigh(D)[0]
         U = (scores @ W).reshape(n, config.b2, config.d)
         rotated = const - 0.5 * np.einsum("mkj,kj->mk", U * U, lam)
         Z = (scores @ matrices.transpose(2, 0, 1).reshape(p, -1)).reshape(n, config.b2, config.d)
@@ -826,3 +827,13 @@ def test_complex_arrays_are_rejected_at_every_numeric_entry(call, message, imagi
     # a cast to float would keep only the real part, with only a ComplexWarning
     with pytest.raises(ValueError, match=f"^{message} must be real, not complex$"):
         call(imaginary)
+
+
+def test_plain_lists_train_and_vote_as_arrays_do():
+    X, labels = _two_cluster_data(n=40, p=3, seed=2)
+    config = EnsembleConfig(d=2, b1=3, b2=4, seed=5)
+    model = train_ensemble(X, labels, config)
+    from_lists = train_ensemble(X.tolist(), labels.tolist(), config)
+    assert json.dumps(model_to_dict(from_lists)) == json.dumps(model_to_dict(model))
+    for x in X[:5]:
+        assert vote_fraction(model, x.tolist()) == vote_fraction(model, x)

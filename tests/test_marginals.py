@@ -146,8 +146,10 @@ class TestFitTransform:
             fit_transform(X)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            fit_transform(np.empty((0, 3)))
+        for shape in [(0, 3), (3, 0)]:
+            match = rf"marginal table must be a non-empty 2-d array, got shape \({shape[0]}, {shape[1]}\)"
+            with pytest.raises(ValueError, match=match):
+                fit_transform(np.empty(shape))
 
 
 class TestTransformNew:

@@ -409,3 +409,11 @@ def test_model_reports_non_square_covariances_through_the_spd_gate():
 def test_projected_covariance_rejects_a_class_other_than_0_or_1():
     with pytest.raises(ValueError, match="^class must be 0 or 1, got 2$"):
         estimate_projected_covariance(np.zeros((4, 2)), np.array([0, 1, 0, 1]), r=2)
+
+
+@pytest.mark.parametrize("ridge", [-1.0, float("nan"), True])
+def test_projected_covariance_rejects_a_bad_ridge_naming_it(ridge):
+    # unchecked, -1 would subtract the identity and True would add it
+    Z, labels = np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1])
+    with pytest.raises(ValueError, match="^ridge must"):
+        estimate_projected_covariance(Z, labels, 0, ridge=ridge)

@@ -255,6 +255,11 @@ class TestSampleMetaGaussian:
         data = sample_meta_gaussian(101, _spec(prior1=0.3), substream(5), fixed_counts=True)
         assert data.labels.sum() == round(0.3 * 101)
 
+    def test_fixed_counts_are_shuffled_over_the_rows(self):
+        labels = sample_meta_gaussian(200, _spec(prior1=0.5), substream(5), fixed_counts=True).labels
+        assert labels.sum() == 100
+        assert not labels[:100].all()
+
     def test_marginal_maps_applied_per_feature(self):
         spec = _spec(p=2, maps=["exp", "cube"])
         data = sample_meta_gaussian(30, spec, substream(6))
