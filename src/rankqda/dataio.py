@@ -165,6 +165,7 @@ def write_data_csv(path, X, labels, latent=None) -> None:
     X = np.asarray(X)
     header = [f"x{j}" for j in range(X.shape[1])] + ["label"]
     if latent is not None:
+        latent = np.asarray(latent)
         header += [f"s{j}" for j in range(X.shape[1])]
 
     def row(i):

@@ -32,7 +32,18 @@ The table itself comes from a plain sort of each column.
 
 :func:`transform_new` counts new points by one of two searches, chosen
 by the number of rows. Above ``_FENCE_ROWS`` rows, one ``np.searchsorted``
-per feature runs over that column. For fewer rows, the per-call overhead
+per feature runs over that column. With more than one usable CPU, that
+loop cuts the columns into ``min(_WORKERS, p)`` contiguous slabs
+(``_WORKERS`` is one per usable CPU, at most 4) and, for each call,
+starts one thread per slab but the last, which the calling thread
+searches itself; every thread is joined before the call returns, so no
+thread outlives it. Each slab writes only its own columns of the counts,
+and numpy releases the GIL inside the search, so the slabs run side by
+side. Each column's counts are the same search of the same values
+whichever thread runs it, so the counts, and so the scores, do not
+depend on the number of slabs. With one usable CPU the loop runs inline
+and starts no thread.
+For ``_FENCE_ROWS`` rows or fewer, the per-call overhead
 of that loop would be most of the cost, so the model also derives a
 fence index at construction (never persisted): the sorted values at
 positions ``W, 2W, ...`` of each column (``W = _FENCE_WIDTH``), stored as
@@ -54,6 +65,8 @@ hold an infinity only at either end, so the finiteness check that
 follows reads just the first and last row.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,9 +93,15 @@ _P_LOW = 0.02425
 # each entry with one window of this many values.
 _FENCE_WIDTH = 16
 # Up to this many rows are counted through the fence index, more by one
-# searchsorted per feature. Timed on 2 CPUs, the fence search is faster up
-# to about 24 rows at p=50 and up to about 8 at p=10.
+# searchsorted per feature. Timed on 2 CPUs against the inline loop, the fence
+# search is faster up to about 24 rows at p=50 (20000 x 50) and up to about 8
+# at p=10 (500 x 10); against the loop split over 2 threads (one BLAS thread,
+# median of 200), up to about 64 rows at p=50 and about 160 at p=10.
 _FENCE_ROWS = 16
+# Slabs of the per-feature loop: one per usable CPU, at most 4. With one, the
+# loop runs inline and no thread is started.
+_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 _COMPLEX_FEATURES = "complex feature values are not supported; features must be real"
 
@@ -211,6 +230,12 @@ def _check_finite_matrix(X: np.ndarray) -> None:
         raise DataError(f"non-finite value at row {i}, column {j}")
 
 
+def _search_columns(table, X, counts, lo, hi) -> None:
+    """Write columns ``lo:hi`` of ``counts``: training values <= X, per column."""
+    for j in range(lo, hi):
+        counts[:, j] = np.searchsorted(table[:, j], X[:, j], side="right")
+
+
 def _scores(model: MarginalModel, X: np.ndarray) -> np.ndarray:
     """Table scores of the counts of training values <= X, clamped to [1, n].
 
@@ -229,8 +254,19 @@ def _scores(model: MarginalModel, X: np.ndarray) -> np.ndarray:
         counts = start + (window <= X[..., None]).sum(axis=-1)
     else:
         counts = np.empty(X.shape, dtype=np.intp)
-        for j in range(p):
-            counts[:, j] = np.searchsorted(model.sorted_columns[:, j], X[:, j], side="right")
+        slabs = min(_WORKERS, p)
+        edges = [p * k // slabs for k in range(slabs + 1)]
+        tasks = []
+        # a thread per slab but the last, which this thread searches; none for one slab
+        with ThreadPoolExecutor(max(slabs - 1, 1), thread_name_prefix="rankqda-search") as pool:
+            try:
+                for lo, hi in zip(edges[:-2], edges[1:-1]):
+                    tasks.append(pool.submit(_search_columns, model.sorted_columns, X, counts, lo, hi))
+            except RuntimeError:  # at interpreter exit no executor takes new work
+                pass
+            _search_columns(model.sorted_columns, X, counts, edges[len(tasks)], p)  # what no task took
+        for task in tasks:
+            task.result()
     # side="right" counts never exceed n; a point below the minimum counts 0 and scores as 1.
     np.maximum(counts, 1, out=counts)
     return model.score_table[counts - 1]

@@ -243,6 +243,13 @@ def test_write_data_csv_writes_plain_lists_as_arrays(tmp_path):
     assert (tmp_path / "lists.csv").read_bytes() == (tmp_path / "arrays.csv").read_bytes()
 
 
+def test_write_data_csv_writes_plain_list_latent_scores_as_arrays(tmp_path):
+    X, labels, latent = [[1.0, 2.0], [-0.0, 1e-300]], [0, 1], [[0.5, 0.25], [-0.0, -1.5]]
+    write_data_csv(tmp_path / "lists.csv", X, labels, latent=latent)
+    write_data_csv(tmp_path / "arrays.csv", np.array(X), np.array(labels), latent=np.array(latent))
+    assert (tmp_path / "lists.csv").read_bytes() == (tmp_path / "arrays.csv").read_bytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     rows=st.lists(st.tuples(st.integers(0, 1), _finite_floats), min_size=0, max_size=8),

@@ -1,14 +1,21 @@
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from rankqda import DataError, fit_transform, inv_norm_cdf, norm_cdf, transform_new
+from rankqda import marginals
 from rankqda.marginals import _FENCE_ROWS, _FENCE_WIDTH, MarginalModel
 from rankqda.rng import substream
 
@@ -304,6 +311,86 @@ def test_fence_search_counts_equal_the_per_column_loop(case):
     bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
     np.testing.assert_array_equal(bits(transform_new(model, Q)), bits(loop))
     np.testing.assert_array_equal(bits(transform_new(model, Q[0])), bits(loop[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=tables_and_queries())
+@example(case=(np.array([[-1.0, 0.0], [0.0, 0.0], [2.5, 3.0]]), np.array([[0.0, -0.0], [3.0, 4.0]])))
+def test_split_search_scores_do_not_depend_on_the_worker_count(case):
+    table, Q = case
+    model = MarginalModel(table)
+    # padded past _FENCE_ROWS rows, the loop splits its columns over the threads
+    padded = np.vstack([Q, np.repeat(Q[-1:], _FENCE_ROWS + 1, axis=0)])
+    bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
+    expected = bits(transform_new(model, Q))
+    for workers in (1, 2, 3):  # 3 workers split a 1- or 2-column table into 1 or 2 slabs
+        with mock.patch.object(marginals, "_WORKERS", workers):
+            scores = transform_new(model, padded)
+        np.testing.assert_array_equal(bits(scores[: Q.shape[0]]), expected)
+        np.testing.assert_array_equal(bits(scores[Q.shape[0]:]), np.repeat(expected[-1:], _FENCE_ROWS + 1, axis=0))
+
+
+def test_a_split_search_runs_its_last_slab_on_the_caller_and_leaves_no_thread_behind():
+    model = MarginalModel(np.sort(substream(5).standard_normal((300, 3)), axis=0))
+    Q = substream(6).standard_normal((_FENCE_ROWS + 1, 3))
+    search, ran = marginals._search_columns, []
+
+    def record(table, X, counts, lo, hi):
+        ran.append((lo, hi, threading.current_thread()))
+        search(table, X, counts, lo, hi)
+
+    with mock.patch.object(marginals, "_WORKERS", 3), mock.patch.object(marginals, "_search_columns", record):
+        transform_new(model, Q)
+    caller = threading.current_thread()
+    assert sorted((lo, hi) for lo, hi, _ in ran) == [(0, 1), (1, 2), (2, 3)]
+    assert [(lo, hi) for lo, hi, thread in ran if thread is caller] == [(2, 3)]
+    assert all(thread.name.startswith("rankqda-search") for _, _, thread in ran if thread is not caller)
+    assert not any(thread.name.startswith("rankqda-search") for thread in threading.enumerate())
+
+
+def test_scoring_at_interpreter_exit_searches_inline():
+    # at interpreter exit no executor takes new work, and an atexit handler may still score rows
+    code = (
+        "import atexit, numpy as np\n"
+        "from rankqda import marginals\n"
+        "marginals._WORKERS = 2\n"
+        "model = marginals.MarginalModel(np.sort(np.linspace(-1, 1, 300).reshape(100, 3), axis=0))\n"
+        "Q = np.linspace(-2, 2, 60).reshape(20, 3)\n"
+        "expected = marginals.transform_new(model, Q)\n"
+        "atexit.register(lambda: print((marginals.transform_new(model, Q) == expected).all()))\n"
+    )
+    src = str(Path(marginals.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
+
+
+def test_concurrent_split_searches_on_more_threads_than_cpus_keep_every_column():
+    model = MarginalModel(np.sort(substream(7).standard_normal((500, 16)), axis=0))
+    Q = substream(8).standard_normal((_FENCE_ROWS + 1, 16))
+    with mock.patch.object(marginals, "_WORKERS", 1):
+        expected = transform_new(model, Q).view(np.uint64)
+    results = []
+
+    def score():
+        for _ in range(20):
+            results.append(transform_new(model, Q))
+
+    interval = sys.getswitchinterval()
+    with mock.patch.object(marginals, "_WORKERS", 8):
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=score) for _ in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60)
+            assert not any(caller.is_alive() for caller in callers)
+        finally:
+            sys.setswitchinterval(interval)
+    assert len(results) == 80
+    for scores in results:
+        np.testing.assert_array_equal(scores.view(np.uint64), expected)
 
 
 @settings(max_examples=300, deadline=None)
