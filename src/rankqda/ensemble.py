@@ -51,8 +51,11 @@ stacked arrays) is read-only, so what it votes with in memory is what it
 saves.
 
 Each input rule has one owner: :class:`EnsembleConfig` checks the config
-values and :class:`EnsembleModel` ``d <= p``, its blocks (each projection
-matrix finite and ``(d, p)``, each pair of covariances ``(d, d)``) and
+values, :class:`projections.Projection` each block's flavor, matrix
+(real, 2-d, finite) and stream, :class:`Block` its candidate and
+training error, and :class:`EnsembleModel` only the rules that need the
+model: the block count, ``d <= p``, each projection matrix ``(d, p)``,
+each pair of covariances ``(d, d)``, each candidate below ``b2`` and
 ``alpha`` (in [0, 1], or the "always class 0" threshold
 ``(b1 + 1/2) / b1`` that :func:`select_alpha` may pick), whether the
 object is fitted, built by hand or loaded. The data are checked by
@@ -104,12 +107,20 @@ class EnsembleConfig:
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """One selected (projection, discriminant) pair and its training error."""
+    """One selected (projection, discriminant) pair and its training error.
+
+    Construction checks ``candidate`` (an integer >= 0, stored as int)
+    and ``train_error`` (in [0, 1], stored as float).
+    """
 
     projection: projections.Projection
     model: qda.RqdaModel
     train_error: float
     candidate: int
+
+    def __post_init__(self):
+        train_error = checked_number(self.train_error, "train_error", 0.0, 1.0)
+        freeze(self, candidate=checked_int(self.candidate, "candidate", 0), train_error=float(train_error))
 
 
 # Rows per chunk keep the stacked (rows, width) buffers at
@@ -159,10 +170,11 @@ class EnsembleModel:
 
     Construction checks ``b1`` blocks, ``d <= n_features`` and ``alpha``:
     in [0, 1], or exactly :func:`select_alpha`'s top threshold
-    ``(b1 + 1/2) / b1``, the constant class-0 rule. It owns each block's
-    rules: a known flavor, a finite ``(d, n_features)`` matrix, ``(d, d)``
-    covariances, a candidate in [0, b2), a stream of None or a tuple of
-    integers >= 0 and a train_error in [0, 1]. It then derives the
+    ``(b1 + 1/2) / b1``, the constant class-0 rule. Of each block it
+    checks only what needs the model: a ``(d, n_features)`` matrix,
+    ``(d, d)`` covariances and a candidate below ``b2``; the
+    :class:`projections.Projection`, :class:`qda.RqdaModel` and
+    :class:`Block` check their own fields. It then derives the
     :func:`_stack` arrays :func:`vote_fractions` scores with (never
     persisted): ``stacked_projection`` (p, b1*d), ``stacked_D``
     (b1, d, d) and ``stacked_const`` (b1,). ``blocks`` is stored as a
@@ -188,26 +200,16 @@ class EnsembleModel:
         d, p = self.config.d, self.n_features
         if d > p:
             raise ValueError(f"model needs d <= n_features, got d={d}, n_features={p}")
-        shape = (d, p)
         for k, block in enumerate(blocks):
-            flavor, stream = block.projection.flavor, block.projection.stream
-            projections._check_flavor(flavor, f"block {k} flavor")
-            matrix = block.projection.matrix
-            if np.shape(matrix) != shape:
-                raise ValueError(f"block {k} matrix has shape {np.shape(matrix)}, expected {shape}")
-            if not np.isfinite(matrix).all():
-                raise ValueError(f"block {k} matrix has a non-finite value")
+            shape = block.projection.matrix.shape
+            if shape != (d, p):
+                raise ValueError(f"block {k} matrix has shape {shape}, expected {(d, p)}")
             if block.model.dim != d:
                 raise ValueError(
                     f"block {k} covariances have shape {block.model.cov0.shape}, expected {(d, d)}"
                 )
-            if checked_int(block.candidate, f"block {k} candidate", 0) >= self.config.b2:
+            if block.candidate >= self.config.b2:
                 raise ValueError(f"block {k} candidate must be < b2={self.config.b2}, got {block.candidate}")
-            if stream is not None and not isinstance(stream, tuple):
-                raise ValueError(f"block {k} stream must be None or a tuple, got {stream!r}")
-            for value in stream or ():
-                checked_int(value, f"block {k} stream entry", 0)
-            checked_number(block.train_error, f"block {k} train_error", 0.0, 1.0)
         projection, D, const = _stack(blocks)
         freeze(self, blocks=blocks, alpha=alpha, stacked_projection=projection, stacked_D=D, stacked_const=const)
 

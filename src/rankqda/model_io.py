@@ -15,11 +15,15 @@ not UTF-8 JSON raises a ``ValueError`` naming its path), keys, JSON
 types, and the shapes of the marginal and covariance arrays. Every value
 rule has one owner, the type built, so fitted, hand-built and loaded
 objects pass the same checks: config values (errors prefixed
-``config.``), sorted finite marginal columns, block priors, ridge and
-covariances (finite, positive definite, symmetric; :class:`qda.RqdaModel`'s
-text prefixed ``block k: ``), and the block count, flavors (through
-:mod:`projections`' flavor rule), covariance size, projection matrices
-and ``alpha`` (:class:`ensemble.EnsembleModel`).
+``config.``), sorted finite marginal columns, each block's flavor,
+finite matrix and stream (:class:`projections.Projection`), priors,
+ridge and covariances (finite, positive definite, symmetric;
+:class:`qda.RqdaModel`), and candidate and training error
+(:class:`ensemble.Block`), each type's text prefixed ``block k: `` and
+each block built in file order, so the first bad block is the one
+reported; then the block count, covariance size, matrix shapes,
+candidates below ``b2`` and ``alpha`` (:class:`ensemble.EnsembleModel`).
+The writer casts no scalar: each of those types stores Python numbers.
 """
 
 import json
@@ -85,19 +89,15 @@ def model_to_dict(model: ensemble.EnsembleModel) -> dict:
         "blocks": [
             {
                 "flavor": block.projection.flavor,
-                # int(): hand-built blocks may hold numpy integers, which JSON cannot encode
-                "stream": [int(v) for v in block.projection.stream]
-                if block.projection.stream is not None
-                else None,
+                "stream": None if block.projection.stream is None else list(block.projection.stream),
                 "matrix": block.projection.matrix.tolist(),
                 "prior0": block.model.prior0,
                 "prior1": block.model.prior1,
                 "cov0": block.model.cov0.tolist(),
                 "cov1": block.model.cov1.tolist(),
                 "ridge": block.model.ridge,
-                # float(): a hand-built train_error may be a numpy float such as float32
-                "train_error": float(block.train_error),
-                "candidate": int(block.candidate),
+                "train_error": block.train_error,
+                "candidate": block.candidate,
             }
             for block in model.blocks
         ],
@@ -108,7 +108,7 @@ def model_from_dict(doc: dict) -> ensemble.EnsembleModel:
     if _get(doc, "format") != FORMAT_NAME:
         raise ValueError(f"not a {FORMAT_NAME} file (format={doc['format']!r})")
     version = _get(doc, "version")
-    if isinstance(version, bool) or version != FORMAT_VERSION:  # JSON true == 1
+    if type(version) is not int or version != FORMAT_VERSION:  # not true or 1.0, which == 1
         raise ValueError(
             f"unsupported model format version {version!r}; "
             f"this build reads version {FORMAT_VERSION}"
@@ -138,23 +138,18 @@ def model_from_dict(doc: dict) -> ensemble.EnsembleModel:
     for k, raw in enumerate(_list(_get(doc, "blocks"), "blocks")):
         where = f"blocks[{k}]"
         stream = _get(raw, "stream", where)
-        proj = projections.Projection(
-            matrix=_numbers(_get(raw, "matrix", where), f"block {k} matrix"),
-            flavor=_get(raw, "flavor", where),
-            stream=None if stream is None else tuple(_list(stream, f"block {k} stream")),
+        stream = None if stream is None else tuple(_list(stream, f"block {k} stream"))
+        matrix = _numbers(_get(raw, "matrix", where), f"block {k} matrix")
+        cov0, cov1 = (_numbers(_get(raw, key, where), f"block {k} {key}", (d, d)) for key in ("cov0", "cov1"))
+        flavor, prior0, prior1, ridge, train_error, candidate = (
+            _get(raw, key, where) for key in ("flavor", "prior0", "prior1", "ridge", "train_error", "candidate")
         )
-        prior0, prior1 = (_get(raw, key, where) for key in ("prior0", "prior1"))
-        cov0, cov1 = (
-            _numbers(_get(raw, key, where), f"block {k} {key}", (d, d))
-            for key in ("cov0", "cov1")
-        )
-        ridge = _get(raw, "ridge", where)
         try:
+            proj = projections.Projection(matrix, flavor, stream)
             model = qda.RqdaModel(prior0, prior1, cov0, cov1, ridge)
+            blocks.append(ensemble.Block(proj, model, train_error, candidate))
         except ValueError as exc:
             raise type(exc)(f"block {k}: {exc}") from None
-        candidate = _get(raw, "candidate", where)
-        blocks.append(ensemble.Block(proj, model, _get(raw, "train_error", where), candidate))
 
     return ensemble.EnsembleModel(marginal_model, blocks, _get(doc, "alpha"), config)
 

@@ -3,10 +3,12 @@
 Three flavors are provided: ``gaussian`` (i.i.d. N(0, 1/d) entries),
 ``haar`` (orthonormalized Gaussian rows, uniformly distributed over the
 Stiefel manifold), and ``axis`` (d distinct coordinates). This module
-owns the flavor rule: configs, model blocks and sampling all check a
-flavor through :func:`_check_flavor`, with one text. When a
-projection ``A`` is applied to scores with class covariance ``C``, the
-projected covariance is ``A C A'``.
+owns the flavor rule: configs, projections and sampling all check a
+flavor through :func:`_check_flavor`, with one text. A
+:class:`Projection` checks its own fields at construction (flavor,
+matrix, stream), so :func:`project` and every type that holds one can
+rely on them. When a projection ``A`` is applied to scores with class
+covariance ``C``, the projected covariance is ``A C A'``.
 
 Each flavor draws once from its generator. For the same generator
 state, ``gaussian`` and ``haar`` start from the same ``(d, p)`` draw
@@ -26,24 +28,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import freeze, real_array
+from .errors import checked_int, freeze, real_array
 
 FLAVORS = ("gaussian", "haar", "axis")
 
 
-def _check_flavor(flavor, what: str = "flavor") -> None:
-    """Raise ``ValueError``, naming ``what``, unless ``flavor`` is one of :data:`FLAVORS`."""
+def _check_flavor(flavor) -> None:
+    """Raise ``ValueError`` unless ``flavor`` is one of :data:`FLAVORS`."""
     if flavor not in FLAVORS:
-        raise ValueError(f"{what} must be one of {FLAVORS}, got {flavor!r}")
+        raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class Projection:
     """A (d, p) projection matrix with its flavor and stream provenance.
 
+    Construction checks a known flavor, a real, 2-d, finite matrix (a
+    complex one is rejected rather than cast to its real part) and a
+    stream of None or a tuple of integers >= 0, stored as Python ints.
     Holds a read-only float copy of ``matrix``, so no caller can write
-    the matrix an ensemble votes with or saves; a complex matrix is
-    rejected rather than cast to its real part.
+    the matrix an ensemble votes with or saves.
     """
 
     matrix: np.ndarray
@@ -51,8 +55,18 @@ class Projection:
     stream: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        message = "projection matrix must be real, not complex"
-        freeze(self, matrix=real_array(self.matrix, message, copy=True))
+        _check_flavor(self.flavor)
+        matrix = real_array(self.matrix, "projection matrix must be real, not complex", copy=True)
+        if matrix.ndim != 2:
+            raise ValueError(f"projection matrix must be 2-d, got shape {matrix.shape}")
+        if not np.isfinite(matrix).all():
+            raise ValueError("projection matrix has a non-finite value")
+        stream = self.stream
+        if stream is not None:
+            if not isinstance(stream, tuple):
+                raise ValueError(f"stream must be None or a tuple, got {stream!r}")
+            stream = tuple(checked_int(value, "stream entry", 0) for value in stream)
+        freeze(self, matrix=matrix, stream=stream)
 
     @property
     def n_components(self) -> int:
@@ -63,13 +77,7 @@ class Projection:
         return self.matrix.shape[1]
 
 
-def sample_projection(
-    p: int,
-    d: int,
-    flavor: str,
-    rng: np.random.Generator,
-    stream: tuple[int, ...] | None = None,
-) -> Projection:
+def sample_projection(p: int, d: int, flavor: str, rng: np.random.Generator) -> Projection:
     """Draw a (d, p) projection of the requested flavor.
 
     Deterministic given the generator state, which is drawn from once.
@@ -78,9 +86,10 @@ def sample_projection(
     orthonormal columns of ``Q`` whatever the rank of ``G``, and column j
     takes the sign of ``R_jj`` (+1 where ``R_jj`` is zero, a
     probability-zero event), which makes the distribution uniform. ``axis``
-    rows are distinct standard basis vectors.
+    rows are distinct standard basis vectors. The projection's
+    ``stream`` is None.
     """
-    return Projection(matrix=_sample_matrices(p, d, flavor, [rng])[0], flavor=flavor, stream=stream)
+    return Projection(matrix=_sample_matrices(p, d, flavor, [rng])[0], flavor=flavor)
 
 
 def _sample_matrices(p: int, d: int, flavor: str, rngs) -> np.ndarray:
@@ -114,11 +123,9 @@ def _sample_matrices(p: int, d: int, flavor: str, rngs) -> np.ndarray:
 def project(A: Projection, S) -> np.ndarray:
     """Apply the projection to score rows: row i of the output is A @ S_i.
 
-    Raises ``ValueError`` if the matrix is not 2-d, or if ``S`` is complex
-    or its last axis is not p long.
+    Raises ``ValueError`` if ``S`` is complex or its last axis is not p
+    long.
     """
-    if A.matrix.ndim != 2:
-        raise ValueError(f"projection matrix must be 2-d, got shape {A.matrix.shape}")
     S = real_array(S, "scores must be real, not complex")
     if S.shape[-1] != A.n_features:
         raise ValueError(

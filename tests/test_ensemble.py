@@ -348,19 +348,27 @@ def test_hand_built_model_checks_alpha_and_block_count():
 @pytest.mark.parametrize(
     "change, message",
     [
-        (dict(candidate=1), "block 0 candidate must be < b2=1, got 1"),
-        (dict(candidate=-1), "block 0 candidate must be an integer >= 0, got -1"),
-        (dict(train_error=1.5), "block 0 train_error must lie in [0, 1], got 1.5"),
-        (dict(projection=Projection(np.eye(2), "fourier")), "block 0 flavor must be one of"),
-        (dict(projection=Projection(np.eye(2), "axis", [0, 1])), "block 0 stream must be None or a tuple"),
-        (dict(projection=Projection(np.eye(2), "axis", (0, -2))), "block 0 stream entry must be"),
+        (lambda: dict(candidate=1), "block 0 candidate must be < b2=1, got 1"),
+        (lambda: dict(candidate=-1), "candidate must be an integer >= 0, got -1"),
+        (lambda: dict(train_error=1.5), "train_error must lie in [0, 1], got 1.5"),
+        (lambda: dict(projection=Projection(np.eye(2), "fourier")), "flavor must be one of"),
+        (lambda: dict(projection=Projection(np.eye(2), "axis", [0, 1])), "stream must be None or a tuple"),
+        (lambda: dict(projection=Projection(np.eye(2), "axis", (0, -2))), "stream entry must be"),
     ],
 )
 def test_hand_built_model_checks_block_metadata(change, message):
     model = _constant_vote_model(1, 1, alpha=0.5)
-    blocks = [dataclasses.replace(model.blocks[0], **change), model.blocks[1]]
     with pytest.raises(ValueError, match="^" + re.escape(message)):
+        blocks = [dataclasses.replace(model.blocks[0], **change()), model.blocks[1]]
         EnsembleModel(model.marginal_model, blocks, model.alpha, model.config)
+
+
+def test_block_stores_numpy_scalars_as_python_int_and_float():
+    block = _constant_vote_model(1, 0, alpha=0.5).blocks[0]
+    numpy_block = dataclasses.replace(block, candidate=np.int64(3), train_error=np.float32(0.25))
+    assert (numpy_block.candidate, numpy_block.train_error) == (3, 0.25)
+    assert (type(numpy_block.candidate), type(numpy_block.train_error)) == (int, float)
+    assert type(dataclasses.replace(block, train_error=0).train_error) is float
 
 
 def test_fit_that_selects_always_class_0_trains_and_round_trips(tmp_path):
@@ -392,7 +400,7 @@ def _golden_with_matrix(matrix) -> EnsembleModel:
 
 
 def test_hand_built_model_rejects_a_non_finite_block_matrix():
-    with pytest.raises(ValueError, match="^block 0 matrix has a non-finite value$"):
+    with pytest.raises(ValueError, match="^projection matrix has a non-finite value$"):
         _golden_with_matrix(np.full((2, 3), np.nan))
 
 

@@ -348,6 +348,21 @@ def test_a_split_search_runs_its_last_slab_on_the_caller_and_leaves_no_thread_be
     assert not any(thread.name.startswith("rankqda-search") for thread in threading.enumerate())
 
 
+def test_a_failed_worker_slab_raises_from_the_split_search():
+    model = MarginalModel(np.sort(substream(5).standard_normal((300, 2)), axis=0))
+    Q = substream(6).standard_normal((_FENCE_ROWS + 1, 2))
+    search, caller = marginals._search_columns, threading.current_thread()
+
+    def fail_off_the_caller(table, X, counts, lo, hi):
+        if threading.current_thread() is not caller:
+            raise MemoryError("slab failed")
+        search(table, X, counts, lo, hi)
+
+    with mock.patch.object(marginals, "_WORKERS", 2), mock.patch.object(marginals, "_search_columns", fail_off_the_caller):
+        with pytest.raises(MemoryError, match="^slab failed$"):
+            transform_new(model, Q)
+
+
 def test_scoring_at_interpreter_exit_searches_inline():
     # at interpreter exit no executor takes new work, and an atexit handler may still score rows
     code = (

@@ -133,6 +133,16 @@ def _boolean_version(doc):
     doc["version"] = True
 
 
+def _float_version(doc):
+    doc["version"] = 1.0
+
+
+def _bad_flavor_then_singular_block(doc):
+    _two_blocks(doc)
+    doc["blocks"][0]["flavor"] = "fourier"
+    doc["blocks"][1]["cov0"] = [[1.0, 1.0], [1.0, 1.0]]
+
+
 def _negative_seed(doc):
     doc["config"]["seed"] = -1
 
@@ -200,7 +210,7 @@ CASES = {
     ),
     "blocks_disagree_on_d": (_second_block_other_d, "block 1 matrix has shape (1, 3)"),
     "covariance_shape": (_cov_wrong_shape, "block 0 cov1 has shape (3, 3), expected (2, 2)"),
-    "non_finite_matrix": (_nan_in_matrix, "block 0 matrix has a non-finite value"),
+    "non_finite_matrix": (_nan_in_matrix, "block 0: projection matrix has a non-finite value"),
     "non_finite_prior": (_infinite_prior, "block 0: prior1 must be a finite number, got inf"),
     "string_prior": (_string_prior, "block 0: prior0 must be a finite number, got '0.5'"),
     "unsorted_marginal_column": (_reversed_marginal_column, "marginal column 1 is not sorted"),
@@ -226,17 +236,21 @@ CASES = {
         _singular_cov0, "block 0: class 0 covariance (ridge=6.43692e-07) is not positive definite"
     ),
     "numeric_block_flavor": (
-        _numeric_block_flavor, "block 0 flavor must be one of ('gaussian', 'haar', 'axis'), got 5"
+        _numeric_block_flavor, "block 0: flavor must be one of ('gaussian', 'haar', 'axis'), got 5"
     ),
-    "string_candidate": (_string_candidate, "block 0 candidate must be an integer >= 0, got 'x'"),
+    "string_candidate": (_string_candidate, "block 0: candidate must be an integer >= 0, got 'x'"),
     "candidate_past_b2": (_candidate_past_b2, "block 0 candidate must be < b2=1, got 1"),
     "stream_of_strings": (
-        _stream_of_strings, "block 0 stream entry must be an integer >= 0, got 'a'"
+        _stream_of_strings, "block 0: stream entry must be an integer >= 0, got 'a'"
     ),
     "train_error_above_one": (
-        _train_error_above_one, "block 0 train_error must lie in [0, 1], got 3"
+        _train_error_above_one, "block 0: train_error must lie in [0, 1], got 3"
     ),
     "boolean_version": (_boolean_version, "unsupported model format version True"),
+    "float_version": (_float_version, "unsupported model format version 1.0"),
+    "first_bad_block": (
+        _bad_flavor_then_singular_block, "block 0: flavor must be one of ('gaussian', 'haar', 'axis'), got 'fourier'"
+    ),
     "negative_seed": (_negative_seed, "config.seed must be an integer >= 0, got -1"),
     "negative_block_ridge": (_negative_block_ridge, "block 0: ridge must be >= 0, got -1.0"),
     "asymmetric_cov0": (_asymmetric_cov0, "block 0: class 0 covariance is not symmetric"),

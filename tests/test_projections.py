@@ -47,8 +47,8 @@ class TestSampleProjection:
             sample_projection(3, 2, "bogus", substream(0))
 
     def test_stream_recorded(self):
-        A = sample_projection(4, 2, "haar", substream(1, 2, 3), stream=(2, 3))
-        assert A.stream == (2, 3)
+        A = sample_projection(4, 2, "haar", substream(1, 2, 3))
+        assert A.stream is None
         assert A.flavor == "haar"
         assert A.n_components == 2 and A.n_features == 4
 
@@ -165,3 +165,23 @@ def test_project_rejects_a_matrix_that_is_not_2d():
 def test_complex_matrix_is_rejected_not_truncated():
     with pytest.raises(ValueError, match="^projection matrix must be real, not complex$"):
         Projection(np.ones((1, 3)) + 1j, "haar")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((np.full((2, 3), np.nan), "haar"), "projection matrix has a non-finite value"),
+        ((np.eye(2, 3), "fourier"), "flavor must be one of ('gaussian', 'haar', 'axis'), got 'fourier'"),
+        ((np.eye(2, 3), "axis", [0, 1]), "stream must be None or a tuple, got [0, 1]"),
+        ((np.eye(2, 3), "axis", (0, -2)), "stream entry must be an integer >= 0, got -2"),
+    ],
+)
+def test_projection_rejects_a_bad_field_at_construction(args, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        Projection(*args)
+
+
+def test_projection_stores_numpy_stream_entries_as_python_ints():
+    A = Projection(np.eye(2, 3), "axis", (np.int64(4), np.uint8(7)))
+    assert A.stream == (4, 7)
+    assert [type(v) for v in A.stream] == [int, int]
