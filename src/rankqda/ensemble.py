@@ -30,9 +30,12 @@ model stores, so the batch only bounds each candidate's error from
 below: it counts the misclassified rows far enough from the boundary to
 trust their batched sign. One rule then picks the candidate: refit
 exactly in ascending bound order and stop at the first bound above the
-best exact error (about one refit per block on the desk scenario). Every
-stored number, and so every model file, comes from that exact refit, the
-same ``qda`` core and error as a fit of each candidate on its own.
+best exact error (about one refit per block on the desk scenario). A
+batch that fails, because some covariance has no factor or some
+candidate's terms are not finite, has one fallback: every bound is
+``-inf`` and the block refits all its candidates. Every stored number,
+and so every model file, comes from that exact refit, the same ``qda``
+core and error as a fit of each candidate on its own.
 
 Prediction has one kernel, :func:`_vote_counts`, behind
 :func:`vote_fractions`. At construction a model derives, with
@@ -54,10 +57,11 @@ Each input rule has one owner: :class:`EnsembleConfig` checks the config
 values, :class:`projections.Projection` each block's flavor, matrix
 (real, 2-d, finite) and stream, :class:`Block` its candidate and
 training error, and :class:`EnsembleModel` only the rules that need the
-model: the block count, ``d <= p``, each projection matrix ``(d, p)``,
-each pair of covariances ``(d, d)``, each candidate below ``b2`` and
-``alpha`` (in [0, 1], or the "always class 0" threshold
-``(b1 + 1/2) / b1`` that :func:`select_alpha` may pick), whether the
+model: ``alpha`` (in [0, 1], or the "always class 0" threshold
+``(b1 + 1/2) / b1`` that :func:`select_alpha` may pick) and ``d <= p``
+first, then, in one pass over the blocks, each projection matrix
+``(d, p)``, each pair of covariances ``(d, d)`` and each candidate below
+``b2`` as it takes the block, and the block count last, whether the
 object is fitted, built by hand or loaded. The data are checked by
 :func:`marginals.fit_transform`. :func:`train_ensemble` checks the labels
 and that X has one row per label once per fit; its refits call
@@ -168,13 +172,16 @@ def _vote_counts(scores: np.ndarray, projection, D, const) -> np.ndarray:
 class EnsembleModel:
     """A fitted ensemble.
 
-    Construction checks ``b1`` blocks, ``d <= n_features`` and ``alpha``:
-    in [0, 1], or exactly :func:`select_alpha`'s top threshold
-    ``(b1 + 1/2) / b1``, the constant class-0 rule. Of each block it
-    checks only what needs the model: a ``(d, n_features)`` matrix,
-    ``(d, d)`` covariances and a candidate below ``b2``; the
-    :class:`projections.Projection`, :class:`qda.RqdaModel` and
-    :class:`Block` check their own fields. It then derives the
+    Construction checks ``alpha`` (in [0, 1], or exactly
+    :func:`select_alpha`'s top threshold ``(b1 + 1/2) / b1``, the
+    constant class-0 rule) and ``d <= n_features``. ``blocks`` may be any
+    iterable, taken once: as it takes each block, construction checks
+    only what needs the model, a ``(d, n_features)`` matrix, ``(d, d)``
+    covariances and a candidate below ``b2``, each error prefixed
+    ``block k: ``, so a loader that builds blocks lazily reports its first
+    bad block. The :class:`projections.Projection`,
+    :class:`qda.RqdaModel` and :class:`Block` check their own fields.
+    The count of ``b1`` blocks is checked last. It then derives the
     :func:`_stack` arrays :func:`vote_fractions` scores with (never
     persisted): ``stacked_projection`` (p, b1*d), ``stacked_D``
     (b1, d, d) and ``stacked_const`` (b1,). ``blocks`` is stored as a
@@ -192,26 +199,26 @@ class EnsembleModel:
     stacked_const: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        blocks = tuple(self.blocks)
-        if len(blocks) != self.config.b1:
-            raise ValueError(f"model has {len(blocks)} blocks, expected b1={self.config.b1}")
         top = float(_alpha_thresholds(self.config.b1)[-1])
         alpha = top if self.alpha == top else checked_number(self.alpha, "alpha", 0.0, 1.0)
         d, p = self.config.d, self.n_features
         if d > p:
             raise ValueError(f"model needs d <= n_features, got d={d}, n_features={p}")
-        for k, block in enumerate(blocks):
+        blocks = []
+        for k, block in enumerate(self.blocks):  # one pass, so a lazy loader's first bad block is named
             shape = block.projection.matrix.shape
             if shape != (d, p):
-                raise ValueError(f"block {k} matrix has shape {shape}, expected {(d, p)}")
+                raise ValueError(f"block {k}: matrix has shape {shape}, expected {(d, p)}")
             if block.model.dim != d:
-                raise ValueError(
-                    f"block {k} covariances have shape {block.model.cov0.shape}, expected {(d, d)}"
-                )
+                raise ValueError(f"block {k}: covariances have shape {block.model.cov0.shape}, expected {(d, d)}")
             if block.candidate >= self.config.b2:
-                raise ValueError(f"block {k} candidate must be < b2={self.config.b2}, got {block.candidate}")
+                raise ValueError(f"block {k}: candidate must be < b2={self.config.b2}, got {block.candidate}")
+            blocks.append(block)
+        if len(blocks) != self.config.b1:
+            raise ValueError(f"model has {len(blocks)} blocks, expected b1={self.config.b1}")
         projection, D, const = _stack(blocks)
-        freeze(self, blocks=blocks, alpha=alpha, stacked_projection=projection, stacked_D=D, stacked_const=const)
+        freeze(self, blocks=tuple(blocks), alpha=alpha, stacked_projection=projection, stacked_D=D,
+               stacked_const=const)
 
     @property
     def n_features(self) -> int:
@@ -267,9 +274,9 @@ def _lower_bounds(matrices, moments, scores, rows, priors, ridge) -> np.ndarray:
     class and chunk of rows, one matmul into every candidate's
     eigenbasis, one square and one matmul with the class's
     block-diagonal weight matrix, compared with its thresholds; no
-    (n, b2, d) array is built. A candidate whose terms are not all finite
-    counts no row. Raises ``np.linalg.LinAlgError`` if any covariance has
-    no Cholesky factor or an eigensolve does not converge.
+    (n, b2, d) array is built. Raises ``np.linalg.LinAlgError`` if any
+    covariance has no Cholesky factor, an eigensolve does not converge or
+    any candidate's terms are not all finite.
     """
     W, weights, threshold = qda._sure_error_terms(matrices, moments, priors, ridge)
     wrong = np.zeros(threshold.shape[1], dtype=int)
@@ -303,8 +310,9 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
     refit is skipped. A candidate left out has an exact error at least
     its bound, above the best one, so it could neither win nor tie: the
     block keeps the candidate a per-candidate fit would keep, with the
-    same stored numbers. If some covariance of the batch has no factor,
-    every bound is -inf and the pass refits the whole block.
+    same stored numbers. If some covariance of the batch has no factor or
+    some candidate's batched terms are not finite, every bound is -inf and
+    the pass refits the whole block.
     """
     labels = np.asarray(labels)
     rows = qda._class_rows(labels)

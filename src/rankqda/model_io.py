@@ -11,18 +11,24 @@ package. The vote kernel's stacked arrays and the marginal score table
 are never stored.
 
 Loading checks what only a file gets wrong: its text (a file that is
-not UTF-8 JSON raises a ``ValueError`` naming its path), keys, JSON
-types, and the shapes of the marginal and covariance arrays. Every value
-rule has one owner, the type built, so fitted, hand-built and loaded
-objects pass the same checks: config values (errors prefixed
-``config.``), sorted finite marginal columns, each block's flavor,
-finite matrix and stream (:class:`projections.Projection`), priors,
-ridge and covariances (finite, positive definite, symmetric;
+not UTF-8 JSON, or nests too deep to parse, raises a ``ValueError``
+naming its path), keys, JSON types, and the file's own ``n_features``
+and ``marginals.n`` against the number and length of the marginal
+columns. Every other shape rule, like every value rule, has one owner,
+the type built, so fitted, hand-built and loaded objects pass the same
+checks: config values
+(errors prefixed ``config.``), the 2-d, sorted, finite marginal table,
+each block's flavor, finite 2-d matrix and stream
+(:class:`projections.Projection`), priors, ridge and covariances
+(square, same-shape, finite, positive definite, symmetric;
 :class:`qda.RqdaModel`), and candidate and training error
-(:class:`ensemble.Block`), each type's text prefixed ``block k: `` and
-each block built in file order, so the first bad block is the one
-reported; then the block count, covariance size, matrix shapes,
-candidates below ``b2`` and ``alpha`` (:class:`ensemble.EnsembleModel`).
+(:class:`ensemble.Block`); then :class:`ensemble.EnsembleModel` checks
+``alpha`` and ``d <= n_features``, takes the blocks one at a time,
+each built from the file only as it is taken, and checks each one's
+matrix shape, covariance size and candidate below ``b2`` before taking
+the next, and the block count last. Every block rule's text is
+prefixed ``block k: ``, so the first bad block in file order is the one
+reported, whichever rule it breaks.
 The writer casts no scalar: each of those types stores Python numbers.
 """
 
@@ -52,16 +58,17 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _numbers(value, what: str, shape: tuple | None = None) -> np.ndarray:
-    """``value`` as a float array if it is a regular nested list of JSON numbers (not bools)."""
+def _numbers(value, what: str) -> np.ndarray:
+    """``value`` as a float array if it is a regular nested list of JSON numbers (not bools).
+
+    Its shape is the rule of the type it is built into.
+    """
     try:
         a = np.asarray(value, dtype=float)
         if not all(type(entry) in (int, float) for entry in np.asarray(value, dtype=object).flat):
             raise TypeError  # asarray(dtype=float) also takes "0.5", true and null
     except (TypeError, ValueError, OverflowError):  # OverflowError: an int too large for a float
         raise ValueError(f"{what} is not a numeric array") from None
-    if shape is not None and a.shape != shape:
-        raise ValueError(f"{what} has shape {a.shape}, expected {shape}")
     return a
 
 
@@ -122,7 +129,7 @@ def model_from_dict(doc: dict) -> ensemble.EnsembleModel:
     except ValueError as exc:
         raise ValueError(f"config.{exc}") from None
     marginals_doc = _get(doc, "marginals")
-    d, p = config.d, checked_int(_get(doc, "n_features"), "n_features", 1)
+    p = checked_int(_get(doc, "n_features"), "n_features", 1)
     n = checked_int(_get(marginals_doc, "n", "marginals"), "marginals.n", 1)
 
     raw_columns = _list(_get(marginals_doc, "columns", "marginals"), "marginals.columns")
@@ -131,27 +138,29 @@ def model_from_dict(doc: dict) -> ensemble.EnsembleModel:
     for j, column in enumerate(raw_columns):
         if len(_list(column, f"marginal column {j}")) != n:
             raise ValueError(f"marginal column {j} has {len(column)} values, expected n={n}")
-    columns = _numbers(raw_columns, "marginal columns", (p, n))
-    marginal_model = marginals.MarginalModel(sorted_columns=columns.T)
+    marginal_model = marginals.MarginalModel(sorted_columns=_numbers(raw_columns, "marginal columns").T)
 
-    blocks = []
-    for k, raw in enumerate(_list(_get(doc, "blocks"), "blocks")):
-        where = f"blocks[{k}]"
-        stream = _get(raw, "stream", where)
-        stream = None if stream is None else tuple(_list(stream, f"block {k} stream"))
-        matrix = _numbers(_get(raw, "matrix", where), f"block {k} matrix")
-        cov0, cov1 = (_numbers(_get(raw, key, where), f"block {k} {key}", (d, d)) for key in ("cov0", "cov1"))
-        flavor, prior0, prior1, ridge, train_error, candidate = (
-            _get(raw, key, where) for key in ("flavor", "prior0", "prior1", "ridge", "train_error", "candidate")
-        )
-        try:
-            proj = projections.Projection(matrix, flavor, stream)
-            model = qda.RqdaModel(prior0, prior1, cov0, cov1, ridge)
-            blocks.append(ensemble.Block(proj, model, train_error, candidate))
-        except ValueError as exc:
-            raise type(exc)(f"block {k}: {exc}") from None
-
+    # built one at a time as the model takes them, so the first bad block is the one named
+    blocks = (_block(k, raw) for k, raw in enumerate(_list(_get(doc, "blocks"), "blocks")))
     return ensemble.EnsembleModel(marginal_model, blocks, _get(doc, "alpha"), config)
+
+
+def _block(k: int, raw) -> ensemble.Block:
+    """Block ``k`` of a file: JSON keys and types checked here, values by the types it builds."""
+    where = f"blocks[{k}]"
+    stream = _get(raw, "stream", where)
+    stream = None if stream is None else tuple(_list(stream, f"block {k} stream"))
+    matrix = _numbers(_get(raw, "matrix", where), f"block {k} matrix")
+    cov0, cov1 = (_numbers(_get(raw, key, where), f"block {k} {key}") for key in ("cov0", "cov1"))
+    flavor, prior0, prior1, ridge, train_error, candidate = (
+        _get(raw, key, where) for key in ("flavor", "prior0", "prior1", "ridge", "train_error", "candidate")
+    )
+    try:
+        proj = projections.Projection(matrix, flavor, stream)
+        model = qda.RqdaModel(prior0, prior1, cov0, cov1, ridge)
+        return ensemble.Block(proj, model, train_error, candidate)
+    except ValueError as exc:
+        raise type(exc)(f"block {k}: {exc}") from None
 
 
 def save_model(model: ensemble.EnsembleModel, path) -> None:
@@ -165,6 +174,6 @@ def load_model(path) -> ensemble.EnsembleModel:
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except ValueError as exc:  # JSON syntax and text decoding errors alike
+    except (ValueError, RecursionError) as exc:  # JSON syntax, text decoding and too deep a nesting alike
         raise ValueError(f"model file {path}: {exc}") from None
     return model_from_dict(doc)

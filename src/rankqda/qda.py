@@ -47,8 +47,9 @@ norm are both linear in the squares of ``u = V'A s``. It builds the
 ``-0.5*sign*lam`` weights and the ``sign*const`` thresholds of a sure
 error, each widened by the unsure-row margin ``_UNSURE_MARGIN`` times
 that scale. A row is counted only where its batched sign would survive
-the covariances moving by that fraction, and a candidate with a
-non-finite term counts no row.
+the covariances moving by that fraction. A batch with a non-finite term
+raises ``np.linalg.LinAlgError``, as one whose covariance has no factor
+does, so the ensemble has one fallback for both: it refits the block.
 
 Every SPD matrix, whether an :class:`RqdaModel` covariance or the
 argument of :func:`inverse_spd` or :func:`log_det_spd`, passes one gate,
@@ -402,27 +403,23 @@ def _sure_error_terms(matrices, moments, priors, ridge) -> tuple[np.ndarray, np.
     the (p, k*d) ``W`` is candidate c's ``(V'A)'``; column c of class r's
     (k*d, k) block-diagonal ``weights[r]`` holds ``-0.5*s*lam`` plus the
     margin's ``|u|^2`` term in rows c*d .. c*d + d - 1; ``threshold`` is
-    (2, k). A candidate whose ``D``, eigenpairs or terms are not all
-    finite gets zero columns and a threshold of -inf, so it counts no
-    row, as a NaN ``delta`` is unsure. Raises ``np.linalg.LinAlgError``
-    if any covariance has no Cholesky factor or an eigensolve does not
-    converge.
+    (2, k). Raises ``np.linalg.LinAlgError`` if any covariance has no
+    Cholesky factor, an eigensolve does not converge, or any eigenpair,
+    column of ``W``, weight or threshold is not finite: a batch is bounded
+    whole or not at all.
     """
     b2, d, p = matrices.shape
     D, const, scale = _stacked_terms(matrices, moments, priors, ridge)
-    finite = np.isfinite(D).all(axis=(1, 2))  # eigh may fail a whole stack on one NaN
-    lam, V = np.linalg.eigh(np.where(finite[:, None, None], D, 0.0))
+    lam, V = np.linalg.eigh(D)
     W = (V.swapaxes(1, 2) @ matrices).transpose(2, 0, 1).reshape(p, b2 * d)
     sign = np.array([-1.0, 1.0])[:, None]
     weights = -0.5 * sign[..., None] * lam + _UNSURE_MARGIN * scale[1][:, None]  # (2, b2, d)
-    offset = sign * const + _UNSURE_MARGIN * scale[0]  # (2, b2)
-    ok = (finite & np.isfinite(W).reshape(p, b2, d).all(axis=(0, 2))
-          & np.isfinite(weights).all(axis=(0, 2)) & np.isfinite(offset).all(axis=0))
-    # a candidate that is not ok scores 0 < -inf on every row; zeros keep its NaNs out of the others
-    W = np.where(np.repeat(ok, d), W, 0.0)
+    threshold = -(sign * const + _UNSURE_MARGIN * scale[0])  # (2, b2)
+    if not all(np.isfinite(a).all() for a in (W, weights, threshold)):
+        raise np.linalg.LinAlgError("a candidate's batched discriminant terms are not finite")
     # column c of class r's weight matrix holds weights[r, c] in rows c*d .. c*d + d - 1
-    weights = (np.where(ok[:, None], weights, 0.0)[..., None] * np.eye(b2)[:, None, :]).reshape(2, b2 * d, b2)
-    return W, weights, np.where(ok, -offset, -np.inf)
+    weights = (weights[..., None] * np.eye(b2)[:, None, :]).reshape(2, b2 * d, b2)
+    return W, weights, threshold
 
 
 def stacked_discriminant(Z, D, const) -> np.ndarray:

@@ -348,7 +348,7 @@ def test_hand_built_model_checks_alpha_and_block_count():
 @pytest.mark.parametrize(
     "change, message",
     [
-        (lambda: dict(candidate=1), "block 0 candidate must be < b2=1, got 1"),
+        (lambda: dict(candidate=1), "block 0: candidate must be < b2=1, got 1"),
         (lambda: dict(candidate=-1), "candidate must be an integer >= 0, got -1"),
         (lambda: dict(train_error=1.5), "train_error must lie in [0, 1], got 1.5"),
         (lambda: dict(projection=Projection(np.eye(2), "fourier")), "flavor must be one of"),
@@ -405,14 +405,14 @@ def test_hand_built_model_rejects_a_non_finite_block_matrix():
 
 
 def test_hand_built_model_rejects_a_block_matrix_of_the_wrong_shape():
-    with pytest.raises(ValueError, match=re.escape("block 0 matrix has shape (2, 1), expected (2, 3)")):
+    with pytest.raises(ValueError, match=re.escape("block 0: matrix has shape (2, 1), expected (2, 3)")):
         _golden_with_matrix(np.ones((2, 1)))
 
 
 def test_hand_built_model_rejects_covariances_of_another_size():
     model = load_model(GOLDEN_PATH)
     bad = dataclasses.replace(model.blocks[0], model=model_from_parameters(0.5, np.eye(3), np.eye(3)))
-    with pytest.raises(ValueError, match=re.escape("block 0 covariances have shape (3, 3), expected (2, 2)")):
+    with pytest.raises(ValueError, match=re.escape("block 0: covariances have shape (3, 3), expected (2, 2)")):
         EnsembleModel(model.marginal_model, [bad], model.alpha, model.config)
 
 
@@ -716,23 +716,26 @@ def test_rotated_discriminants_leave_the_unsure_margin_its_slack(draw, config):
         assert (np.abs(rotated - qda.stacked_discriminant(Z, D, const)) <= tol).all()
 
 
-@pytest.mark.parametrize("where", ["D", "eigenvalue", "eigenvector"])
-def test_a_candidate_with_a_non_finite_discriminant_counts_no_row(monkeypatch, where):
-    # eigh of a stack with one NaN entry in D may return a NaN eigenvalue or
-    # fail the whole stack; like a NaN delta, such a candidate is unsure of
-    # every row, and the other candidates' bounds do not move
+@pytest.mark.parametrize("where", ["D", "const", "eigenvalue", "eigenvector"])
+def test_a_non_finite_candidate_term_refits_its_whole_block(monkeypatch, where):
+    # eigh of a stack with one NaN entry in D may return a NaN eigenpair or
+    # fail the whole stack; a non-finite term anywhere in the batch fails it
+    # as a covariance with no factor does, and training refits every
+    # candidate of the block exactly
     X, labels = _desk_draw()
     config = EnsembleConfig(d=3, b1=5, b2=20, seed=1)
     inputs = _fit_inputs(X, labels)
     matrices = np.stack([proj.matrix for proj in _candidate_projections(X.shape[1], config, 0)])
-    clean = _block_bounds(matrices, inputs, config.ridge)
-    target = int(np.argmax(clean))
-    stacked, eigh = qda._stacked_terms, np.linalg.eigh
+    target = int(np.argmax(_block_bounds(matrices, inputs, config.ridge)))
+    chosen = _per_candidate_blocks(X, labels, config)
+    stacked, eigh, fit = qda._stacked_terms, np.linalg.eigh, qda._fit
 
     def poisoned_terms(*args):
         D, const, scale = stacked(*args)
-        D = D.copy()
-        D[target, 0, 0] = np.nan
+        if where == "D":
+            D[target, 0, 0] = np.nan
+        else:
+            const[target] = np.nan
         return D, const, scale
 
     def poisoned_eigh(D):
@@ -740,14 +743,16 @@ def test_a_candidate_with_a_non_finite_discriminant_counts_no_row(monkeypatch, w
         (lam if where == "eigenvalue" else V)[target, 0] = np.nan
         return lam, V
 
-    if where == "D":
+    if where in ("D", "const"):
         monkeypatch.setattr(qda, "_stacked_terms", poisoned_terms)
     else:
         monkeypatch.setattr(np.linalg, "eigh", poisoned_eigh)
-    lower = _block_bounds(matrices, inputs, config.ridge)
-    assert clean[target] > 0.0 and lower[target] == 0.0
-    np.testing.assert_array_equal(np.delete(lower, target), np.delete(clean, target))
-    _assert_blocks_match(train_ensemble(X, labels, config), _per_candidate_blocks(X, labels, config))
+    with pytest.raises(np.linalg.LinAlgError):
+        _block_bounds(matrices, inputs, config.ridge)
+    refits = []
+    monkeypatch.setattr(qda, "_fit", lambda *args: refits.append(1) or fit(*args))
+    _assert_blocks_match(train_ensemble(X, labels, config), chosen)
+    assert len(refits) == config.b1 * config.b2
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)

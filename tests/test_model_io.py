@@ -20,6 +20,7 @@ from rankqda import (
     vote_fractions,
 )
 from rankqda.model_io import model_from_dict, model_to_dict
+from rankqda.projections import Projection
 from rankqda.rng import substream
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -143,6 +144,12 @@ def _bad_flavor_then_singular_block(doc):
     doc["blocks"][1]["cov0"] = [[1.0, 1.0], [1.0, 1.0]]
 
 
+def _candidate_past_b2_then_bad_flavor(doc):
+    _two_blocks(doc)
+    doc["blocks"][0]["candidate"] = 3
+    doc["blocks"][1]["flavor"] = "fourier"
+
+
 def _negative_seed(doc):
     doc["config"]["seed"] = -1
 
@@ -206,10 +213,10 @@ CASES = {
     "alpha_out_of_range": (_alpha_five, "alpha must lie in [0, 1]"),
     "boolean_alpha": (_boolean_alpha, "alpha must be a finite number, got True"),
     "block_matrix_shape": (
-        _square_matrix_in_p3_model, "block 0 matrix has shape (2, 2), expected (2, 3)"
+        _square_matrix_in_p3_model, "block 0: matrix has shape (2, 2), expected (2, 3)"
     ),
-    "blocks_disagree_on_d": (_second_block_other_d, "block 1 matrix has shape (1, 3)"),
-    "covariance_shape": (_cov_wrong_shape, "block 0 cov1 has shape (3, 3), expected (2, 2)"),
+    "blocks_disagree_on_d": (_second_block_other_d, "block 1: matrix has shape (1, 3)"),
+    "covariance_shape": (_cov_wrong_shape, "block 0: covariances must be same-shape, got (2, 2) and (3, 3)"),
     "non_finite_matrix": (_nan_in_matrix, "block 0: projection matrix has a non-finite value"),
     "non_finite_prior": (_infinite_prior, "block 0: prior1 must be a finite number, got inf"),
     "string_prior": (_string_prior, "block 0: prior0 must be a finite number, got '0.5'"),
@@ -239,7 +246,7 @@ CASES = {
         _numeric_block_flavor, "block 0: flavor must be one of ('gaussian', 'haar', 'axis'), got 5"
     ),
     "string_candidate": (_string_candidate, "block 0: candidate must be an integer >= 0, got 'x'"),
-    "candidate_past_b2": (_candidate_past_b2, "block 0 candidate must be < b2=1, got 1"),
+    "candidate_past_b2": (_candidate_past_b2, "block 0: candidate must be < b2=1, got 1"),
     "stream_of_strings": (
         _stream_of_strings, "block 0: stream entry must be an integer >= 0, got 'a'"
     ),
@@ -251,6 +258,7 @@ CASES = {
     "first_bad_block": (
         _bad_flavor_then_singular_block, "block 0: flavor must be one of ('gaussian', 'haar', 'axis'), got 'fourier'"
     ),
+    "first_block_past_b2": (_candidate_past_b2_then_bad_flavor, "block 0: candidate must be < b2=1, got 3"),
     "negative_seed": (_negative_seed, "config.seed must be an integer >= 0, got -1"),
     "negative_block_ridge": (_negative_block_ridge, "block 0: ridge must be >= 0, got -1.0"),
     "asymmetric_cov0": (_asymmetric_cov0, "block 0: class 0 covariance is not symmetric"),
@@ -316,6 +324,32 @@ def test_document_that_is_a_list_rejected_with_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+def test_deeply_nested_model_file_rejected_with_one_error_line(tmp_path, capsys):
+    # json.load raises RecursionError, not ValueError, on a nesting this deep
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    rc = cli.main(["predict", "--model", str(path), "--data", str(DATA_DIR / "toy8.csv"),
+                   "--label-col", "label", "--out", str(tmp_path / "p.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and err.startswith(f"error: model file {path}: ")
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_model_without_streams_saves_null_and_reloads_to_an_equal_model(tmp_path):
+    rng = substream(11)
+    labels = np.repeat([0, 1], 20)
+    X = rng.standard_normal((40, 4)) * np.where(labels == 1, 2.0, 1.0)[:, None]
+    model = train_ensemble(X, labels, EnsembleConfig(d=2, b1=3, b2=2))
+    blocks = [dataclasses.replace(b, projection=Projection(b.projection.matrix, b.projection.flavor))
+              for b in model.blocks]
+    streamless = dataclasses.replace(model, blocks=blocks)
+    path = tmp_path / "model.json"
+    save_model(streamless, path)
+    assert path.read_text().count('"stream": null') == 3
+    assert model_to_dict(load_model(path)) == model_to_dict(streamless)
 
 
 def test_config_of_numpy_scalars_saves_and_reloads_to_an_equal_model(tmp_path):
