@@ -23,8 +23,14 @@ discriminant terms by the same rules as an exact fit, and those into a
 test for sure errors in the eigenbasis of each candidate's ``D``. This
 module does no covariance or discriminant arithmetic: it draws, counts,
 refits and votes. :func:`_lower_bounds` applies the test to the training
-rows, per class and chunk of rows one matmul, one square and one small
-matmul for all ``b2`` candidates at once.
+rows in float32, per class and chunk of rows one matmul, one square and
+one small matmul for all ``b2`` candidates at once. A fit makes one
+float32 copy of each class's rows (:func:`_bound_rows`), sorted by
+squared norm ``||s||^2``; ``qda`` derives a constant ``c`` per class and
+candidate that bounds the float32 rounding by ``c * ||s||^2``, and each
+chunk lowers its thresholds by ``c`` times its largest ``||s||^2`` and
+rounds them down to float32, so every counted row is a sure error in
+exact arithmetic too.
 Transported covariances round differently from the ``Z_r'Z_r / n_r`` a
 model stores, so the batch only bounds each candidate's error from
 below: it counts the misclassified rows far enough from the boundary to
@@ -32,10 +38,11 @@ trust their batched sign. One rule then picks the candidate: refit
 exactly in ascending bound order and stop at the first bound above the
 best exact error (about one refit per block on the desk scenario). A
 batch that fails, because some covariance has no factor or some
-candidate's terms are not finite, has one fallback: every bound is
-``-inf`` and the block refits all its candidates. Every stored number,
-and so every model file, comes from that exact refit, the same ``qda``
-core and error as a fit of each candidate on its own.
+candidate's terms are not finite, in float64 or in float32, has one
+fallback: every bound is ``-inf`` and the block refits all its
+candidates. Every stored number, and so every model file, comes from
+that exact refit, the same ``qda`` core and error as a fit of each
+candidate on its own.
 
 Prediction has one kernel, :func:`_vote_counts`, behind
 :func:`vote_fractions`. At construction a model derives, with
@@ -263,30 +270,58 @@ def select_alpha(votes, labels, b1: int) -> float:
     return float(thresholds[np.argmin(errors)])
 
 
-def _lower_bounds(matrices, moments, scores, rows, priors, ridge) -> np.ndarray:
+# np.nextafter toward it rounds a float32 down by one step
+_FLOAT32_DOWN = np.float32(-np.inf)
+
+
+def _bound_rows(scores, rows) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Each class's rows of ``scores`` as :func:`_lower_bounds` counts them.
+
+    Per class, a C-contiguous float32 copy of its rows and each row's
+    float64 squared norm ``||s||^2``, both in ascending norm order: a
+    count does not depend on row order, and in this order a chunk's
+    largest norm is its last row's.
+    """
+    norms = np.einsum("ij,ij->i", scores, scores)
+    classes = []
+    for idx in rows:
+        order = idx[np.argsort(norms[idx], kind="stable")]
+        classes.append((scores[order].astype(np.float32), norms[order]))
+    return tuple(classes)
+
+
+def _lower_bounds(matrices, moments, classes, priors, ridge) -> np.ndarray:
     """A lower bound on each candidate's exact training error.
 
     ``matrices`` is a block's (b2, d, p) candidate projections,
-    ``moments`` the (2, p, p) class second moments of the probit
-    ``scores`` and ``rows`` the row indices of each class. A candidate's
-    bound counts the rows whose batched discriminant misclassifies them
-    and is sure of its sign, by :func:`qda._sure_error_terms`' test: per
-    class and chunk of rows, one matmul into every candidate's
-    eigenbasis, one square and one matmul with the class's
-    block-diagonal weight matrix, compared with its thresholds; no
-    (n, b2, d) array is built. Raises ``np.linalg.LinAlgError`` if any
-    covariance has no Cholesky factor, an eigensolve does not converge or
-    any candidate's terms are not all finite.
+    ``moments`` the (2, p, p) class second moments of the probit scores
+    and ``classes`` each class's float32 rows and squared norms, as
+    :func:`_bound_rows` gives them. A candidate's bound counts the rows
+    whose batched discriminant misclassifies them and is sure of its
+    sign, by :func:`qda._sure_error_terms`' test, in float32: per class
+    and chunk of rows, one matmul into every candidate's eigenbasis, one
+    square and one matmul with the class's block-diagonal weight matrix,
+    compared with its thresholds; no (n, b2, d) array is built. The
+    float32 rounding moves a row's value by at most ``c * ||s||^2``, so
+    each chunk's thresholds are lowered by ``c`` times the chunk's
+    largest ``||s||^2`` and rounded down to float32. Raises
+    ``np.linalg.LinAlgError`` if any covariance has no Cholesky factor,
+    an eigensolve does not converge or any candidate's terms are not all
+    finite in float32.
     """
-    W, weights, threshold = qda._sure_error_terms(matrices, moments, priors, ridge)
+    norm_max = max(norms[-1] for _, norms in classes)
+    W, weights, threshold, c = qda._sure_error_terms(matrices, moments, priors, ridge, norm_max)
     wrong = np.zeros(threshold.shape[1], dtype=int)
     step = _chunk_rows(W.shape[1])
-    for idx, weights_r, threshold_r in zip(rows, weights, threshold):
-        for start in range(0, idx.size, step):
-            U = scores[idx[start:start + step]] @ W
+    for (S, norms), weights_r, threshold_r, c_r in zip(classes, weights, threshold, c):
+        starts = range(0, S.shape[0], step)
+        largest = norms[[min(start + step, S.shape[0]) - 1 for start in starts]]
+        limits = np.nextafter((threshold_r - c_r * largest[:, None]).astype(np.float32), _FLOAT32_DOWN)
+        for start, limit in zip(starts, limits):
+            U = S[start:start + step] @ W
             U *= U
-            wrong += (U @ weights_r < threshold_r).sum(axis=0)
-    return wrong / scores.shape[0]
+            wrong += (U @ weights_r < limit).sum(axis=0)
+    return wrong / sum(S.shape[0] for S, _ in classes)
 
 
 def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
@@ -311,8 +346,8 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
     its bound, above the best one, so it could neither win nor tie: the
     block keeps the candidate a per-candidate fit would keep, with the
     same stored numbers. If some covariance of the batch has no factor or
-    some candidate's batched terms are not finite, every bound is -inf and
-    the pass refits the whole block.
+    some candidate's batched terms are not finite in float64 or float32,
+    every bound is -inf and the pass refits the whole block.
     """
     labels = np.asarray(labels)
     rows = qda._class_rows(labels)
@@ -322,6 +357,7 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
         raise ValueError(f"X has {scores.shape[0]} rows but there are {labels.size} labels")
     p = marginal_model.n_features
     moments = np.stack([qda._second_moment(scores[r], 0.0) for r in rows])
+    classes = _bound_rows(scores, rows)
 
     states = _keyed_states(config.seed, config.b1, config.b2)
     generator = np.random.Generator(np.random.PCG64())
@@ -329,7 +365,7 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
     for b in range(config.b1):
         matrices = projections._sample_matrices(p, config.d, config.flavor, _keyed_streams(generator, states[b]))
         try:
-            lower = _lower_bounds(matrices, moments, scores, rows, priors, config.ridge)
+            lower = _lower_bounds(matrices, moments, classes, priors, config.ridge)
         except np.linalg.LinAlgError:
             lower = np.full(config.b2, -np.inf)
         best = None

@@ -47,9 +47,15 @@ norm are both linear in the squares of ``u = V'A s``. It builds the
 ``-0.5*sign*lam`` weights and the ``sign*const`` thresholds of a sure
 error, each widened by the unsure-row margin ``_UNSURE_MARGIN`` times
 that scale. A row is counted only where its batched sign would survive
-the covariances moving by that fraction. A batch with a non-finite term
-raises ``np.linalg.LinAlgError``, as one whose covariance has no factor
-does, so the ensemble has one fallback for both: it refits the block.
+the covariances moving by that fraction. The selection counts in
+float32, so ``_sure_error_terms`` returns ``W`` and the weights cast to
+float32, and a constant ``c`` per class and candidate, derived at
+``_UNSURE_MARGIN``: a row ``s``'s float32 value stays within
+``c * ||s||^2`` of its exact value. The thresholds stay float64, for the
+ensemble to lower by that margin. A batch with a non-finite term, in
+float64 or in float32, raises ``np.linalg.LinAlgError``, as one whose
+covariance has no factor does, so the ensemble has one fallback for
+both: it refits the block.
 
 Every SPD matrix, whether an :class:`RqdaModel` covariance or the
 argument of :func:`inverse_spd` or :func:`log_det_spd`, passes one gate,
@@ -386,27 +392,74 @@ def _stacked_terms(matrices, moments, priors, ridge) -> tuple[np.ndarray, np.nda
 # desk and ``large`` fits (draws 0-2, every block) the rotated ``delta``
 # of :func:`_sure_error_terms` and :func:`stacked_discriminant`'s differ
 # by at most 3.7e-17 times that scale, a slack of over 1e6.
+#
+# The bound pass evaluates the test ``q < t``, with ``q = sum_j a_j u_j^2``
+# and ``u_j = w_j's``, in float32, and its rounding needs a margin of its
+# own. Take a row ``s``, a candidate's columns ``w_j`` of ``W`` and its
+# weights ``a_j`` exactly as their float64 values, unit roundoff
+# ``e = 2^-24`` and ``g(k) = k e / (1 - k e)``, which obeys
+# ``(1 + g(k)) (1 + g(m)) <= 1 + g(k + m)``. In the standard model of
+# float32 arithmetic, for any summation order, with or without FMA:
+# - The casts of ``s`` and ``W`` and the p products and p - 1 sums of the
+#   first GEMM put a factor within g(p + 2) of 1 on each term of ``u_j``.
+#   So |u32_j - u_j| <= g(p + 2) ||w_j|| ||s|| (Cauchy-Schwarz), and
+#   |u_j| <= ||w_j|| ||s||.
+# - The square rounds once more: |fl(u32_j^2) - u_j^2| <=
+#   ((1 + g(p + 2))^2 (1 + e) - 1) ||w_j||^2 ||s||^2
+#   <= g(2p + 5) ||w_j||^2 ||s||^2.
+# - In the small GEMM, column c holds d nonzero weights. A zero weight
+#   times a finite square, and a sum with that zero, is exact, so each of
+#   the d terms takes at most d roundings, and the cast of its weight one
+#   more: a factor within g(d + 1) of 1.
+# Together, |q32 - q| <= g(2p + d + 6) * sum_j |a_j| ||w_j||^2 * ||s||^2.
+# The constant ``c`` uses g(2p + d + 7): the extra e covers the float64
+# rounding of ||s||^2, of the ||w_j||^2, of the sum in ``c`` and of
+# ``c * ||s||^2``, each a relative error below (p + d + 3) 2^-53. (g(k)
+# needs k e < 1, so p below about 2^23, where the (2, p, p) moments alone
+# would take 2^50 bytes.)
+# A chunk compares ``q32`` with ``t - c * max ||s||^2`` rounded down to
+# float32, so a counted row has q <= q32 + c ||s||^2 < t. The float64
+# subtraction rounds by at most 2^-53 |t|, which the float64 margin above
+# holds as it held the float64 pass's own rounding. The model leaves out
+# underflow: it adds at most 2^-150 to a product, which the terms above
+# hold unless ||w_j|| ||s|| is near 2^-100, far below any row of probit
+# scores. :func:`_sure_error_terms` rules out overflow: the weights and
+# twice the thresholds must lie within float32's range, and so must twice
+# ``max(1, norm_max) * max(1, ||w_j||^2, sum_j |a_j| ||w_j||^2)``, which
+# bounds W's entries and every float32 value the pass takes for a row
+# with ||s||^2 <= norm_max.
 _UNSURE_MARGIN = 1e-10
 
+# float32's unit roundoff and largest finite value
+_FLOAT32_UNIT = 2.0**-24
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
-def _sure_error_terms(matrices, moments, priors, ridge) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(W, weights, threshold)``: the test for the ``k`` candidates' sure errors.
 
-    The arguments are :func:`_stacked_covariances`'s. In the eigenbasis
-    ``D = V diag(lam) V'`` of a candidate's discriminant matrix, a row
-    ``s`` of scores has ``u = V'A s`` with ``z'Dz = sum_j lam_j u_j^2``
-    and, ``V`` being orthogonal, ``|z|^2 = |u|^2`` for ``z = A s``. So
-    both ``delta`` and its unsure margin are linear in the squares
-    ``u_j^2``, and a class-r row with sign ``s`` (-1 for class 0, +1 for
-    class 1) is a sure error of candidate c, ``s*delta + tol < 0``, iff
-    ``((S W)**2 @ weights[r])[c] < threshold[r, c]``. Column block c of
-    the (p, k*d) ``W`` is candidate c's ``(V'A)'``; column c of class r's
-    (k*d, k) block-diagonal ``weights[r]`` holds ``-0.5*s*lam`` plus the
-    margin's ``|u|^2`` term in rows c*d .. c*d + d - 1; ``threshold`` is
-    (2, k). Raises ``np.linalg.LinAlgError`` if any covariance has no
-    Cholesky factor, an eigensolve does not converge, or any eigenpair,
-    column of ``W``, weight or threshold is not finite: a batch is bounded
-    whole or not at all.
+def _sure_error_terms(matrices, moments, priors, ridge, norm_max) -> tuple[np.ndarray, ...]:
+    """``(W, weights, threshold, c)``: the float32 test for the ``k`` candidates' sure errors.
+
+    The first four arguments are :func:`_stacked_covariances`'s, and
+    ``norm_max`` is the largest squared norm ``||s||^2`` of the rows the
+    test will see. In the eigenbasis ``D = V diag(lam) V'`` of a candidate's discriminant
+    matrix, a row ``s`` of scores has ``u = V'A s`` with ``z'Dz = sum_j
+    lam_j u_j^2`` and, ``V`` being orthogonal, ``|z|^2 = |u|^2`` for
+    ``z = A s``. So both ``delta`` and its unsure margin are linear in the
+    squares ``u_j^2``, and a class-r row with sign ``s`` (-1 for class 0,
+    +1 for class 1) is a sure error of candidate c, ``s*delta + tol < 0``,
+    iff ``((S W)**2 @ weights[r])[c] < threshold[r, c]`` in exact
+    arithmetic. Column block c of the float32 (p, k*d) ``W`` is candidate
+    c's ``(V'A)'``; column c of class r's float32 (k*d, k) block-diagonal
+    ``weights[r]`` holds ``-0.5*s*lam`` plus the margin's ``|u|^2`` term
+    in rows c*d .. c*d + d - 1; ``threshold`` is float64 (2, k). The
+    float64 (2, k) ``c`` bounds the float32 rounding: for any row ``s`` with
+    ``||s||^2 <= norm_max``, the float32 value of ``((S W)**2 @
+    weights[r])[c]`` is within ``c[r, c] * ||s||^2`` of the exact value
+    with the float64 ``W`` and weights (derived at ``_UNSURE_MARGIN``).
+    Raises ``np.linalg.LinAlgError`` if any covariance has no Cholesky
+    factor, an eigensolve does not converge, any eigenpair, column of
+    ``W``, weight or threshold is not finite, in float64 or after the
+    float32 cast, or a row within ``norm_max`` could overflow float32: a
+    batch is bounded whole or not at all.
     """
     b2, d, p = matrices.shape
     D, const, scale = _stacked_terms(matrices, moments, priors, ridge)
@@ -415,11 +468,18 @@ def _sure_error_terms(matrices, moments, priors, ridge) -> tuple[np.ndarray, np.
     sign = np.array([-1.0, 1.0])[:, None]
     weights = -0.5 * sign[..., None] * lam + _UNSURE_MARGIN * scale[1][:, None]  # (2, b2, d)
     threshold = -(sign * const + _UNSURE_MARGIN * scale[0])  # (2, b2)
-    if not all(np.isfinite(a).all() for a in (W, weights, threshold)):
-        raise np.linalg.LinAlgError("a candidate's batched discriminant terms are not finite")
+    size = np.abs(weights)
+    norms = (W * W).sum(axis=0)  # ||w_j||^2, which bounds W's entries too
+    reach = (size * norms.reshape(b2, d)).sum(axis=2)  # sum_j |a_j| ||w_j||^2
+    room = _FLOAT32_MAX / (2.0 * max(norm_max, 1.0))
+    # each comparison is False for a NaN
+    if not (room >= 1.0 and norms.max() <= room and reach.max() <= room and size.max() <= _FLOAT32_MAX
+            and np.abs(threshold).max() <= _FLOAT32_MAX / 2.0):
+        raise np.linalg.LinAlgError("a candidate's batched discriminant terms are not finite in float32")
+    k = (2 * p + d + 7) * _FLOAT32_UNIT
     # column c of class r's weight matrix holds weights[r, c] in rows c*d .. c*d + d - 1
     weights = (weights[..., None] * np.eye(b2)[:, None, :]).reshape(2, b2 * d, b2)
-    return W, weights, threshold
+    return W.astype(np.float32), weights.astype(np.float32), threshold, k / (1.0 - k) * reach
 
 
 def stacked_discriminant(Z, D, const) -> np.ndarray:

@@ -659,7 +659,7 @@ def _fit_inputs(X, labels):
 
 def _block_bounds(matrices, inputs, ridge):
     scores, rows, priors, moments = inputs
-    return ensemble._lower_bounds(matrices, moments, scores, rows, priors, ridge)
+    return ensemble._lower_bounds(matrices, moments, ensemble._bound_rows(scores, rows), priors, ridge)
 
 
 @settings(max_examples=150, deadline=None)
@@ -694,21 +694,33 @@ def _large_draw():
     return data.features, data.labels
 
 
-@pytest.mark.parametrize("draw, config", [
+_SLACK_DRAWS = pytest.mark.parametrize("draw, config", [
     (_desk_draw, EnsembleConfig(d=3, b1=100, b2=20, seed=42)),
     (_large_draw, EnsembleConfig(d=5, b1=3, b2=20, seed=42)),
 ], ids=["desk", "large"])
+
+
+def _eigenbasis(matrices, moments, priors, ridge):
+    """A block's float64 terms, eigenvalues and ``W``, the (p, b2*d) rotated projections qda casts to float32."""
+    D, const, scale = qda._stacked_terms(matrices, moments, priors, ridge)
+    lam, V = np.linalg.eigh(D)
+    W = (V.swapaxes(1, 2) @ matrices).transpose(2, 0, 1).reshape(matrices.shape[2], -1)
+    return D, const, scale, lam, W
+
+
+@_SLACK_DRAWS
 def test_rotated_discriminants_leave_the_unsure_margin_its_slack(draw, config):
     # the bound trusts a sign beyond 1e-10 of the scale; the eigenbasis and
     # qda.stacked_discriminant agree to 3.7e-17 of it on desk and large draws
     X, labels = draw()
     scores, rows, priors, moments = _fit_inputs(X, labels)
     n, p = scores.shape
+    norm_max = np.einsum("ij,ij->i", scores, scores).max()
     for b in range(config.b1):
         matrices = np.stack([proj.matrix for proj in _candidate_projections(p, config, b)])
-        D, const, scale = qda._stacked_terms(matrices, moments, priors, config.ridge)
-        W = qda._sure_error_terms(matrices, moments, priors, config.ridge)[0]
-        lam = np.linalg.eigh(D)[0]
+        D, const, scale, lam, W = _eigenbasis(matrices, moments, priors, config.ridge)
+        W32 = qda._sure_error_terms(matrices, moments, priors, config.ridge, norm_max)[0]
+        assert W32.tobytes() == W.astype(np.float32).tobytes()
         U = (scores @ W).reshape(n, config.b2, config.d)
         rotated = const - 0.5 * np.einsum("mkj,kj->mk", U * U, lam)
         Z = (scores @ matrices.transpose(2, 0, 1).reshape(p, -1)).reshape(n, config.b2, config.d)
@@ -716,12 +728,52 @@ def test_rotated_discriminants_leave_the_unsure_margin_its_slack(draw, config):
         assert (np.abs(rotated - qda.stacked_discriminant(Z, D, const)) <= tol).all()
 
 
-@pytest.mark.parametrize("where", ["D", "const", "eigenvalue", "eigenvector"])
+@_SLACK_DRAWS
+def test_float32_rotated_discriminants_stay_within_the_derived_rounding_margin(draw, config):
+    # the float32 bound pass moves a row's value by at most c * ||s||^2 from
+    # its exact value with the float64 W and weights; when this was written
+    # the worst row of every block left a slack of 6.7 (desk) and 45 (large)
+    X, labels = draw()
+    scores, rows, priors, moments = _fit_inputs(X, labels)
+    p = scores.shape[1]
+    norm_max = np.einsum("ij,ij->i", scores, scores).max()
+    sign = np.array([-1.0, 1.0])[:, None, None]
+    slack = np.inf
+    for b in range(config.b1):
+        matrices = np.stack([proj.matrix for proj in _candidate_projections(p, config, b)])
+        _, _, scale, lam, W = _eigenbasis(matrices, moments, priors, config.ridge)
+        weights = -0.5 * sign * lam + qda._UNSURE_MARGIN * scale[1][:, None]
+        W32, weights32, _, c = qda._sure_error_terms(matrices, moments, priors, config.ridge, norm_max)
+        for r, idx in enumerate(rows):
+            S = scores[idx]
+            U = (S @ W).reshape(idx.size, config.b2, config.d)
+            exact = np.einsum("mkj,kj->mk", U * U, weights[r])
+            U32 = S.astype(np.float32) @ W32
+            U32 *= U32
+            error = np.abs((U32 @ weights32[r]).astype(np.float64) - exact)
+            margin = c[r] * np.einsum("ij,ij->i", S, S)[:, None]
+            slack = min(slack, (margin / np.maximum(error, np.finfo(float).tiny)).min())
+    assert slack >= 1.0, f"float32 error exceeds the derived margin: slack {slack:.3g}"
+    print(f"float32 rounding margin slack: {slack:.3g}")
+
+
+def test_float32_bounds_refit_about_one_candidate_per_large_block(monkeypatch):
+    # 3 exact refits for 3 blocks of 20 candidates when this was written; a
+    # rounding margin grown too wide would count no sure error and refit all 60
+    X, labels = _large_draw()
+    calls, fit = [], qda._fit
+    monkeypatch.setattr(qda, "_fit", lambda *args: calls.append(1) or fit(*args))
+    train_ensemble(X, labels, EnsembleConfig(d=5, b1=3, b2=20, seed=42))
+    assert 3 <= len(calls) <= 6
+
+
+@pytest.mark.parametrize("where", ["D", "const", "eigenvalue", "eigenvector", "float32_overflow"])
 def test_a_non_finite_candidate_term_refits_its_whole_block(monkeypatch, where):
     # eigh of a stack with one NaN entry in D may return a NaN eigenpair or
-    # fail the whole stack; a non-finite term anywhere in the batch fails it
-    # as a covariance with no factor does, and training refits every
-    # candidate of the block exactly
+    # fail the whole stack; a non-finite term anywhere in the batch, or one
+    # finite in float64 but not in the float32 bound pass (an eigenvalue of
+    # 1e39), fails it as a covariance with no factor does, and training
+    # refits every candidate of the block exactly
     X, labels = _desk_draw()
     config = EnsembleConfig(d=3, b1=5, b2=20, seed=1)
     inputs = _fit_inputs(X, labels)
@@ -740,7 +792,10 @@ def test_a_non_finite_candidate_term_refits_its_whole_block(monkeypatch, where):
 
     def poisoned_eigh(D):
         lam, V = eigh(D)
-        (lam if where == "eigenvalue" else V)[target, 0] = np.nan
+        if where == "float32_overflow":
+            lam[target, 0] = 1e39
+        else:
+            (lam if where == "eigenvalue" else V)[target, 0] = np.nan
         return lam, V
 
     if where in ("D", "const"):
@@ -777,7 +832,7 @@ def test_rows_on_a_candidates_boundary_are_never_sure_errors(flavor):
         labels_B = (qda.discriminant(project(candidates[c], rows_B), exact) >= 0.0).astype(int)
         assert 0 < labels_B.sum() < labels_B.size
         bound = ensemble._lower_bounds(
-            matrices[c:c + 1], moments, rows_B, qda._class_rows(labels_B), priors, None
+            matrices[c:c + 1], moments, ensemble._bound_rows(rows_B, qda._class_rows(labels_B)), priors, None
         )
         assert bound[0] == 0.0
 
