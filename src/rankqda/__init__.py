@@ -36,7 +36,6 @@ from .qda import (
     fit_rqda,
     inverse_spd,
     log_det_spd,
-    model_from_parameters,
     rqda_classify,
 )
 from .rng import substream
@@ -45,7 +44,6 @@ from .synthdata import (
     Dataset,
     MARGINAL_MAPS,
     ScenarioSpec,
-    bayes_oracle_classify,
     block_correlation_matrix,
     monte_carlo_bayes_risk,
     oracle_model,
@@ -71,7 +69,6 @@ __all__ = [
     "ScenarioSpec",
     "SingularMatrixError",
     "TrainingError",
-    "bayes_oracle_classify",
     "block_correlation_matrix",
     "classify",
     "discriminant",
@@ -83,7 +80,6 @@ __all__ = [
     "inverse_spd",
     "load_model",
     "log_det_spd",
-    "model_from_parameters",
     "monte_carlo_bayes_risk",
     "norm_cdf",
     "oracle_model",

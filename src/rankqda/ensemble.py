@@ -25,12 +25,10 @@ module does no covariance or discriminant arithmetic: it draws, counts,
 refits and votes. :func:`_lower_bounds` applies the test to the training
 rows in float32, per class and chunk of rows one matmul, one square and
 one small matmul for all ``b2`` candidates at once. A fit makes one
-float32 copy of each class's rows (:func:`_bound_rows`), sorted by
-squared norm ``||s||^2``; ``qda`` derives a constant ``c`` per class and
-candidate that bounds the float32 rounding by ``c * ||s||^2``, and each
-chunk lowers its thresholds by ``c`` times its largest ``||s||^2`` and
-rounds them down to float32, so every counted row is a sure error in
-exact arithmetic too.
+float32 copy of each class's rows and takes their largest squared norm
+``||s||^2`` (:func:`_bound_rows`); ``qda`` turns each class's maximum
+into that class's float32 limits, below which every counted row is a
+sure error in exact arithmetic too, and this module only compares.
 Transported covariances round differently from the ``Z_r'Z_r / n_r`` a
 model stores, so the batch only bounds each candidate's error from
 below: it counts the misclassified rows far enough from the boundary to
@@ -270,24 +268,15 @@ def select_alpha(votes, labels, b1: int) -> float:
     return float(thresholds[np.argmin(errors)])
 
 
-# np.nextafter toward it rounds a float32 down by one step
-_FLOAT32_DOWN = np.float32(-np.inf)
-
-
-def _bound_rows(scores, rows) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _bound_rows(scores, rows) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Each class's rows of ``scores`` as :func:`_lower_bounds` counts them.
 
-    Per class, a C-contiguous float32 copy of its rows and each row's
-    float64 squared norm ``||s||^2``, both in ascending norm order: a
-    count does not depend on row order, and in this order a chunk's
-    largest norm is its last row's.
+    A C-contiguous float32 copy of each class's rows, in row order, and
+    the (2,) float64 array of each class's largest squared norm
+    ``||s||^2``.
     """
     norms = np.einsum("ij,ij->i", scores, scores)
-    classes = []
-    for idx in rows:
-        order = idx[np.argsort(norms[idx], kind="stable")]
-        classes.append((scores[order].astype(np.float32), norms[order]))
-    return tuple(classes)
+    return tuple(scores[idx].astype(np.float32) for idx in rows), np.array([norms[idx].max() for idx in rows])
 
 
 def _lower_bounds(matrices, moments, classes, priors, ridge) -> np.ndarray:
@@ -295,33 +284,28 @@ def _lower_bounds(matrices, moments, classes, priors, ridge) -> np.ndarray:
 
     ``matrices`` is a block's (b2, d, p) candidate projections,
     ``moments`` the (2, p, p) class second moments of the probit scores
-    and ``classes`` each class's float32 rows and squared norms, as
-    :func:`_bound_rows` gives them. A candidate's bound counts the rows
+    and ``classes`` each class's float32 rows and largest squared norms,
+    as :func:`_bound_rows` gives them. A candidate's bound counts the rows
     whose batched discriminant misclassifies them and is sure of its
     sign, by :func:`qda._sure_error_terms`' test, in float32: per class
     and chunk of rows, one matmul into every candidate's eigenbasis, one
     square and one matmul with the class's block-diagonal weight matrix,
-    compared with its thresholds; no (n, b2, d) array is built. The
-    float32 rounding moves a row's value by at most ``c * ||s||^2``, so
-    each chunk's thresholds are lowered by ``c`` times the chunk's
-    largest ``||s||^2`` and rounded down to float32. Raises
+    compared with the class's float32 limits, which already hold the
+    float32 rounding margin; no (n, b2, d) array is built. Raises
     ``np.linalg.LinAlgError`` if any covariance has no Cholesky factor,
     an eigensolve does not converge or any candidate's terms are not all
     finite in float32.
     """
-    norm_max = max(norms[-1] for _, norms in classes)
-    W, weights, threshold, c = qda._sure_error_terms(matrices, moments, priors, ridge, norm_max)
-    wrong = np.zeros(threshold.shape[1], dtype=int)
+    class_rows, norm_max = classes
+    W, weights, limit = qda._sure_error_terms(matrices, moments, priors, ridge, norm_max)
+    wrong = np.zeros(limit.shape[1], dtype=int)
     step = _chunk_rows(W.shape[1])
-    for (S, norms), weights_r, threshold_r, c_r in zip(classes, weights, threshold, c):
-        starts = range(0, S.shape[0], step)
-        largest = norms[[min(start + step, S.shape[0]) - 1 for start in starts]]
-        limits = np.nextafter((threshold_r - c_r * largest[:, None]).astype(np.float32), _FLOAT32_DOWN)
-        for start, limit in zip(starts, limits):
+    for S, weights_r, limit_r in zip(class_rows, weights, limit):
+        for start in range(0, S.shape[0], step):
             U = S[start:start + step] @ W
             U *= U
-            wrong += (U @ weights_r < limit).sum(axis=0)
-    return wrong / sum(S.shape[0] for S, _ in classes)
+            wrong += (U @ weights_r < limit_r).sum(axis=0)
+    return wrong / sum(S.shape[0] for S in class_rows)
 
 
 def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:

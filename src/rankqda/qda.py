@@ -48,11 +48,13 @@ norm are both linear in the squares of ``u = V'A s``. It builds the
 error, each widened by the unsure-row margin ``_UNSURE_MARGIN`` times
 that scale. A row is counted only where its batched sign would survive
 the covariances moving by that fraction. The selection counts in
-float32, so ``_sure_error_terms`` returns ``W`` and the weights cast to
-float32, and a constant ``c`` per class and candidate, derived at
-``_UNSURE_MARGIN``: a row ``s``'s float32 value stays within
-``c * ||s||^2`` of its exact value. The thresholds stay float64, for the
-ensemble to lower by that margin. A batch with a non-finite term, in
+float32, and ``_sure_error_terms`` owns that rule too. It returns ``W``
+and the weights cast to float32, and each class's float32 limits: from
+a constant ``c`` per class and candidate, derived at ``_UNSURE_MARGIN``,
+such that a row ``s``'s float32 value stays within ``c * ||s||^2`` of
+its exact value, it lowers each class's thresholds by ``c`` times the
+class's largest ``||s||^2`` and rounds them down to float32. The
+ensemble only compares with them. A batch with a non-finite term, in
 float64 or in float32, raises ``np.linalg.LinAlgError``, as one whose
 covariance has no factor does, so the ensemble has one fallback for
 both: it refits the block.
@@ -284,12 +286,6 @@ class RqdaModel:
         return self.cov0.shape[0]
 
 
-def model_from_parameters(prior1: float, cov0, cov1, ridge: float = 0.0) -> RqdaModel:
-    """Build a model from known (prior1, cov0, cov1), e.g. a generative oracle."""
-    prior1 = checked_number(prior1, "prior1")  # before 1.0 - prior1 can fail or name prior0
-    return RqdaModel(1.0 - prior1, prior1, cov0, cov1, ridge)
-
-
 def fit_rqda(Z, labels, ridge: float | None = None) -> RqdaModel:
     """Fit priors and both class covariances on projected scores.
 
@@ -417,30 +413,36 @@ def _stacked_terms(matrices, moments, priors, ridge) -> tuple[np.ndarray, np.nda
 # ``c * ||s||^2``, each a relative error below (p + d + 3) 2^-53. (g(k)
 # needs k e < 1, so p below about 2^23, where the (2, p, p) moments alone
 # would take 2^50 bytes.)
-# A chunk compares ``q32`` with ``t - c * max ||s||^2`` rounded down to
-# float32, so a counted row has q <= q32 + c ||s||^2 < t. The float64
-# subtraction rounds by at most 2^-53 |t|, which the float64 margin above
-# holds as it held the float64 pass's own rounding. The model leaves out
-# underflow: it adds at most 2^-150 to a product, which the terms above
-# hold unless ||w_j|| ||s|| is near 2^-100, far below any row of probit
-# scores. :func:`_sure_error_terms` rules out overflow: the weights and
-# twice the thresholds must lie within float32's range, and so must twice
-# ``max(1, norm_max) * max(1, ||w_j||^2, sum_j |a_j| ||w_j||^2)``, which
-# bounds W's entries and every float32 value the pass takes for a row
-# with ||s||^2 <= norm_max.
+# The pass compares a class-r row's ``q32`` with its class's limit
+# ``t - c * norm_max[r]`` rounded down to float32, ``norm_max[r]`` being
+# the largest ||s||^2 of class r's rows. That maximum bounds each of the
+# class's rows, so a counted row has q <= q32 + c ||s||^2 <= q32 +
+# c norm_max[r] < t. The float64 subtraction rounds by at most 2^-53 |t|,
+# which the float64 margin above holds as it held the float64 pass's own
+# rounding. The model leaves out underflow: it adds at most 2^-150 to a
+# product, which the terms above hold unless ||w_j|| ||s|| is near
+# 2^-100, far below any row of probit scores. :func:`_sure_error_terms`
+# rules out overflow: the weights and twice the thresholds must lie within
+# float32's range, and so must twice ``max(1, norm_max) * max(1,
+# ||w_j||^2, sum_j |a_j| ||w_j||^2)`` at the larger of the two maxima,
+# which bounds W's entries and every float32 value the pass takes.
 _UNSURE_MARGIN = 1e-10
 
 # float32's unit roundoff and largest finite value
 _FLOAT32_UNIT = 2.0**-24
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
+# np.nextafter toward it rounds a float32 down by one step
+_FLOAT32_DOWN = np.float32(-np.inf)
+
 
 def _sure_error_terms(matrices, moments, priors, ridge, norm_max) -> tuple[np.ndarray, ...]:
-    """``(W, weights, threshold, c)``: the float32 test for the ``k`` candidates' sure errors.
+    """``(W, weights, limit)``: the float32 test for the ``k`` candidates' sure errors.
 
     The first four arguments are :func:`_stacked_covariances`'s, and
-    ``norm_max`` is the largest squared norm ``||s||^2`` of the rows the
-    test will see. In the eigenbasis ``D = V diag(lam) V'`` of a candidate's discriminant
+    ``norm_max`` is a float64 (2,) array, each class's largest squared
+    norm ``||s||^2`` of the rows the test will see. In the eigenbasis
+    ``D = V diag(lam) V'`` of a candidate's discriminant
     matrix, a row ``s`` of scores has ``u = V'A s`` with ``z'Dz = sum_j
     lam_j u_j^2`` and, ``V`` being orthogonal, ``|z|^2 = |u|^2`` for
     ``z = A s``. So both ``delta`` and its unsure margin are linear in the
@@ -450,11 +452,13 @@ def _sure_error_terms(matrices, moments, priors, ridge, norm_max) -> tuple[np.nd
     arithmetic. Column block c of the float32 (p, k*d) ``W`` is candidate
     c's ``(V'A)'``; column c of class r's float32 (k*d, k) block-diagonal
     ``weights[r]`` holds ``-0.5*s*lam`` plus the margin's ``|u|^2`` term
-    in rows c*d .. c*d + d - 1; ``threshold`` is float64 (2, k). The
-    float64 (2, k) ``c`` bounds the float32 rounding: for any row ``s`` with
-    ``||s||^2 <= norm_max``, the float32 value of ``((S W)**2 @
-    weights[r])[c]`` is within ``c[r, c] * ||s||^2`` of the exact value
-    with the float64 ``W`` and weights (derived at ``_UNSURE_MARGIN``).
+    in rows c*d .. c*d + d - 1. For any class-r row ``s`` with ``||s||^2
+    <= norm_max[r]``, the float32 value of ``((S W)**2 @ weights[r])[c]``
+    is within ``c[r, c] * ||s||^2`` of the exact value with the float64
+    ``W`` and weights (``c`` derived at ``_UNSURE_MARGIN``), so the float32
+    (2, k) ``limit[r, c]``, ``threshold[r, c] - c[r, c] * norm_max[r]``
+    rounded down to float32, counts only rows that are sure errors in
+    exact arithmetic too.
     Raises ``np.linalg.LinAlgError`` if any covariance has no Cholesky
     factor, an eigensolve does not converge, any eigenpair, column of
     ``W``, weight or threshold is not finite, in float64 or after the
@@ -471,15 +475,17 @@ def _sure_error_terms(matrices, moments, priors, ridge, norm_max) -> tuple[np.nd
     size = np.abs(weights)
     norms = (W * W).sum(axis=0)  # ||w_j||^2, which bounds W's entries too
     reach = (size * norms.reshape(b2, d)).sum(axis=2)  # sum_j |a_j| ||w_j||^2
-    room = _FLOAT32_MAX / (2.0 * max(norm_max, 1.0))
+    room = _FLOAT32_MAX / (2.0 * max(norm_max.max(), 1.0))
     # each comparison is False for a NaN
     if not (room >= 1.0 and norms.max() <= room and reach.max() <= room and size.max() <= _FLOAT32_MAX
             and np.abs(threshold).max() <= _FLOAT32_MAX / 2.0):
         raise np.linalg.LinAlgError("a candidate's batched discriminant terms are not finite in float32")
     k = (2 * p + d + 7) * _FLOAT32_UNIT
+    c = k / (1.0 - k) * reach
+    limit = np.nextafter((threshold - c * norm_max[:, None]).astype(np.float32), _FLOAT32_DOWN)
     # column c of class r's weight matrix holds weights[r, c] in rows c*d .. c*d + d - 1
     weights = (weights[..., None] * np.eye(b2)[:, None, :]).reshape(2, b2 * d, b2)
-    return W.astype(np.float32), weights.astype(np.float32), threshold, k / (1.0 - k) * reach
+    return W.astype(np.float32), weights.astype(np.float32), limit
 
 
 def stacked_discriminant(Z, D, const) -> np.ndarray:

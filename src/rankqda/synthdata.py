@@ -5,9 +5,10 @@ A scenario draws labels Bernoulli(prior1), latent scores
 ``cov_r``, and observed features ``X_j = m_j(S_j)`` for strictly
 increasing per-feature maps ``m_j``. Because the maps are shared by both
 classes, the optimal decision rule depends on the latent scores and the
-two correlation matrices only; :func:`bayes_oracle_classify` evaluates it
-with the true parameters and :func:`monte_carlo_bayes_risk` estimates the
-corresponding minimal error rate.
+two correlation matrices only; :func:`oracle_model` builds it from the
+true parameters, for :func:`qda.rqda_classify` to evaluate, and
+:func:`monte_carlo_bayes_risk` estimates the corresponding minimal error
+rate.
 
 A :class:`ScenarioSpec` keeps read-only copies of its two correlation
 matrices and derives, once, at construction, their Cholesky factors and
@@ -253,24 +254,17 @@ def sample_meta_gaussian(
 
 
 def oracle_model(spec: ScenarioSpec) -> qda.RqdaModel:
-    """Discriminant model with the true generative parameters (no ridge)."""
+    """Discriminant model with the true generative parameters (no ridge).
+
+    ``qda.rqda_classify(s, oracle_model(spec))`` is the Bayes-optimal
+    decision for latent scores ``s``. Raises ``ValueError`` unless
+    ``spec.prior1`` lies strictly inside (0, 1).
+    """
     if not 0.0 < spec.prior1 < 1.0:
         raise ValueError(
             f"Bayes oracle needs prior1 strictly inside (0, 1), got {spec.prior1}"
         )
-    return qda.model_from_parameters(spec.prior1, spec.cov0, spec.cov1)
-
-
-def bayes_oracle_classify(s, spec: ScenarioSpec):
-    """Optimal decision for latent scores under the true parameters.
-
-    Accepts a single p-vector or an (m, p) matrix; class 1 iff the true
-    discriminant is >= 0. Each call builds :func:`oracle_model` anew,
-    checking and factoring both covariances (about 0.1 ms at p=10 and
-    5 ms at p=50). A caller that scores rows one at a time should build
-    ``oracle_model(spec)`` once and call :func:`qda.rqda_classify` with it.
-    """
-    return qda.rqda_classify(s, oracle_model(spec))
+    return qda.RqdaModel(1.0 - spec.prior1, spec.prior1, spec.cov0, spec.cov1, 0.0)
 
 
 def monte_carlo_bayes_risk(

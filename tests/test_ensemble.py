@@ -13,6 +13,7 @@ from rankqda import (
     FLAVORS,
     DataError,
     EnsembleConfig,
+    RqdaModel,
     ScenarioSpec,
     SingularMatrixError,
     block_correlation_matrix,
@@ -22,7 +23,6 @@ from rankqda import (
     fit_transform,
     inv_norm_cdf,
     load_model,
-    model_from_parameters,
     norm_cdf,
     predict,
     project,
@@ -59,7 +59,7 @@ def _two_cluster_data(n=60, p=4, seed=0, scale1=2.5):
 class TestTrainingError:
     def _constant_one_model(self):
         # equal covariances, prior1 > prior0: predicts 1 everywhere
-        return model_from_parameters(0.8, np.eye(2), np.eye(2))
+        return RqdaModel(0.2, 0.8, np.eye(2), np.eye(2), 0.0)
 
     def test_perfect_classifier(self):
         model = self._constant_one_model()
@@ -207,7 +207,7 @@ def _constant_vote_model(n_ones: int, n_zeros: int, alpha: float) -> EnsembleMod
         blocks.append(
             Block(
                 projection=Projection(matrix=np.eye(2), flavor="axis"),
-                model=model_from_parameters(prior1, np.eye(2), np.eye(2)),
+                model=RqdaModel(1.0 - prior1, prior1, np.eye(2), np.eye(2), 0.0),
                 train_error=0.5,
                 candidate=0,
             )
@@ -411,7 +411,7 @@ def test_hand_built_model_rejects_a_block_matrix_of_the_wrong_shape():
 
 def test_hand_built_model_rejects_covariances_of_another_size():
     model = load_model(GOLDEN_PATH)
-    bad = dataclasses.replace(model.blocks[0], model=model_from_parameters(0.5, np.eye(3), np.eye(3)))
+    bad = dataclasses.replace(model.blocks[0], model=RqdaModel(0.5, 0.5, np.eye(3), np.eye(3), 0.0))
     with pytest.raises(ValueError, match=re.escape("block 0: covariances have shape (3, 3), expected (2, 2)")):
         EnsembleModel(model.marginal_model, [bad], model.alpha, model.config)
 
@@ -422,7 +422,7 @@ def test_hand_built_model_rejects_d_above_n_features():
     wide = dataclasses.replace(
         block,
         projection=dataclasses.replace(block.projection, matrix=np.eye(4, 3)),
-        model=model_from_parameters(0.5, np.eye(4), 2.0 * np.eye(4)),
+        model=RqdaModel(0.5, 0.5, np.eye(4), 2.0 * np.eye(4), 0.0),
     )
     config = dataclasses.replace(model.config, d=4)
     with pytest.raises(ValueError, match="^model needs d <= n_features, got d=4, n_features=3$"):
@@ -700,6 +700,11 @@ _SLACK_DRAWS = pytest.mark.parametrize("draw, config", [
 ], ids=["desk", "large"])
 
 
+def _class_norm_max(scores, rows):
+    """Each class's largest squared score norm ``||s||^2``, the (2,) ``norm_max`` of ``qda._sure_error_terms``."""
+    return np.array([np.einsum("ij,ij->i", scores[r], scores[r]).max() for r in rows])
+
+
 def _eigenbasis(matrices, moments, priors, ridge):
     """A block's float64 terms, eigenvalues and ``W``, the (p, b2*d) rotated projections qda casts to float32."""
     D, const, scale = qda._stacked_terms(matrices, moments, priors, ridge)
@@ -715,7 +720,7 @@ def test_rotated_discriminants_leave_the_unsure_margin_its_slack(draw, config):
     X, labels = draw()
     scores, rows, priors, moments = _fit_inputs(X, labels)
     n, p = scores.shape
-    norm_max = np.einsum("ij,ij->i", scores, scores).max()
+    norm_max = _class_norm_max(scores, rows)
     for b in range(config.b1):
         matrices = np.stack([proj.matrix for proj in _candidate_projections(p, config, b)])
         D, const, scale, lam, W = _eigenbasis(matrices, moments, priors, config.ridge)
@@ -728,22 +733,33 @@ def test_rotated_discriminants_leave_the_unsure_margin_its_slack(draw, config):
         assert (np.abs(rotated - qda.stacked_discriminant(Z, D, const)) <= tol).all()
 
 
-@_SLACK_DRAWS
-def test_float32_rotated_discriminants_stay_within_the_derived_rounding_margin(draw, config):
-    # the float32 bound pass moves a row's value by at most c * ||s||^2 from
-    # its exact value with the float64 W and weights; when this was written
-    # the worst row of every block left a slack of 6.7 (desk) and 45 (large)
+@pytest.mark.parametrize("draw, config, scale0", [
+    (_desk_draw, EnsembleConfig(d=3, b1=100, b2=20, seed=42), 1.0),
+    (_large_draw, EnsembleConfig(d=5, b1=3, b2=20, seed=42), 1.0),
+    (_desk_draw, EnsembleConfig(d=3, b1=100, b2=20, seed=42), 30.0),
+], ids=["desk", "large", "desk_class0_x30"])
+def test_float32_rotated_discriminants_stay_within_the_derived_rounding_margin(draw, config, scale0):
+    # qda lowers each class's thresholds to float32 limits by c times the
+    # class's largest ||s||^2; the gap must cover every row's float32 error
+    # against the float64 W and weights. When this was written the worst
+    # row of every block left a slack of 10.9 (desk) and 60.9 (large); with
+    # class 0's scores scaled by 30, 13.9, and 0.024 with the two classes'
+    # maxima swapped, so each class needs its own
     X, labels = draw()
-    scores, rows, priors, moments = _fit_inputs(X, labels)
+    scores, rows, priors, _ = _fit_inputs(X, labels)
+    scores[rows[0]] *= scale0
+    moments = np.stack([qda._second_moment(scores[r], 0.0) for r in rows])
     p = scores.shape[1]
-    norm_max = np.einsum("ij,ij->i", scores, scores).max()
-    sign = np.array([-1.0, 1.0])[:, None, None]
+    norm_max = _class_norm_max(scores, rows)
+    sign = np.array([-1.0, 1.0])[:, None]
     slack = np.inf
     for b in range(config.b1):
         matrices = np.stack([proj.matrix for proj in _candidate_projections(p, config, b)])
-        _, _, scale, lam, W = _eigenbasis(matrices, moments, priors, config.ridge)
-        weights = -0.5 * sign * lam + qda._UNSURE_MARGIN * scale[1][:, None]
-        W32, weights32, _, c = qda._sure_error_terms(matrices, moments, priors, config.ridge, norm_max)
+        _, const, scale, lam, W = _eigenbasis(matrices, moments, priors, config.ridge)
+        weights = -0.5 * sign[..., None] * lam + qda._UNSURE_MARGIN * scale[1][:, None]
+        threshold = -(sign * const + qda._UNSURE_MARGIN * scale[0])
+        W32, weights32, limit = qda._sure_error_terms(matrices, moments, priors, config.ridge, norm_max)
+        gap = threshold - limit.astype(np.float64)
         for r, idx in enumerate(rows):
             S = scores[idx]
             U = (S @ W).reshape(idx.size, config.b2, config.d)
@@ -751,8 +767,7 @@ def test_float32_rotated_discriminants_stay_within_the_derived_rounding_margin(d
             U32 = S.astype(np.float32) @ W32
             U32 *= U32
             error = np.abs((U32 @ weights32[r]).astype(np.float64) - exact)
-            margin = c[r] * np.einsum("ij,ij->i", S, S)[:, None]
-            slack = min(slack, (margin / np.maximum(error, np.finfo(float).tiny)).min())
+            slack = min(slack, (gap[r] / np.maximum(error, np.finfo(float).tiny)).min())
     assert slack >= 1.0, f"float32 error exceeds the derived margin: slack {slack:.3g}"
     print(f"float32 rounding margin slack: {slack:.3g}")
 
@@ -872,8 +887,8 @@ def test_complex_features_are_rejected_at_every_entry_point(entry):
     "call, message",
     [
         (lambda c: project(sample_projection(3, 2, "haar", substream(1)), np.ones((4, 3)) + c), "scores"),
-        (lambda c: qda.discriminant(np.ones(2) + c, model_from_parameters(0.5, np.eye(2), np.eye(2))), "scores"),
-        (lambda c: rqda_classify(np.ones((3, 2)) + c, model_from_parameters(0.5, np.eye(2), np.eye(2))), "scores"),
+        (lambda c: qda.discriminant(np.ones(2) + c, RqdaModel(0.5, 0.5, np.eye(2), np.eye(2), 0.0)), "scores"),
+        (lambda c: rqda_classify(np.ones((3, 2)) + c, RqdaModel(0.5, 0.5, np.eye(2), np.eye(2), 0.0)), "scores"),
         (lambda c: fit_rqda(np.arange(8.0).reshape(4, 2) + c, [0, 1, 0, 1], 0.1), "scores"),
         (lambda c: qda.estimate_projected_covariance(np.arange(8.0).reshape(4, 2) + c, [0, 1, 0, 1], 0), "scores"),
         (lambda c: select_alpha(np.full(4, 0.5) + c, [0, 1, 0, 1], 2), "votes"),

@@ -15,7 +15,6 @@ from rankqda import (
     fit_rqda,
     inverse_spd,
     log_det_spd,
-    model_from_parameters,
     rqda_classify,
 )
 
@@ -132,18 +131,18 @@ def _brute_force_discriminant_1d(s, prior0, prior1, var0, var1):
 
 class TestDiscriminant:
     def test_identical_classes_give_zero(self):
-        model = model_from_parameters(0.5, np.eye(3), np.eye(3))
+        model = RqdaModel(0.5, 0.5, np.eye(3), np.eye(3), 0.0)
         rng = np.random.default_rng(5)
         for _ in range(10):
             assert discriminant(rng.standard_normal(3), model) == 0.0
 
     def test_prior_term_only(self):
-        model = model_from_parameters(0.8, np.eye(2), np.eye(2))
+        model = RqdaModel(0.2, 0.8, np.eye(2), np.eye(2), 0.0)
         s = np.array([0.3, -1.2])
         assert discriminant(s, model) == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_one_dimensional_hand_value(self):
-        model = model_from_parameters(0.5, [[1.0]], [[4.0]])
+        model = RqdaModel(0.5, 0.5, [[1.0]], [[4.0]], 0.0)
         value = discriminant(np.array([2.0]), model)
         assert value == pytest.approx(0.8068528194400547, abs=1e-12)
         assert value == pytest.approx(
@@ -153,14 +152,14 @@ class TestDiscriminant:
     def test_batch_matches_single(self):
         rng = np.random.default_rng(6)
         G = rng.standard_normal((3, 3))
-        model = model_from_parameters(0.3, G @ G.T + np.eye(3), np.eye(3))
+        model = RqdaModel(0.7, 0.3, G @ G.T + np.eye(3), np.eye(3), 0.0)
         S = rng.standard_normal((20, 3))
         batch = discriminant(S, model)
         for i in range(20):
             assert batch[i] == pytest.approx(discriminant(S[i], model), abs=1e-12)
 
     def test_dimension_mismatch(self):
-        model = model_from_parameters(0.5, np.eye(2), np.eye(2))
+        model = RqdaModel(0.5, 0.5, np.eye(2), np.eye(2), 0.0)
         with pytest.raises(ValueError, match="d=2"):
             discriminant(np.ones(3), model)
 
@@ -304,30 +303,23 @@ def test_model_constructor_rejects_a_bad_prior_with_one_value_error(prior0, prio
         RqdaModel(prior0, prior1, np.eye(2), np.eye(2), 0.0)
 
 
-@pytest.mark.parametrize("prior1, shown", [("0.5", "'0.5'"), (math.nan, "nan")], ids=["string", "nan"])
-def test_model_from_parameters_checks_prior1_before_deriving_prior0(prior1, shown):
-    # 1.0 - prior1 would raise a TypeError for a string and name prior0 for a NaN
-    with pytest.raises(ValueError, match="^" + re.escape(f"prior1 must be a finite number, got {shown}") + "$"):
-        model_from_parameters(prior1, np.eye(2), np.eye(2))
-
-
 class TestRqdaClassify:
     def test_boundary_tie_is_class_one(self):
-        model = model_from_parameters(0.5, np.eye(2), np.eye(2))
+        model = RqdaModel(0.5, 0.5, np.eye(2), np.eye(2), 0.0)
         assert discriminant(np.array([0.7, -0.2]), model) == 0.0
         assert rqda_classify(np.array([0.7, -0.2]), model) == 1
 
     def test_prior_dominates_with_equal_covariances(self):
-        model = model_from_parameters(0.7, np.eye(2), np.eye(2))
+        model = RqdaModel(0.3, 0.7, np.eye(2), np.eye(2), 0.0)
         rng = np.random.default_rng(11)
         assert all(rqda_classify(rng.standard_normal(2), model) == 1 for _ in range(20))
 
     def test_sign_of_hand_value(self):
-        model = model_from_parameters(0.5, [[1.0]], [[4.0]])
+        model = RqdaModel(0.5, 0.5, [[1.0]], [[4.0]], 0.0)
         assert rqda_classify(np.array([2.0]), model) == 1
 
     def test_batch_shape(self):
-        model = model_from_parameters(0.5, np.eye(2), np.eye(2))
+        model = RqdaModel(0.5, 0.5, np.eye(2), np.eye(2), 0.0)
         out = rqda_classify(np.zeros((5, 2)), model)
         np.testing.assert_array_equal(out, np.ones(5, dtype=int))
 
@@ -335,7 +327,7 @@ class TestRqdaClassify:
         "s", [[np.nan, 1.0], [[np.inf, 1.0], [0.0, 0.0]]], ids=["nan-row", "infinite-entry"]
     )
     def test_non_finite_scores_are_rejected_not_classified(self, s):
-        model = model_from_parameters(0.5, np.eye(2), 2.0 * np.eye(2))
+        model = RqdaModel(0.5, 0.5, np.eye(2), 2.0 * np.eye(2), 0.0)
         with pytest.raises(ValueError, match="^scores have a non-finite value$"):
             rqda_classify(np.array(s), model)
 

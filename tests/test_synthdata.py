@@ -7,7 +7,6 @@ import pytest
 from rankqda import (
     MARGINAL_MAPS,
     ScenarioSpec,
-    bayes_oracle_classify,
     block_correlation_matrix,
     estimate_projected_covariance,
     fit_transform,
@@ -17,7 +16,7 @@ from rankqda import (
     random_correlation_matrix,
     sample_meta_gaussian,
 )
-from rankqda.qda import discriminant
+from rankqda.qda import discriminant, rqda_classify
 from rankqda.rng import substream
 
 
@@ -279,12 +278,12 @@ class TestBayesOracle:
     def test_identical_classes_constant_one(self):
         spec = _spec()
         S = substream(8).standard_normal((40, 3))
-        np.testing.assert_array_equal(bayes_oracle_classify(S, spec), np.ones(40, dtype=int))
+        np.testing.assert_array_equal(rqda_classify(S, oracle_model(spec)), np.ones(40, dtype=int))
 
     def test_majority_prior_wins_with_equal_covariances(self):
         spec = _spec(prior1=0.7)
         S = substream(9).standard_normal((40, 3))
-        np.testing.assert_array_equal(bayes_oracle_classify(S, spec), np.ones(40, dtype=int))
+        np.testing.assert_array_equal(rqda_classify(S, oracle_model(spec)), np.ones(40, dtype=int))
 
     def test_origin_with_correlated_class_one(self):
         cov1 = np.array([[1.0, 0.9], [0.9, 1.0]])
@@ -292,15 +291,15 @@ class TestBayesOracle:
         # at the origin only the log-det ratio survives: -0.5*log(0.19) > 0
         delta = discriminant(np.zeros(2), oracle_model(spec))
         assert delta == pytest.approx(-0.5 * math.log(0.19), abs=1e-12)
-        assert bayes_oracle_classify(np.zeros(2), spec) == 1
+        assert rqda_classify(np.zeros(2), oracle_model(spec)) == 1
 
     def test_boundary_prior_rejected(self):
         with pytest.raises(ValueError, match="strictly inside"):
-            bayes_oracle_classify(np.zeros(3), _spec(prior1=1.0))
+            oracle_model(_spec(prior1=1.0))
 
     def test_non_finite_scores_are_rejected_not_classified(self):
         with pytest.raises(ValueError, match="^scores have a non-finite value$"):
-            bayes_oracle_classify(np.array([np.nan, 0.0]), _spec(p=2))
+            rqda_classify(np.array([np.nan, 0.0]), oracle_model(_spec(p=2)))
 
 
 class TestMonteCarloBayesRisk:
