@@ -6,6 +6,8 @@ projections reduce the score space before a quadratic discriminant with
 class-specific covariances is fitted, and many such classifiers vote.
 """
 
+import types
+
 from .ensemble import (
     Block,
     EnsembleConfig,
@@ -54,48 +56,7 @@ from .synthdata import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BayesRiskEstimate",
-    "Block",
-    "DataError",
-    "Dataset",
-    "EnsembleConfig",
-    "EnsembleModel",
-    "FLAVORS",
-    "MARGINAL_MAPS",
-    "MarginalModel",
-    "Projection",
-    "RqdaModel",
-    "ScenarioSpec",
-    "SingularMatrixError",
-    "TrainingError",
-    "block_correlation_matrix",
-    "classify",
-    "discriminant",
-    "estimate_priors",
-    "estimate_projected_covariance",
-    "fit_rqda",
-    "fit_transform",
-    "inv_norm_cdf",
-    "inverse_spd",
-    "load_model",
-    "log_det_spd",
-    "monte_carlo_bayes_risk",
-    "norm_cdf",
-    "oracle_model",
-    "piecewise_linear_map",
-    "predict",
-    "project",
-    "random_correlation_matrix",
-    "rqda_classify",
-    "sample_meta_gaussian",
-    "sample_projection",
-    "save_model",
-    "select_alpha",
-    "substream",
-    "train_ensemble",
-    "training_error",
-    "transform_new",
-    "vote_fraction",
-    "vote_fractions",
-]
+# every public name the imports above bind, each written once; the
+# submodules the package also binds as attributes are not exported
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

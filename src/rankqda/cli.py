@@ -109,7 +109,7 @@ def _add_scenario_flags(sub):
     sub.add_argument("--cov1", default="random",
                      help="class-1 correlation: identity|random|block:SIZE:RHO|same")
     sub.add_argument("--marginal", default="identity",
-                     help="marginal map: identity|exp|cube|pwl:X:Y,X:Y,...")
+                     help="marginal map: " + "|".join([*synthdata.MARGINAL_MAPS, "pwl:X:Y,X:Y,..."]))
     sub.add_argument("--seed", type=int, required=True)
 
 

@@ -17,30 +17,27 @@ projection once.
 
 A block chooses its candidate in one batch, from moments transported
 through the projections: each class's p x p second moment ``M_r`` of the
-probit scores is formed once per fit, and :func:`qda._sure_error_terms`
-turns them into every candidate's covariances ``A M_r A'``, ridge and
-discriminant terms by the same rules as an exact fit, and those into a
-test for sure errors in the eigenbasis of each candidate's ``D``. This
-module does no covariance or discriminant arithmetic: it draws, counts,
-refits and votes. :func:`_lower_bounds` applies the test to the training
-rows in float32, per class and chunk of rows one matmul, one square and
-one small matmul for all ``b2`` candidates at once. A fit makes one
-float32 copy of each class's rows and takes their largest squared norm
-``||s||^2`` (:func:`_bound_rows`); ``qda`` turns each class's maximum
-into that class's float32 limits, below which every counted row is a
-sure error in exact arithmetic too, and this module only compares.
-Transported covariances round differently from the ``Z_r'Z_r / n_r`` a
-model stores, so the batch only bounds each candidate's error from
-below: it counts the misclassified rows far enough from the boundary to
-trust their batched sign. One rule then picks the candidate: refit
-exactly in ascending bound order and stop at the first bound above the
-best exact error (about one refit per block on the desk scenario). A
-batch that fails, because some covariance has no factor or some
-candidate's terms are not finite, in float64 or in float32, has one
-fallback: every bound is ``-inf`` and the block refits all its
-candidates. Every stored number, and so every model file, comes from
-that exact refit, the same ``qda`` core and error as a fit of each
-candidate on its own.
+probit scores is formed once per fit, the training rows are prepared for
+the count once per fit (:func:`qda._bound_rows`), and
+:func:`qda._lower_bounds` bounds every candidate's training error from
+below in one pass. ``qda`` owns that count whole: the covariances
+``A M_r A'``, ridge and discriminant terms by the same rules as an exact
+fit, the test for sure errors in the eigenbasis of each candidate's
+``D``, the rounding margin the test needs and the pass over the rows
+that the margin is derived for. This module does no covariance,
+discriminant or bound arithmetic: it draws, orders the refits, refits,
+selects ``alpha`` and votes. Transported covariances round differently
+from the ``Z_r'Z_r / n_r`` a model stores, so the batch only bounds each
+candidate's error from below: it counts the misclassified rows far
+enough from the boundary to trust their batched sign. One rule then
+picks the candidate: refit exactly in ascending bound order and stop at
+the first bound above the best exact error (about one refit per block on
+the desk scenario). A batch that fails, because some covariance has no
+factor or some candidate's terms are not finite at either precision of
+the count, has one fallback: every bound is ``-inf`` and the block
+refits all its candidates. Every stored number, and so every model file,
+comes from that exact refit, the same ``qda`` core and error as a fit of
+each candidate on its own.
 
 Prediction has one kernel, :func:`_vote_counts`, behind
 :func:`vote_fractions`. At construction a model derives, with
@@ -49,8 +46,9 @@ projections as one (p, b1*d) matrix), ``stacked_D`` and
 ``stacked_const`` (its blocks' ``D = inv1 - inv0`` matrices and
 constants), never persisted, so a fitted, hand-built and loaded model
 hold the same arrays. Scoring then takes one marginal transform, and per
-chunk of rows one matmul into every block's space plus one
-:func:`qda.stacked_discriminant` call, with no loop over blocks.
+chunk of rows (:func:`qda._chunk_rows`, the bound pass's chunk rule) one
+matmul into every block's space plus one :func:`qda.stacked_discriminant`
+call, with no loop over blocks.
 Training counts the votes it selects ``alpha`` on with the same kernel
 on the same stacked arrays, so a training row gets the same vote at fit
 as at prediction. A model stores its blocks as a tuple, and every array
@@ -132,16 +130,6 @@ class Block:
         freeze(self, candidate=checked_int(self.candidate, "candidate", 0), train_error=float(train_error))
 
 
-# Rows per chunk keep the stacked (rows, width) buffers at
-# about this many elements, so memory stays flat in the number of rows.
-_CHUNK_ELEMENTS = 2**15
-
-
-def _chunk_rows(width: int) -> int:
-    """Rows per chunk of a (rows, ``width``) buffer."""
-    return max(1, _CHUNK_ELEMENTS // width)
-
-
 def _stack(blocks: Sequence[Block]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``b`` blocks side by side: the arguments of :func:`_vote_counts`.
 
@@ -158,13 +146,13 @@ def _stack(blocks: Sequence[Block]) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def _vote_counts(scores: np.ndarray, projection, D, const) -> np.ndarray:
     """Number of blocks voting class 1 for each row of probit ``scores``.
 
-    The arrays are :func:`_stack`'s. Per chunk of rows, one matmul puts
-    the chunk in every stacked space and one
-    :func:`qda.stacked_discriminant` call scores it, so no (n, b, d)
-    array is built.
+    The arrays are :func:`_stack`'s. Per chunk of rows
+    (:func:`qda._chunk_rows`), one matmul puts the chunk in every stacked
+    space and one :func:`qda.stacked_discriminant` call scores it, so no
+    (n, b, d) array is built.
     """
     b, d = D.shape[:2]
-    step = _chunk_rows(b * d)
+    step = qda._chunk_rows(b * d)
     counts = np.empty(scores.shape[0], dtype=int)
     for start in range(0, scores.shape[0], step):
         rows = slice(start, start + step)
@@ -268,46 +256,6 @@ def select_alpha(votes, labels, b1: int) -> float:
     return float(thresholds[np.argmin(errors)])
 
 
-def _bound_rows(scores, rows) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Each class's rows of ``scores`` as :func:`_lower_bounds` counts them.
-
-    A C-contiguous float32 copy of each class's rows, in row order, and
-    the (2,) float64 array of each class's largest squared norm
-    ``||s||^2``.
-    """
-    norms = np.einsum("ij,ij->i", scores, scores)
-    return tuple(scores[idx].astype(np.float32) for idx in rows), np.array([norms[idx].max() for idx in rows])
-
-
-def _lower_bounds(matrices, moments, classes, priors, ridge) -> np.ndarray:
-    """A lower bound on each candidate's exact training error.
-
-    ``matrices`` is a block's (b2, d, p) candidate projections,
-    ``moments`` the (2, p, p) class second moments of the probit scores
-    and ``classes`` each class's float32 rows and largest squared norms,
-    as :func:`_bound_rows` gives them. A candidate's bound counts the rows
-    whose batched discriminant misclassifies them and is sure of its
-    sign, by :func:`qda._sure_error_terms`' test, in float32: per class
-    and chunk of rows, one matmul into every candidate's eigenbasis, one
-    square and one matmul with the class's block-diagonal weight matrix,
-    compared with the class's float32 limits, which already hold the
-    float32 rounding margin; no (n, b2, d) array is built. Raises
-    ``np.linalg.LinAlgError`` if any covariance has no Cholesky factor,
-    an eigensolve does not converge or any candidate's terms are not all
-    finite in float32.
-    """
-    class_rows, norm_max = classes
-    W, weights, limit = qda._sure_error_terms(matrices, moments, priors, ridge, norm_max)
-    wrong = np.zeros(limit.shape[1], dtype=int)
-    step = _chunk_rows(W.shape[1])
-    for S, weights_r, limit_r in zip(class_rows, weights, limit):
-        for start in range(0, S.shape[0], step):
-            U = S[start:start + step] @ W
-            U *= U
-            wrong += (U @ weights_r < limit_r).sum(axis=0)
-    return wrong / sum(S.shape[0] for S in class_rows)
-
-
 def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
     """Fit the full pipeline: marginals once, then b1 selected blocks.
 
@@ -322,7 +270,7 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
     every block is fitted, warns for each class with fewer than d+1 rows.
 
     A block bounds all its candidates' errors from below in one batch
-    (:func:`_lower_bounds`), then makes one pass over the candidates in
+    (:func:`qda._lower_bounds`), then makes one pass over the candidates in
     ascending bound order (lowest index first on equal bounds): each is
     refitted exactly, with :func:`qda._fit` and :func:`training_error`,
     until the next bound exceeds the best exact error so far; a singular
@@ -330,8 +278,8 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
     its bound, above the best one, so it could neither win nor tie: the
     block keeps the candidate a per-candidate fit would keep, with the
     same stored numbers. If some covariance of the batch has no factor or
-    some candidate's batched terms are not finite in float64 or float32,
-    every bound is -inf and the pass refits the whole block.
+    some candidate's batched terms are not finite at either precision of
+    the count, every bound is -inf and the pass refits the whole block.
     """
     labels = np.asarray(labels)
     rows = qda._class_rows(labels)
@@ -341,7 +289,7 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
         raise ValueError(f"X has {scores.shape[0]} rows but there are {labels.size} labels")
     p = marginal_model.n_features
     moments = np.stack([qda._second_moment(scores[r], 0.0) for r in rows])
-    classes = _bound_rows(scores, rows)
+    classes = qda._bound_rows(scores, rows)
 
     states = _keyed_states(config.seed, config.b1, config.b2)
     generator = np.random.Generator(np.random.PCG64())
@@ -349,7 +297,7 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
     for b in range(config.b1):
         matrices = projections._sample_matrices(p, config.d, config.flavor, _keyed_streams(generator, states[b]))
         try:
-            lower = _lower_bounds(matrices, moments, classes, priors, config.ridge)
+            lower = qda._lower_bounds(matrices, moments, classes, priors, config.ridge)
         except np.linalg.LinAlgError:
             lower = np.full(config.b2, -np.inf)
         best = None

@@ -53,11 +53,17 @@ and the weights cast to float32, and each class's float32 limits: from
 a constant ``c`` per class and candidate, derived at ``_UNSURE_MARGIN``,
 such that a row ``s``'s float32 value stays within ``c * ||s||^2`` of
 its exact value, it lowers each class's thresholds by ``c`` times the
-class's largest ``||s||^2`` and rounds them down to float32. The
-ensemble only compares with them. A batch with a non-finite term, in
-float64 or in float32, raises ``np.linalg.LinAlgError``, as one whose
-covariance has no factor does, so the ensemble has one fallback for
-both: it refits the block.
+class's largest ``||s||^2`` and rounds them down to float32. The count
+those limits serve lives here too, next to the margin that proves it:
+``_bound_rows`` makes, once per fit, one float32 copy of each class's
+rows and takes their largest ``||s||^2``, and ``_lower_bounds`` runs the
+arithmetic the margin's derivation models, per class and chunk of rows
+one GEMM, one square, one small GEMM and one compare with the limits.
+``_chunk_rows`` is the one chunk rule of that pass and of the ensemble's
+prediction kernel. The ensemble only orders its refits by the bounds. A
+batch with a non-finite term, in float64 or in float32, raises
+``np.linalg.LinAlgError``, as one whose covariance has no factor does,
+so the ensemble has one fallback for both: it refits the block.
 
 Every SPD matrix, whether an :class:`RqdaModel` covariance or the
 argument of :func:`inverse_spd` or :func:`log_det_spd`, passes one gate,
@@ -486,6 +492,57 @@ def _sure_error_terms(matrices, moments, priors, ridge, norm_max) -> tuple[np.nd
     # column c of class r's weight matrix holds weights[r, c] in rows c*d .. c*d + d - 1
     weights = (weights[..., None] * np.eye(b2)[:, None, :]).reshape(2, b2 * d, b2)
     return W.astype(np.float32), weights.astype(np.float32), limit
+
+
+# Rows per chunk keep the stacked (rows, width) buffers at
+# about this many elements, so memory stays flat in the number of rows.
+_CHUNK_ELEMENTS = 2**15
+
+
+def _chunk_rows(width: int) -> int:
+    """Rows per chunk of a (rows, ``width``) buffer."""
+    return max(1, _CHUNK_ELEMENTS // width)
+
+
+def _bound_rows(scores, rows) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Each class's rows of ``scores`` as :func:`_lower_bounds` counts them.
+
+    A C-contiguous float32 copy of each class's rows, in row order, and
+    the (2,) float64 array of each class's largest squared norm
+    ``||s||^2``.
+    """
+    norms = np.einsum("ij,ij->i", scores, scores)
+    return tuple(scores[idx].astype(np.float32) for idx in rows), np.array([norms[idx].max() for idx in rows])
+
+
+def _lower_bounds(matrices, moments, classes, priors, ridge) -> np.ndarray:
+    """A lower bound on each candidate's exact training error.
+
+    ``matrices`` is a block's (b2, d, p) candidate projections,
+    ``moments`` the (2, p, p) class second moments of the probit scores
+    and ``classes`` each class's float32 rows and largest squared norms,
+    as :func:`_bound_rows` gives them. A candidate's bound counts the rows
+    whose batched discriminant misclassifies them and is sure of its
+    sign, by :func:`_sure_error_terms`' test, in float32 as the
+    ``_UNSURE_MARGIN`` derivation models it: per class and chunk of rows
+    (:func:`_chunk_rows`), one matmul into every candidate's eigenbasis,
+    one square and one matmul with the class's block-diagonal weight
+    matrix, compared with the class's float32 limits, which already hold
+    the float32 rounding margin; no (n, b2, d) array is built. Raises
+    ``np.linalg.LinAlgError`` if any covariance has no Cholesky factor,
+    an eigensolve does not converge or any candidate's terms are not all
+    finite in float32.
+    """
+    class_rows, norm_max = classes
+    W, weights, limit = _sure_error_terms(matrices, moments, priors, ridge, norm_max)
+    wrong = np.zeros(limit.shape[1], dtype=int)
+    step = _chunk_rows(W.shape[1])
+    for S, weights_r, limit_r in zip(class_rows, weights, limit):
+        for start in range(0, S.shape[0], step):
+            U = S[start:start + step] @ W
+            U *= U
+            wrong += (U @ weights_r < limit_r).sum(axis=0)
+    return wrong / sum(S.shape[0] for S in class_rows)
 
 
 def stacked_discriminant(Z, D, const) -> np.ndarray:

@@ -448,11 +448,16 @@ def test_bad_input_exits_1_with_one_error_line(case, tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
-def test_help_exits_0(capsys):
+@pytest.mark.parametrize("command, listed", [
+    ("train", "gaussian|haar|axis"),
+    ("synth", "identity|exp|cube|pwl:X:Y,X:Y,..."),
+    ("bayes-risk", "identity|exp|cube|pwl:X:Y,X:Y,..."),
+])
+def test_help_exits_0(capsys, command, listed):
     with pytest.raises(SystemExit) as exc:
-        run("train", "--help")
+        run(command, "--help")
     assert exc.value.code == 0
-    assert "gaussian|haar|axis" in capsys.readouterr().out
+    assert listed in capsys.readouterr().out
 
 
 def test_synth_cov1_same_writes_both_files(tmp_path):

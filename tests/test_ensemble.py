@@ -659,7 +659,7 @@ def _fit_inputs(X, labels):
 
 def _block_bounds(matrices, inputs, ridge):
     scores, rows, priors, moments = inputs
-    return ensemble._lower_bounds(matrices, moments, ensemble._bound_rows(scores, rows), priors, ridge)
+    return qda._lower_bounds(matrices, moments, qda._bound_rows(scores, rows), priors, ridge)
 
 
 @settings(max_examples=150, deadline=None)
@@ -846,8 +846,8 @@ def test_rows_on_a_candidates_boundary_are_never_sure_errors(flavor):
         exact = qda._fit(project(candidates[c], scores), rows, priors, None)
         labels_B = (qda.discriminant(project(candidates[c], rows_B), exact) >= 0.0).astype(int)
         assert 0 < labels_B.sum() < labels_B.size
-        bound = ensemble._lower_bounds(
-            matrices[c:c + 1], moments, ensemble._bound_rows(rows_B, qda._class_rows(labels_B)), priors, None
+        bound = qda._lower_bounds(
+            matrices[c:c + 1], moments, qda._bound_rows(rows_B, qda._class_rows(labels_B)), priors, None
         )
         assert bound[0] == 0.0
 

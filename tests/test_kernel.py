@@ -10,11 +10,11 @@ import pytest
 
 from rankqda import (
     EnsembleConfig,
-    ensemble,
     estimate_priors,
     fit_transform,
     inv_norm_cdf,
     predict,
+    qda,
     select_alpha,
     train_ensemble,
     transform_new,
@@ -42,7 +42,7 @@ class TestStackedVotesMatchPerBlockLoop:
     @pytest.mark.parametrize("rows", ["one", "chunk", "chunk_plus_one"])
     def test_row_counts_around_the_chunk_size(self, rows):
         model = _model("haar", b1=9, d=3)
-        chunk = ensemble._chunk_rows(model.stacked_projection.shape[1])
+        chunk = qda._chunk_rows(model.stacked_projection.shape[1])
         m = {"one": 1, "chunk": chunk, "chunk_plus_one": chunk + 1}[rows]
         X = substream(43).standard_normal((m, 5))
         votes = vote_fractions(model, X)
