@@ -8,17 +8,17 @@ votes into a fraction ``nu`` and thresholds it at ``alpha`` (``nu >=
 alpha`` means class 1). The whole pipeline is a pure function of (data,
 config): substreams are keyed by (seed, block, candidate), so the fit is
 reproducible regardless of execution order and could be parallelized
-across the block/candidate grid without changing results. A fit builds
-no generator per key: :func:`rng._keyed_states` computes the PCG64 state
-of every key in one vectorized pass, and :func:`rng._keyed_streams` sets
-a block's states in turn on one reused generator, so the draws are bit
-for bit ``substream(seed, block, candidate)``'s. Each candidate draws its
-projection once.
+across the block/candidate grid without changing results. A fit hashes
+every key at once: :func:`rng._keyed_streams` computes the PCG64 seeding
+words of every key in one vectorized pass and yields each block's
+candidates their own generators, bit for bit
+``substream(seed, block, candidate)``'s, so training shares no generator.
+Each candidate draws its projection once.
 
 A block chooses its candidate in one batch, from moments transported
-through the projections: each class's p x p second moment ``M_r`` of the
-probit scores is formed once per fit, the training rows are prepared for
-the count once per fit (:func:`qda._bound_rows`), and
+through the projections: :func:`qda._bound_rows` forms each class's
+p x p second moment ``M_r`` of the probit scores and prepares the
+training rows for the count, once per fit, and
 :func:`qda._lower_bounds` bounds every candidate's training error from
 below in one pass. ``qda`` owns that count whole: the covariances
 ``A M_r A'``, ridge and discriminant terms by the same rules as an exact
@@ -83,7 +83,7 @@ import numpy as np
 from . import marginals, projections, qda
 from .errors import SingularMatrixError, TrainingError, checked_int, checked_number, freeze, real_array
 # substream goes unused here; bench/workloads.py traces the rng layer as ensemble.substream
-from .rng import _keyed_states, _keyed_streams, substream
+from .rng import _keyed_streams, substream
 
 
 @dataclass(frozen=True)
@@ -260,10 +260,10 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
     """Fit the full pipeline: marginals once, then b1 selected blocks.
 
     Each of the b1 x b2 candidates draws its projection from the
-    substream keyed by (seed, block, candidate), whose state comes from
-    one vectorized pass over every key of the fit and is set on one
-    reused generator; a candidate whose covariance is singular at the
-    configured ridge is discarded. Each
+    substream keyed by (seed, block, candidate), a generator of its own
+    seeded from one vectorized pass over every key of the fit; a
+    candidate whose covariance is singular at the configured ridge is
+    discarded. Each
     block keeps the candidate with the lowest training error, the lowest
     index on ties. A block where every candidate fails aborts training (a
     silently smaller ensemble would corrupt the vote fractions). Once
@@ -288,16 +288,13 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
     if scores.shape[0] != labels.size:  # still before any candidate fit
         raise ValueError(f"X has {scores.shape[0]} rows but there are {labels.size} labels")
     p = marginal_model.n_features
-    moments = np.stack([qda._second_moment(scores[r], 0.0) for r in rows])
     classes = qda._bound_rows(scores, rows)
 
-    states = _keyed_states(config.seed, config.b1, config.b2)
-    generator = np.random.Generator(np.random.PCG64())
     blocks: list[Block] = []
-    for b in range(config.b1):
-        matrices = projections._sample_matrices(p, config.d, config.flavor, _keyed_streams(generator, states[b]))
+    for b, streams in enumerate(_keyed_streams(config.seed, config.b1, config.b2)):
+        matrices = projections._sample_matrices(p, config.d, config.flavor, streams)
         try:
-            lower = qda._lower_bounds(matrices, moments, classes, priors, config.ridge)
+            lower = qda._lower_bounds(matrices, classes, priors, config.ridge)
         except np.linalg.LinAlgError:
             lower = np.full(config.b2, -np.inf)
         best = None

@@ -96,9 +96,8 @@ def _sample_matrices(p: int, d: int, flavor: str, rngs) -> np.ndarray:
     """One (d, p) matrix per stream, stacked into a (streams, d, p) array.
 
     The one sampling recipe behind :func:`sample_projection` and the
-    ensemble's blocks. ``rngs`` is any iterable of generators; each is
-    drawn from once, before the next is taken, so the streams may take
-    turns on one generator. Matrix k depends only on stream k, and equals
+    ensemble's blocks. ``rngs`` is any iterable of generators, each
+    drawn from once. Matrix k depends only on stream k, and equals
     what :func:`sample_projection` draws from a generator at that stream's
     start, because the stacked ``np.linalg.qr`` factors each matrix with
     the same LAPACK calls as a single one.

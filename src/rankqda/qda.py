@@ -55,8 +55,9 @@ such that a row ``s``'s float32 value stays within ``c * ||s||^2`` of
 its exact value, it lowers each class's thresholds by ``c`` times the
 class's largest ``||s||^2`` and rounds them down to float32. The count
 those limits serve lives here too, next to the margin that proves it:
-``_bound_rows`` makes, once per fit, one float32 copy of each class's
-rows and takes their largest ``||s||^2``, and ``_lower_bounds`` runs the
+``_bound_rows`` gathers each class's rows once per fit and forms from
+them the class second moments ``M_r``, one float32 copy of the rows and
+their largest ``||s||^2``, and ``_lower_bounds`` runs the
 arithmetic the margin's derivation models, per class and chunk of rows
 one GEMM, one square, one small GEMM and one compare with the limits.
 ``_chunk_rows`` is the one chunk rule of that pass and of the ensemble's
@@ -504,24 +505,27 @@ def _chunk_rows(width: int) -> int:
     return max(1, _CHUNK_ELEMENTS // width)
 
 
-def _bound_rows(scores, rows) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def _bound_rows(scores, rows) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
     """Each class's rows of ``scores`` as :func:`_lower_bounds` counts them.
 
-    A C-contiguous float32 copy of each class's rows, in row order, and
-    the (2,) float64 array of each class's largest squared norm
-    ``||s||^2``.
+    Gathers each class's rows once and returns the (2, p, p) class second
+    moments ``M_r`` the candidate covariances are transported from, a
+    C-contiguous float32 copy of each class's rows, in row order, and the
+    (2,) float64 array of each class's largest squared norm ``||s||^2``.
     """
-    norms = np.einsum("ij,ij->i", scores, scores)
-    return tuple(scores[idx].astype(np.float32) for idx in rows), np.array([norms[idx].max() for idx in rows])
+    classes = [scores[idx] for idx in rows]
+    moments = np.stack([_second_moment(S, 0.0) for S in classes])
+    norm_max = np.array([np.einsum("ij,ij->i", S, S).max() for S in classes])
+    return moments, tuple(S.astype(np.float32) for S in classes), norm_max
 
 
-def _lower_bounds(matrices, moments, classes, priors, ridge) -> np.ndarray:
+def _lower_bounds(matrices, classes, priors, ridge) -> np.ndarray:
     """A lower bound on each candidate's exact training error.
 
-    ``matrices`` is a block's (b2, d, p) candidate projections,
-    ``moments`` the (2, p, p) class second moments of the probit scores
-    and ``classes`` each class's float32 rows and largest squared norms,
-    as :func:`_bound_rows` gives them. A candidate's bound counts the rows
+    ``matrices`` is a block's (b2, d, p) candidate projections and
+    ``classes`` the class second moments of the probit scores, each
+    class's float32 rows and its largest squared norm, as
+    :func:`_bound_rows` gives them. A candidate's bound counts the rows
     whose batched discriminant misclassifies them and is sure of its
     sign, by :func:`_sure_error_terms`' test, in float32 as the
     ``_UNSURE_MARGIN`` derivation models it: per class and chunk of rows
@@ -533,7 +537,7 @@ def _lower_bounds(matrices, moments, classes, priors, ridge) -> np.ndarray:
     an eigensolve does not converge or any candidate's terms are not all
     finite in float32.
     """
-    class_rows, norm_max = classes
+    moments, class_rows, norm_max = classes
     W, weights, limit = _sure_error_terms(matrices, moments, priors, ridge, norm_max)
     wrong = np.zeros(limit.shape[1], dtype=int)
     step = _chunk_rows(W.shape[1])

@@ -6,21 +6,21 @@ candidate projections, train/test splits) are derived from a master seed
 plus an integer key, so results do not depend on execution order or on
 how many workers share the job.
 
-Training needs ``b1 x b2`` keyed streams, and building a ``SeedSequence``,
-a ``PCG64`` and a ``Generator`` per key is the largest single cost of a
-small fit. So :func:`_keyed_states` computes the PCG64 ``(state, inc)`` of
-every key ``(seed, b, c)`` of a fit at once: ``SeedSequence``'s entropy
-mixing and state generation in one vectorized ``uint32`` pass, then
-PCG64's seeding step in Python integers. :func:`_keyed_streams` sets a
-block's states in turn on one reused generator, in one pass: training
-draws each candidate's projection once and never comes back to a stream.
-Each state is bit for bit the one :func:`substream` starts from, so the
-draws are too. NEP 19 fixes the ``SeedSequence`` and ``PCG64`` algorithms
-across numpy versions, which is what makes computing their states outside
-numpy stable.
+Training needs ``b1 x b2`` keyed streams, and building a ``SeedSequence``
+per key is the largest single cost of a small fit. So
+:func:`_keyed_streams` hashes every key ``(seed, b, c)`` of a fit at once:
+``SeedSequence``'s entropy mixing and state generation in one vectorized
+``uint32`` pass, up to the four ``uint64`` words that seed a ``PCG64``.
+numpy's own ``PCG64`` then seeds each candidate's generator from its
+words (:class:`_Words`), so no generator is shared and the streams may be
+drawn in any order. Each generator starts bit for bit where
+:func:`substream` does, so the draws are the same. NEP 19 fixes the
+``SeedSequence`` and ``PCG64`` algorithms across numpy versions, which is
+what makes computing the seeding words outside numpy stable.
 """
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 
 def substream(*key: int) -> np.random.Generator:
@@ -33,14 +33,12 @@ def substream(*key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
-# numpy.random.SeedSequence's hash constants and pool size, and PCG64's
-# 128-bit LCG multiplier.
+# numpy.random.SeedSequence's hash constants and pool size.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL_SIZE = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MASK32 = 2**32 - 1
 _SHIFT = np.uint32(16)
 
 
@@ -77,16 +75,33 @@ def _mix(x, y):
     return result ^ (result >> _SHIFT)
 
 
-def _keyed_states(seed: int, blocks: int, count: int) -> list[list[tuple[int, int]]]:
-    """PCG64 ``(state, inc)`` of ``substream(seed, b, c)`` for b < blocks, c < count.
+class _Words(ISeedSequence):
+    """A seed sequence that hands ``PCG64`` one key's precomputed words.
 
-    Row b lists block b's ``count`` pairs. Every key is hashed at once in
-    ``uint32`` arrays: ``SeedSequence.mix_entropy`` over the key's entropy
-    words (the seed's words, then b's and c's, one each since both are
-    below 2**32; keys of more than four words take its extra loop), then
-    ``generate_state(4, uint64)``. PCG64's seeding step follows in Python
-    integers: ``inc = 2 * initseq + 1``, then one LCG step from
-    ``inc + initstate``.
+    ``words`` is a C-contiguous (4,) ``uint64`` array, what
+    ``SeedSequence(key).generate_state(4, np.uint64)`` returns. Any other
+    request raises ``ValueError``, so a numpy that seeds ``PCG64``
+    differently fails loudly instead of drawing other streams.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"precomputed seed words serve (4, uint64), not ({n_words}, {np.dtype(dtype)})")
+        return self.words
+
+
+def _keyed_streams(seed: int, blocks: int, count: int):
+    """Yield, per block b < blocks, the generators ``substream(seed, b, c)`` for c < count.
+
+    Every key is hashed at once in ``uint32`` arrays:
+    ``SeedSequence.mix_entropy`` over the key's entropy words (the seed's
+    words, then b's and c's, one each since both are below 2**32; keys of
+    more than four words take its extra loop), then
+    ``generate_state(4, uint64)``. Each block's generators are built
+    lazily from those words, one ``PCG64`` per candidate.
     """
     n = blocks * count
     b = np.repeat(np.arange(blocks, dtype=np.uint32), count)
@@ -104,33 +119,9 @@ def _keyed_states(seed: int, blocks: int, count: int) -> list[list[tuple[int, in
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hash_a(word))
 
-    # generate_state(4, uint64): eight words cycling over the pool, paired
-    # little-endian into (initstate high, low, initseq high, low)
+    # generate_state(4, uint64): eight words cycling over the pool, paired little-endian
     hash_b = _hasher(_INIT_B, _MULT_B)
-    words = [hash_b(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
-    high0, low0, high1, low1 = (
-        (words[2 * j] | words[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)
-    )
-    pairs = []
-    for h0, l0, h1, l1 in zip(high0, low0, high1, low1):
-        inc = ((h1 << 64 | l1) << 1 | 1) & _MASK128
-        pairs.append((((inc + (h0 << 64 | l0)) * _PCG_MULT + inc) & _MASK128, inc))
-    return [pairs[start:start + count] for start in range(0, len(pairs), count)]
-
-
-def _keyed_streams(generator: np.random.Generator, states):
-    """Yield ``generator``, a PCG64 ``Generator``, set to each stream's start in turn.
-
-    ``states`` lists each stream's PCG64 ``(state, inc)``, a row of
-    :func:`_keyed_states`. Every stream is visited once, in order, so draw
-    from each before taking the next.
-    """
-    bit_generator = generator.bit_generator
-    for state, inc in states:
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield generator
+    halves = [hash_b(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
+    words = np.stack([halves[2 * j] | halves[2 * j + 1] << np.uint64(32) for j in range(4)], axis=1)
+    for block in words.reshape(blocks, count, 4):
+        yield (np.random.Generator(np.random.PCG64(_Words(key))) for key in block)

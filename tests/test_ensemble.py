@@ -658,8 +658,8 @@ def _fit_inputs(X, labels):
 
 
 def _block_bounds(matrices, inputs, ridge):
-    scores, rows, priors, moments = inputs
-    return qda._lower_bounds(matrices, moments, qda._bound_rows(scores, rows), priors, ridge)
+    scores, rows, priors, _ = inputs
+    return qda._lower_bounds(matrices, qda._bound_rows(scores, rows), priors, ridge)
 
 
 @settings(max_examples=150, deadline=None)
@@ -846,9 +846,9 @@ def test_rows_on_a_candidates_boundary_are_never_sure_errors(flavor):
         exact = qda._fit(project(candidates[c], scores), rows, priors, None)
         labels_B = (qda.discriminant(project(candidates[c], rows_B), exact) >= 0.0).astype(int)
         assert 0 < labels_B.sum() < labels_B.size
-        bound = qda._lower_bounds(
-            matrices[c:c + 1], moments, qda._bound_rows(rows_B, qda._class_rows(labels_B)), priors, None
-        )
+        # the candidate's terms come from the training moments, the count from the boundary rows
+        _, class_rows, norm_max = qda._bound_rows(rows_B, qda._class_rows(labels_B))
+        bound = qda._lower_bounds(matrices[c:c + 1], (moments, class_rows, norm_max), priors, None)
         assert bound[0] == 0.0
 
 
