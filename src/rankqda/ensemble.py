@@ -40,17 +40,18 @@ comes from that exact refit, the same ``qda`` core and error as a fit of
 each candidate on its own.
 
 Prediction has one kernel, :func:`_vote_counts`, behind
-:func:`vote_fractions`. At construction a model derives, with
-:func:`_stack`, its own fields ``stacked_projection`` (its ``b1``
-projections as one (p, b1*d) matrix), ``stacked_D`` and
+:func:`vote_fractions`. Only :class:`EnsembleModel`'s construction
+derives the stacked arrays the kernel reads: ``stacked_projection`` (its
+``b1`` projections as one (p, b1*d) matrix), ``stacked_D`` and
 ``stacked_const`` (its blocks' ``D = inv1 - inv0`` matrices and
 constants), never persisted, so a fitted, hand-built and loaded model
 hold the same arrays. Scoring then takes one marginal transform, and per
 chunk of rows (:func:`qda._chunk_rows`, the bound pass's chunk rule) one
 matmul into every block's space plus one :func:`qda.stacked_discriminant`
 call, with no loop over blocks.
-Training counts the votes it selects ``alpha`` on with the same kernel
-on the same stacked arrays, so a training row gets the same vote at fit
+Training builds the model it returns, counts the votes it selects
+``alpha`` on with the same kernel on that model's arrays, then replaces
+the provisional ``alpha``, so a training row gets the same vote at fit
 as at prediction. A model stores its blocks as a tuple, and every array
 it holds (projection matrices, covariances, the marginal table and the
 stacked arrays) is read-only, so what it votes with in memory is what it
@@ -75,8 +76,7 @@ its votes and labels again.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -130,37 +130,6 @@ class Block:
         freeze(self, candidate=checked_int(self.candidate, "candidate", 0), train_error=float(train_error))
 
 
-def _stack(blocks: Sequence[Block]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``b`` blocks side by side: the arguments of :func:`_vote_counts`.
-
-    The (p, b*d) projection's column block k is block k's ``A'``; ``D``
-    is (b, d, d) and ``const`` is (b,), the :class:`qda.RqdaModel` terms.
-    """
-    return (
-        np.vstack([block.projection.matrix for block in blocks]).T,
-        np.stack([block.model.D for block in blocks]),
-        np.array([block.model.const for block in blocks]),
-    )
-
-
-def _vote_counts(scores: np.ndarray, projection, D, const) -> np.ndarray:
-    """Number of blocks voting class 1 for each row of probit ``scores``.
-
-    The arrays are :func:`_stack`'s. Per chunk of rows
-    (:func:`qda._chunk_rows`), one matmul puts the chunk in every stacked
-    space and one :func:`qda.stacked_discriminant` call scores it, so no
-    (n, b, d) array is built.
-    """
-    b, d = D.shape[:2]
-    step = qda._chunk_rows(b * d)
-    counts = np.empty(scores.shape[0], dtype=int)
-    for start in range(0, scores.shape[0], step):
-        rows = slice(start, start + step)
-        Z = (scores[rows] @ projection).reshape(-1, b, d)
-        counts[rows] = (qda.stacked_discriminant(Z, D, const) >= 0.0).sum(axis=1)
-    return counts
-
-
 @dataclass(frozen=True, eq=False)
 class EnsembleModel:
     """A fitted ensemble.
@@ -175,11 +144,12 @@ class EnsembleModel:
     bad block. The :class:`projections.Projection`,
     :class:`qda.RqdaModel` and :class:`Block` check their own fields.
     The count of ``b1`` blocks is checked last. It then derives the
-    :func:`_stack` arrays :func:`vote_fractions` scores with (never
-    persisted): ``stacked_projection`` (p, b1*d), ``stacked_D``
-    (b1, d, d) and ``stacked_const`` (b1,). ``blocks`` is stored as a
-    tuple, and every array the model holds is read-only, so what it votes
-    with is what it saves.
+    arrays :func:`_vote_counts` scores with (never persisted; no other
+    code builds them): ``stacked_projection`` (p, b1*d), whose column
+    block k is block k's ``A'``, ``stacked_D`` (b1, d, d) and
+    ``stacked_const`` (b1,), the :class:`qda.RqdaModel` terms.
+    ``blocks`` is stored as a tuple, and every array the model holds is
+    read-only, so what it votes with is what it saves.
     Immutable and safe for concurrent reads.
     """
 
@@ -209,9 +179,10 @@ class EnsembleModel:
             blocks.append(block)
         if len(blocks) != self.config.b1:
             raise ValueError(f"model has {len(blocks)} blocks, expected b1={self.config.b1}")
-        projection, D, const = _stack(blocks)
-        freeze(self, blocks=tuple(blocks), alpha=alpha, stacked_projection=projection, stacked_D=D,
-               stacked_const=const)
+        freeze(self, blocks=tuple(blocks), alpha=alpha,
+               stacked_projection=np.vstack([block.projection.matrix for block in blocks]).T,
+               stacked_D=np.stack([block.model.D for block in blocks]),
+               stacked_const=np.array([block.model.const for block in blocks]))
 
     @property
     def n_features(self) -> int:
@@ -220,6 +191,25 @@ class EnsembleModel:
     @property
     def b1(self) -> int:
         return len(self.blocks)
+
+
+def _vote_counts(model: EnsembleModel, scores: np.ndarray) -> np.ndarray:
+    """Number of ``model``'s blocks voting class 1 for each row of probit ``scores``.
+
+    It reads the model's stacked arrays. Per chunk of rows
+    (:func:`qda._chunk_rows`), one matmul puts the chunk in every stacked
+    space and one :func:`qda.stacked_discriminant` call scores it, so no
+    (n, b1, d) array is built.
+    """
+    projection, D, const = model.stacked_projection, model.stacked_D, model.stacked_const
+    b, d = D.shape[:2]
+    step = qda._chunk_rows(b * d)
+    counts = np.empty(scores.shape[0], dtype=int)
+    for start in range(0, scores.shape[0], step):
+        rows = slice(start, start + step)
+        Z = (scores[rows] @ projection).reshape(-1, b, d)
+        counts[rows] = (qda.stacked_discriminant(Z, D, const) >= 0.0).sum(axis=1)
+    return counts
 
 
 def training_error(model: qda.RqdaModel, Z, labels) -> float:
@@ -280,6 +270,11 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
     same stored numbers. If some covariance of the batch has no factor or
     some candidate's batched terms are not finite at either precision of
     the count, every bound is -inf and the pass refits the whole block.
+
+    Unless the config fixes ``alpha``, the model is built once with a
+    provisional ``alpha`` of 0, :func:`select_alpha` picks it on the
+    returned model's own training votes, and ``dataclasses.replace``
+    sets it.
     """
     labels = np.asarray(labels)
     rows = qda._class_rows(labels)
@@ -318,15 +313,10 @@ def train_ensemble(X, labels, config: EnsembleConfig) -> EnsembleModel:
         blocks.append(best)
     qda._warn_small_classes(rows, config.d)  # after every check that can reject the fit
 
-    if config.alpha is not None:
-        alpha = float(config.alpha)
-    else:
-        votes = _vote_counts(scores, *_stack(blocks)) / config.b1
-        alpha = select_alpha(votes, labels, config.b1)
-
-    return EnsembleModel(
-        marginal_model=marginal_model, blocks=blocks, alpha=alpha, config=config
-    )
+    model = EnsembleModel(marginal_model, blocks, 0.0 if config.alpha is None else float(config.alpha), config)
+    if config.alpha is None:
+        model = replace(model, alpha=select_alpha(_vote_counts(model, scores) / config.b1, labels, config.b1))
+    return model
 
 
 def vote_fractions(model: EnsembleModel, X) -> np.ndarray:
@@ -335,7 +325,7 @@ def vote_fractions(model: EnsembleModel, X) -> np.ndarray:
     Every value is an exact integer multiple of 1/b1.
     """
     scores = marginals.transform_new(model.marginal_model, np.atleast_2d(np.asarray(X)))
-    return _vote_counts(scores, model.stacked_projection, model.stacked_D, model.stacked_const) / model.b1
+    return _vote_counts(model, scores) / model.b1
 
 
 def vote_fraction(model: EnsembleModel, x) -> float:

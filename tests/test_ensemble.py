@@ -149,10 +149,16 @@ class TestTrainEnsemble:
         doc_b = json.dumps(model_to_dict(train_ensemble(X, labels, config)))
         assert doc_a == doc_b
 
-    def test_fixed_alpha_skips_selection(self):
+    @pytest.mark.parametrize("alpha", [0.25, 1])
+    def test_fixed_alpha_skips_selection(self, alpha):
         X, labels = _two_cluster_data(seed=4)
-        model = train_ensemble(X, labels, EnsembleConfig(d=2, b1=3, b2=2, alpha=0.25, seed=5))
-        assert model.alpha == 0.25
+        config = EnsembleConfig(d=2, b1=3, b2=2, alpha=alpha, seed=5)
+        model = train_ensemble(X, labels, config)
+        assert model.alpha == alpha and type(model.alpha) is float
+        # the file writes the model's alpha as a float (1.0 for the int 1); the config keeps its 1
+        doc = model_to_dict(model)
+        assert json.dumps(doc["alpha"]) == repr(float(alpha))
+        assert json.dumps(doc["config"]["alpha"]) == json.dumps(config.alpha) == repr(alpha)
 
     def test_single_class_rejected(self):
         X = substream(0).standard_normal((10, 3))
@@ -225,7 +231,8 @@ class TestVotingAndClassify:
 
     def test_half_vote(self):
         model = _constant_vote_model(2, 2, alpha=0.5)
-        assert vote_fraction(model, np.array([0.3, 0.6])) == 0.5
+        nu = vote_fraction(model, np.array([0.3, 0.6]))
+        assert nu == 0.5 and type(nu) is float
 
     def test_single_block_votes_are_hard(self):
         model = _constant_vote_model(1, 0, alpha=0.5)
@@ -233,7 +240,8 @@ class TestVotingAndClassify:
 
     def test_tie_with_alpha_is_class_one(self):
         model = _constant_vote_model(2, 2, alpha=0.5)
-        assert classify(model, np.array([0.3, 0.6])) == 1
+        label = classify(model, np.array([0.3, 0.6]))
+        assert label == 1 and type(label) is int
 
     def test_alpha_zero_classifies_everything_one(self):
         model = _constant_vote_model(0, 4, alpha=0.0)

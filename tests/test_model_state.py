@@ -18,7 +18,6 @@ from rankqda import (
     EnsembleConfig, ScenarioSpec, fit_transform, inv_norm_cdf, load_model, save_model, train_ensemble,
     vote_fractions,
 )
-from rankqda.ensemble import _stack
 from rankqda.marginals import MarginalModel, transform_new
 from rankqda.model_io import model_to_dict
 from rankqda.projections import Projection
@@ -79,8 +78,13 @@ def _assert_derived_at_construction(model):
     np.testing.assert_array_equal(
         _bits(marginal.score_table), _bits(inv_norm_cdf(np.arange(1, n + 1) / (n + 1.0)))
     )
-    for name, expected in zip(("projection", "D", "const"), _stack(model.blocks)):
-        np.testing.assert_array_equal(_bits(getattr(model, f"stacked_{name}")), _bits(expected))
+    expected = {
+        "projection": np.vstack([block.projection.matrix for block in model.blocks]).T,
+        "D": np.stack([block.model.D for block in model.blocks]),
+        "const": np.array([block.model.const for block in model.blocks]),
+    }
+    for name, array in expected.items():
+        np.testing.assert_array_equal(_bits(getattr(model, f"stacked_{name}")), _bits(array))
 
 
 def test_score_table_and_stacked_are_set_at_construction(tmp_path):

@@ -44,7 +44,10 @@ in column 0 (so the candidates on that column are singular and the others
 are not), and d = p on the desk draw. Six small fits (d=3, b1=10, b2=5) on
 the desk draw, one per flavor at seeds 2**32 and 2**64 + 5, reach the
 stream keys whose seed is two and three 32-bit entropy words (a key of
-five words takes ``SeedSequence``'s extra mixing loop).
+five words takes ``SeedSequence``'s extra mixing loop). One more small fit
+on that draw fixes ``alpha`` at the int 1, the one training line that
+skips alpha selection (the model must store and write it as the float
+1.0).
 
 The ``writers`` line hashes the bytes the two CSV writers produce:
 ``dataio.write_data_csv`` on the desk draw with its latent columns, then
@@ -184,6 +187,7 @@ def configurations():
         for flavor in ("haar", "gaussian", "axis"):
             yield (f"desk-{flavor}-seed{seed}", X, y, T,
                    rq.EnsembleConfig(d=3, b1=10, b2=5, flavor=flavor, seed=seed))
+    yield "desk-alpha-int1", X, y, T, rq.EnsembleConfig(d=3, b1=10, b2=5, alpha=1, seed=1)
     rng = np.random.default_rng(5)
     X, T = rng.standard_normal((9, 5)), rng.standard_normal((50, 5))
     X[:, 0] = [1.0, 2.0, 5.0, 5.0, 5.0, 6.0, 7.0, 8.0, 9.0]  # class 0 ties at the middle rank
